@@ -5,6 +5,12 @@ difference for Loewner comparisons, the plain difference for scalar ones) plus
 a scale, and passes when ``margin >= -psd_tol * scale``.  Margins are reduced
 by an analytic bound on the truncation tail of the majorant involved, so a
 reported pass is robust to the series being finite.
+
+``check_theorem_grid`` is the check entry point: it prepares the instance once,
+validates every radius of the grid, and evaluates the margins of the whole grid
+in one pass.  ``check_theorem`` is its single-radius wrapper.  The grid sums
+perform, for each radius, the same floating-point operations as a sum at that
+radius alone, so a report does not depend on the grid it was evaluated in.
 """
 
 from __future__ import annotations
@@ -48,32 +54,57 @@ KOEBE_RADIUS = 3.0 - 2.0 * math.sqrt(2.0)
 # majorant sums (fixed ascending order with Kahan compensation)
 # ---------------------------------------------------------------------------
 
-def _kahan_matrix_sum(stack: np.ndarray, r: float, start_power: int) -> np.ndarray:
-    total = np.zeros(stack.shape[1:], dtype=np.complex128)
+def _weight_table(rs: np.ndarray, start_power: int, count: int) -> np.ndarray:
+    """Weights r^start_power * r^n, one row per n < count and one column per r.
+
+    Each column is a running product, so it holds bit for bit the weights of a
+    loop that starts from ``r ** start_power`` and multiplies by r per term.
+    """
+    table = np.empty((count, rs.size))
+    table[:1] = [r ** start_power for r in rs.tolist()]
+    table[1:] = rs
+    return np.cumprod(table, axis=0)
+
+
+def _kahan_matrix_sum(stack: np.ndarray, rs: np.ndarray, start_power: int) -> np.ndarray:
+    """Sum of stack[n] r^(start_power + n) over n, for every r of the grid rs.
+
+    The terms are added in ascending n with Kahan compensation, all radii at
+    once; each grid point goes through the same floating-point operations as a
+    sum at that radius alone.  Returns shape ``(len(rs),) + stack.shape[1:]``.
+    """
+    weights = _weight_table(rs, start_power, stack.shape[0])
+    terms = stack[:, None] * weights.reshape(weights.shape + (1,) * (stack.ndim - 1))
+    total = np.zeros(terms.shape[1:], dtype=np.complex128)
     comp = np.zeros_like(total)
-    weight = r ** start_power
-    for n in range(stack.shape[0]):
-        term = stack[n] * weight
+    for term in terms:
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        weight *= r
     return total
 
 
-def _kahan_scalar_sum(values: np.ndarray, r: float, start_power: int) -> float:
-    total = 0.0
-    comp = 0.0
-    weight = r ** start_power
-    for v in values:
-        term = float(v) * weight
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        weight *= r
-    return total
+def _kahan_scalar_sum(values: np.ndarray, rs: np.ndarray, start_power: int) -> np.ndarray:
+    """Sum of values[n] r^(start_power + n) over n, for every r of the grid rs.
+
+    The terms of the whole grid are formed at once; the compensated recurrence
+    runs on Python floats, which cost less per step than numpy calls on the
+    short grids the checks use.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    terms = values[:, None] * _weight_table(rs, start_power, values.shape[0])
+    sums = []
+    for column in terms.T.tolist():
+        total = 0.0
+        comp = 0.0
+        for term in column:
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        sums.append(total)
+    return np.array(sums)
 
 
 def _coeff_stack(coeffs, name: str = "coeffs") -> np.ndarray:
@@ -98,7 +129,7 @@ def operator_majorant(coeffs, r: float, k0: int = 0) -> np.ndarray:
     stack = _coeff_stack(coeffs)
     if k0 < 0 or k0 > stack.shape[0]:
         raise InvalidInputError(f"k0 out of range: {k0}")
-    return _kahan_matrix_sum(abs_value(stack[k0:]), r, k0)
+    return _kahan_matrix_sum(abs_value(stack[k0:]), np.array([r]), k0)[0]
 
 
 def norm_majorant(coeffs, r: float, k0: int = 0) -> float:
@@ -107,7 +138,7 @@ def norm_majorant(coeffs, r: float, k0: int = 0) -> float:
     stack = _coeff_stack(coeffs)
     if k0 < 0 or k0 > stack.shape[0]:
         raise InvalidInputError(f"k0 out of range: {k0}")
-    return _kahan_scalar_sum(operator_norm(stack[k0:]), r, k0)
+    return float(_kahan_scalar_sum(operator_norm(stack[k0:]), np.array([r]), k0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +313,15 @@ def bohr_radius_bisect(predicate: Callable[[float], bool], r_lo: float, r_hi: fl
 
 @dataclass(frozen=True)
 class RadiusScan:
-    """Grid of (r, margin, passed) rows plus a bisection-refined radius."""
+    """Grid of (r, margin, passed) rows plus a bisection-refined radius and the
+    bisection's monotonicity warnings."""
 
     family_id: str
     params: dict
     grid: tuple[tuple[float, float, bool], ...]
     estimated_radius: float
     bracketed: bool
+    warnings: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +349,13 @@ class TheoremReport:
 
 @dataclass
 class _Prepared:
-    margin_at: Callable[[float], tuple[float, float, dict]]
+    """A check prepared for one instance.
+
+    ``margins(rs)`` evaluates the check at every radius of the validated grid
+    ``rs`` (a float array) and returns one ``(margin, scale, sides)`` per radius.
+    """
+
+    margins: Callable[[np.ndarray], list[tuple[float, float, dict]]]
     stated_radius: float | None = None
     static_sides: dict = field(default_factory=dict)
 
@@ -365,19 +404,23 @@ def _prep_l1(instance, *, k: int = 0, tol=DEFAULT_TOL, **_) -> _Prepared:
     abs_h = abs_value(tail_part)
     sq = hermitize(np.sum(adjoint(tail_part) @ tail_part, axis=0))
 
-    def margin_at(r: float):
-        r = _check_r(r)
-        s = _kahan_matrix_sum(abs_h, r, k)
+    def margins(rs: np.ndarray):
+        s = _kahan_matrix_sum(abs_h, rs, k)
         lhs = hermitize(s @ s)
-        rhs = (r ** (2 * k) / (1.0 - r * r)) * sq
-        scale = max(1.0, operator_norm(rhs))
-        margin = smallest_eigenvalue(rhs - lhs)
-        return margin, scale, {"lhs_norm": operator_norm(lhs), "rhs_norm": operator_norm(rhs)}
+        coeff = np.array([r ** (2 * k) / (1.0 - r * r) for r in rs.tolist()])
+        rhs = coeff[:, None, None] * sq
+        lows = smallest_eigenvalue(rhs - lhs).tolist()
+        lhs_norms = operator_norm(lhs).tolist()
+        rhs_norms = operator_norm(rhs).tolist()
+        return [(low, max(1.0, rhs_norm), {"lhs_norm": lhs_norm, "rhs_norm": rhs_norm})
+                for low, lhs_norm, rhs_norm in zip(lows, lhs_norms, rhs_norms)]
 
-    return _Prepared(margin_at=margin_at, static_sides={"k": float(k)})
+    return _Prepared(margins=margins, static_sides={"k": float(k)})
 
 
 def _rotated_parts(h: HarmonicSeries, mu: float, normal: bool, tol: ToleranceProfile):
+    """Re(e^(i mu) A0), T = |Re(e^(i mu) A0)|, |P_n|, ||P_n|| and the residual
+    mass_coeff (I - T^2) - sum P_n* P_n left for the dropped tail."""
     phase = complex(np.exp(1j * mu))
     re_a0 = hermitize(phase * h.analytic[0])
     t_mat = abs_value(re_a0)
@@ -392,59 +435,57 @@ def _rotated_parts(h: HarmonicSeries, mu: float, normal: bool, tol: TolerancePro
     w = np.clip(w, 0.0, None)
     abs_p = hermitize((v * np.sqrt(w)[..., None, :]) @ adjoint(v))
     norms_p = np.sqrt(w[:, -1])
-    return re_a0, t_mat, abs_p, norms_p, gram
+    mass_coeff = 2.0 if normal else 4.0
+    residual = mass_coeff * (np.eye(h.dim) - t_mat @ t_mat) - np.sum(gram, axis=0)
+    return re_a0, t_mat, abs_p, norms_p, residual
 
 
 def _prep_t1i(instance, *, mu=None, normal: bool = False, tol=DEFAULT_TOL, **_) -> _Prepared:
     h = _as_harmonic(instance)
     mu = _require_mu(mu)
-    _, t_mat, abs_p, _, gram = _rotated_parts(h, mu, normal, tol)
+    _, t_mat, abs_p, _, residual = _rotated_parts(h, mu, normal, tol)
     d = h.dim
-    mass_coeff = 2.0 if normal else 4.0
-    residual = mass_coeff * (np.eye(d) - t_mat @ t_mat) - np.sum(gram, axis=0)
     residual_top = max(0.0, _largest_eigenvalue(residual))
     order = h.order
 
-    def margin_at(r: float):
-        r = _check_r(r)
-        s = t_mat + _kahan_matrix_sum(abs_p, r, 1)
+    def margins(rs: np.ndarray):
+        s = t_mat + _kahan_matrix_sum(abs_p, rs, 1)
+        radii = rs.tolist()
         if normal:
-            peak = math.sqrt(1.0 + r * r) / math.sqrt(1.0 - r * r)
-            x0 = math.sqrt(1.0 - r * r) / math.sqrt(1.0 + r * r)
+            x0s = [math.sqrt(1.0 - r * r) / math.sqrt(1.0 + r * r) for r in radii]
+            peaks = [math.sqrt(1.0 + r * r) / math.sqrt(1.0 - r * r) for r in radii]
         else:
-            x0, peak = psi_peak(r)
-        tail = _l2_mass_tail(residual_top, order, r)
-        margin = smallest_eigenvalue(peak * np.eye(d) - s) - tail
-        scale = max(1.0, peak)
-        return margin, scale, {
-            "x0": x0, "psi_peak": peak, "lhs_norm": operator_norm(s), "tail": tail,
-        }
+            x0s, peaks = zip(*(psi_peak(r) for r in radii))
+        tails = [_l2_mass_tail(residual_top, order, r) for r in radii]
+        lows = smallest_eigenvalue(np.array(peaks)[:, None, None] * np.eye(d) - s).tolist()
+        lhs_norms = operator_norm(s).tolist()
+        return [(low - tail, max(1.0, peak),
+                 {"x0": x0, "psi_peak": peak, "lhs_norm": lhs_norm, "tail": tail})
+                for low, tail, peak, x0, lhs_norm in zip(lows, tails, peaks, x0s, lhs_norms)]
 
-    return _Prepared(margin_at=margin_at, static_sides={"normal": float(normal)})
+    return _Prepared(margins=margins, static_sides={"normal": float(normal)})
 
 
 def _prep_t1ii(instance, *, mu=None, normal: bool = False, force: bool = False,
                tol=DEFAULT_TOL, **_) -> _Prepared:
     h = _as_harmonic(instance)
     mu = _require_mu(mu)
-    re_a0, t_mat, _, norms_p, gram = _rotated_parts(h, mu, normal, tol)
+    re_a0, _, _, norms_p, residual = _rotated_parts(h, mu, normal, tol)
     d = h.dim
     rhs = operator_norm(np.eye(d) - re_a0)
-    mass_coeff = 2.0 if normal else 4.0
-    residual = mass_coeff * (np.eye(d) - t_mat @ t_mat) - np.sum(gram, axis=0)
     # sum of ||P_n||^2 over the dropped tail is at most the trace of the residual
     residual_trace = max(0.0, float(np.trace(hermitize(residual)).real))
     order = h.order
 
-    def margin_at(r: float):
-        r = _check_r(r)
-        lhs = _kahan_scalar_sum(norms_p, r, 1)
-        tail = _l2_mass_tail(residual_trace, order, r)
-        margin = rhs - lhs - tail
-        scale = max(1.0, rhs)
-        return margin, scale, {"lhs_norm": lhs, "rhs_norm": rhs, "tail": tail}
+    def margins(rs: np.ndarray):
+        result = []
+        for r, lhs in zip(rs.tolist(), _kahan_scalar_sum(norms_p, rs, 1).tolist()):
+            tail = _l2_mass_tail(residual_trace, order, r)
+            result.append((rhs - lhs - tail, max(1.0, rhs),
+                           {"lhs_norm": lhs, "rhs_norm": rhs, "tail": tail}))
+        return result
 
-    return _Prepared(margin_at=margin_at,
+    return _Prepared(margins=margins,
                      stated_radius=(1.0 / 3.0 if normal else 0.2),
                      static_sides={"normal": float(normal)})
 
@@ -452,8 +493,7 @@ def _prep_t1ii(instance, *, mu=None, normal: bool = False, force: bool = False,
 def _prep_t1iii(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
     h = _as_harmonic(instance)
     d = h.dim
-    abs_a = abs_value(h.analytic[1:])
-    abs_b_star = abs_value(adjoint(h.coanalytic))
+    abs_pair = np.stack([abs_value(h.analytic[1:]), abs_value(adjoint(h.coanalytic))], axis=1)
     a0 = h.analytic[0]
     used = adjoint(a0) @ a0
     used = used + np.sum(adjoint(h.analytic[1:]) @ h.analytic[1:], axis=0)
@@ -461,14 +501,16 @@ def _prep_t1iii(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
     residual_top = max(0.0, _largest_eigenvalue(np.eye(d) - used))
     order = h.order
 
-    def margin_at(r: float):
-        r = _check_r(r)
-        s = _kahan_matrix_sum(abs_a, r, 1) + _kahan_matrix_sum(abs_b_star, r, 1)
-        tail = _l2_mass_tail(2.0 * residual_top, order, r)
-        margin = smallest_eigenvalue(0.5 * np.eye(d) - s) - tail
-        return margin, 1.0, {"lhs_norm": operator_norm(s), "tail": tail}
+    def margins(rs: np.ndarray):
+        pair = _kahan_matrix_sum(abs_pair, rs, 1)
+        s = pair[:, 0] + pair[:, 1]
+        tails = [_l2_mass_tail(2.0 * residual_top, order, r) for r in rs.tolist()]
+        lows = smallest_eigenvalue(0.5 * np.eye(d) - s).tolist()
+        lhs_norms = operator_norm(s).tolist()
+        return [(low - tail, 1.0, {"lhs_norm": lhs_norm, "tail": tail})
+                for low, tail, lhs_norm in zip(lows, tails, lhs_norms)]
 
-    return _Prepared(margin_at=margin_at, stated_radius=1.0 / 3.0)
+    return _Prepared(margins=margins, stated_radius=1.0 / 3.0)
 
 
 def _prep_e55(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
@@ -481,16 +523,18 @@ def _prep_e55(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
     residual_top = max(0.0, _largest_eigenvalue(np.eye(d) - used))
     order = f.order
 
-    def margin_at(r: float):
-        r = _check_r(r)
-        s = _kahan_matrix_sum(abs_a, r, 0)
-        rhs_val = 1.0 / math.sqrt(1.0 - r * r)
-        tail = _l2_mass_tail(residual_top, order, r)
-        margin = smallest_eigenvalue(rhs_val * np.eye(d) - s) - tail
-        scale = max(1.0, rhs_val)
-        return margin, scale, {"lhs_norm": operator_norm(s), "rhs_norm": rhs_val, "tail": tail}
+    def margins(rs: np.ndarray):
+        s = _kahan_matrix_sum(abs_a, rs, 0)
+        radii = rs.tolist()
+        rhs_vals = [1.0 / math.sqrt(1.0 - r * r) for r in radii]
+        tails = [_l2_mass_tail(residual_top, order, r) for r in radii]
+        lows = smallest_eigenvalue(np.array(rhs_vals)[:, None, None] * np.eye(d) - s).tolist()
+        lhs_norms = operator_norm(s).tolist()
+        return [(low - tail, max(1.0, rhs_val),
+                 {"lhs_norm": lhs_norm, "rhs_norm": rhs_val, "tail": tail})
+                for low, tail, rhs_val, lhs_norm in zip(lows, tails, rhs_vals, lhs_norms)]
 
-    return _Prepared(margin_at=margin_at)
+    return _Prepared(margins=margins)
 
 
 def _colligation_series_norms(c: ColligationSpec, order: int, rho: float = 0.5):
@@ -518,9 +562,7 @@ def _prep_t2(instance, *, order: int = 64, tol=DEFAULT_TOL, **_) -> _Prepared:
     norm_a0 = operator_norm(as_matrix(a0))
     ell = math.log(norm_a0) / operator_norm(log_eig_normal(hermitize(as_matrix(a0)), tol=tol))
 
-    def margin_at(r: float):
-        r = _check_r(r)
-        alpha = _kahan_scalar_sum(norms_a, r, 0)
+    def margin(r: float, alpha: float):
         rho_t = 0.5 * (1.0 + r)
         growth = math.exp(0.5 * v_sq * (1.0 + rho_t) / (1.0 - rho_t))
         tail = growth * (r / rho_t) ** (order + 1) / (1.0 - r / rho_t)
@@ -534,16 +576,19 @@ def _prep_t2(instance, *, order: int = 64, tol=DEFAULT_TOL, **_) -> _Prepared:
         a0_sq_bound = norm_a0 ** 2
         growth_margin = (growth_bound - alpha_hi) / max(1.0, growth_bound)
         a0_sq_margin = (a0_sq_bound - alpha_hi) / max(1.0, a0_sq_bound)
-        margin = min(lam_margin, growth_margin, a0_sq_margin)
         sides = {
             "lambda_lhs": lam_lhs, "lambda_rhs": lam_rhs, "lambda_margin": lam_margin,
             "growth_bound": growth_bound, "growth_margin": growth_margin,
             "a0_sq_bound": a0_sq_bound, "a0_sq_margin": a0_sq_margin,
             "majorant": alpha, "tail": tail, "L": ell, "norm_a0": norm_a0,
         }
-        return margin, 1.0, sides
+        return min(lam_margin, growth_margin, a0_sq_margin), 1.0, sides
 
-    return _Prepared(margin_at=margin_at, stated_radius=radius,
+    def margins(rs: np.ndarray):
+        return [margin(r, alpha)
+                for r, alpha in zip(rs.tolist(), _kahan_scalar_sum(norms_a, rs, 0).tolist())]
+
+    return _Prepared(margins=margins, stated_radius=radius,
                      static_sides={"L": ell, "radius": radius})
 
 
@@ -554,18 +599,32 @@ def _prep_e17(instance, **_) -> _Prepared:
         raise ContractError("e17 needs a triple (alpha, beta, gamma)") from exc
     if not (0.0 <= gamma <= alpha <= beta):
         raise ContractError("e17 needs 0 <= gamma <= alpha <= beta")
+    margin = spherical_distance(beta, gamma) - spherical_distance(alpha, gamma)
 
-    def margin_at(r: float):
-        margin = spherical_distance(beta, gamma) - spherical_distance(alpha, gamma)
-        return margin, 1.0, {"alpha": alpha, "beta": beta, "gamma": gamma}
+    def margins(rs: np.ndarray):
+        return [(margin, 1.0, {"alpha": alpha, "beta": beta, "gamma": gamma}) for _ in rs]
 
-    return _Prepared(margin_at=margin_at)
+    return _Prepared(margins=margins)
 
 
 def _subordinated(instance):
     f, w = _as_pair(instance)
     g = compose_subordination(f, w, f.order)
     return f, w, g
+
+
+def _liminf_margins(norms_b: np.ndarray, liminf: float, sum_norm_a: float, order: int):
+    """Margins of the norm sum of the B_n against a boundary liminf (t3a, t4a)."""
+
+    def margins(rs: np.ndarray):
+        result = []
+        for r, lhs in zip(rs.tolist(), _kahan_scalar_sum(norms_b, rs, 1).tolist()):
+            tail = _geom_tail(sum_norm_a, order, r)
+            result.append((liminf - lhs - tail, max(1.0, liminf),
+                           {"lhs_norm": lhs, "liminf": liminf, "tail": tail}))
+        return result
+
+    return margins
 
 
 def _prep_t3a(instance, *, liminf_grid=(20, 360), boundary_eval=None,
@@ -578,18 +637,8 @@ def _prep_t3a(instance, *, liminf_grid=(20, 360), boundary_eval=None,
     liminf = boundary_distance_liminf(boundary_eval if boundary_eval is not None else f,
                                       f.coeffs[0], grid=liminf_grid)
     sum_norm_a = float(np.sum(operator_norm(f.coeffs[1:])))
-    order = g.order
-
-    def margin_at(r: float):
-        r = _check_r(r)
-        lhs = _kahan_scalar_sum(norms_b, r, 1)
-        tail = _geom_tail(sum_norm_a, order, r)
-        margin = liminf.value - lhs - tail
-        scale = max(1.0, liminf.value)
-        return margin, scale, {"lhs_norm": lhs, "liminf": liminf.value, "tail": tail}
-
-    return _Prepared(margin_at=margin_at, stated_radius=radius,
-                     static_sides={"radius": radius})
+    return _Prepared(margins=_liminf_margins(norms_b, liminf.value, sum_norm_a, g.order),
+                     stated_radius=radius, static_sides={"radius": radius})
 
 
 def _prep_t3b(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
@@ -598,19 +647,20 @@ def _prep_t3b(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
         raise ContractError("t3b needs a series of order >= 1")
     abs_b = abs_value(g.coeffs[1:])
     rhs = 0.5 * abs_value(f.coeffs[1])
+    rhs_norm = operator_norm(rhs)
     sum_norm_a = float(np.sum(operator_norm(f.coeffs[1:])))
     order = g.order
 
-    def margin_at(r: float):
-        r = _check_r(r)
-        s = _kahan_matrix_sum(abs_b, r, 1)
-        tail = _geom_tail(sum_norm_a, order, r)
-        margin = smallest_eigenvalue(rhs - s) - tail
-        scale = max(1.0, operator_norm(rhs))
-        return margin, scale, {"lhs_norm": operator_norm(s), "rhs_norm": operator_norm(rhs),
-                               "tail": tail}
+    def margins(rs: np.ndarray):
+        s = _kahan_matrix_sum(abs_b, rs, 1)
+        tails = [_geom_tail(sum_norm_a, order, r) for r in rs.tolist()]
+        lows = smallest_eigenvalue(rhs - s).tolist()
+        lhs_norms = operator_norm(s).tolist()
+        return [(low - tail, max(1.0, rhs_norm),
+                 {"lhs_norm": lhs_norm, "rhs_norm": rhs_norm, "tail": tail})
+                for low, tail, lhs_norm in zip(lows, tails, lhs_norms)]
 
-    return _Prepared(margin_at=margin_at, stated_radius=1.0 / 3.0)
+    return _Prepared(margins=margins, stated_radius=1.0 / 3.0)
 
 
 def _prep_l2(instance, *, loewner: bool, tol=DEFAULT_TOL, **_) -> _Prepared:
@@ -624,21 +674,23 @@ def _prep_l2(instance, *, loewner: bool, tol=DEFAULT_TOL, **_) -> _Prepared:
     else:
         norms_b = operator_norm(g.coeffs[1:])
 
-    def margin_at(r: float):
-        r = _check_r(r)
-        rhs_val = _kahan_scalar_sum(norms_a, r, 1)
-        tail = _geom_tail(sum_norm_a, order, r)
+    def margins(rs: np.ndarray):
+        rhs_vals = _kahan_scalar_sum(norms_a, rs, 1).tolist()
+        tails = [_geom_tail(sum_norm_a, order, r) for r in rs.tolist()]
         if loewner:
-            s = _kahan_matrix_sum(abs_b, r, 1)
-            margin = smallest_eigenvalue(rhs_val * np.eye(d) - s) - tail
-            lhs_norm = operator_norm(s)
+            s = _kahan_matrix_sum(abs_b, rs, 1)
+            lows = smallest_eigenvalue(np.array(rhs_vals)[:, None, None] * np.eye(d) - s)
+            values = [low - tail for low, tail in zip(lows.tolist(), tails)]
+            lhs_norms = operator_norm(s).tolist()
         else:
-            lhs_norm = _kahan_scalar_sum(norms_b, r, 1)
-            margin = rhs_val - lhs_norm - tail
-        scale = max(1.0, rhs_val)
-        return margin, scale, {"lhs_norm": lhs_norm, "rhs_norm": rhs_val, "tail": tail}
+            lhs_norms = _kahan_scalar_sum(norms_b, rs, 1).tolist()
+            values = [rhs_val - lhs_norm - tail
+                      for rhs_val, lhs_norm, tail in zip(rhs_vals, lhs_norms, tails)]
+        return [(value, max(1.0, rhs_val),
+                 {"lhs_norm": lhs_norm, "rhs_norm": rhs_val, "tail": tail})
+                for value, rhs_val, lhs_norm, tail in zip(values, rhs_vals, lhs_norms, tails)]
 
-    return _Prepared(margin_at=margin_at, stated_radius=1.0 / 3.0)
+    return _Prepared(margins=margins, stated_radius=1.0 / 3.0)
 
 
 def _check_starlike_normalization(f: HoloSeries) -> None:
@@ -657,17 +709,8 @@ def _prep_t4a(instance, *, liminf_grid=(20, 360), boundary_eval=None,
     liminf = boundary_distance_liminf(boundary_eval if boundary_eval is not None else f,
                                       0.0, grid=liminf_grid)
     sum_norm_a = float(np.sum(operator_norm(f.coeffs[1:])))
-    order = g.order
-
-    def margin_at(r: float):
-        r = _check_r(r)
-        lhs = _kahan_scalar_sum(norms_b, r, 1)
-        tail = _geom_tail(sum_norm_a, order, r)
-        margin = liminf.value - lhs - tail
-        scale = max(1.0, liminf.value)
-        return margin, scale, {"lhs_norm": lhs, "liminf": liminf.value, "tail": tail}
-
-    return _Prepared(margin_at=margin_at, stated_radius=KOEBE_RADIUS)
+    return _Prepared(margins=_liminf_margins(norms_b, liminf.value, sum_norm_a, g.order),
+                     stated_radius=KOEBE_RADIUS)
 
 
 def _prep_t4b(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
@@ -678,14 +721,15 @@ def _prep_t4b(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
     order = g.order
     d = f.dim
 
-    def margin_at(r: float):
-        r = _check_r(r)
-        s = _kahan_matrix_sum(abs_b, r, 1)
-        tail = _geom_tail(sum_norm_a, order, r)
-        margin = smallest_eigenvalue(0.25 * np.eye(d) - s) - tail
-        return margin, 1.0, {"lhs_norm": operator_norm(s), "tail": tail}
+    def margins(rs: np.ndarray):
+        s = _kahan_matrix_sum(abs_b, rs, 1)
+        tails = [_geom_tail(sum_norm_a, order, r) for r in rs.tolist()]
+        lows = smallest_eigenvalue(0.25 * np.eye(d) - s).tolist()
+        lhs_norms = operator_norm(s).tolist()
+        return [(low - tail, 1.0, {"lhs_norm": lhs_norm, "tail": tail})
+                for low, tail, lhs_norm in zip(lows, tails, lhs_norms)]
 
-    return _Prepared(margin_at=margin_at, stated_radius=KOEBE_RADIUS)
+    return _Prepared(margins=margins, stated_radius=KOEBE_RADIUS)
 
 
 _PREPARERS = {
@@ -705,40 +749,56 @@ _PREPARERS = {
 }
 
 
-def _build_report(theorem_id: str, prepared: _Prepared, r: float | None, mu,
-                  tol: ToleranceProfile, force: bool, witness: dict | None) -> TheoremReport:
-    if theorem_id != "e17":
-        if r is None:
-            raise ContractError(f"{theorem_id} needs an evaluation radius")
-        if (prepared.stated_radius is not None and not force
-                and r > prepared.stated_radius + 1e-12):
-            raise DomainError(
-                f"r = {r:.6g} exceeds the stated radius {prepared.stated_radius:.6g} "
-                f"for {theorem_id}; pass force=True for diagnostics"
-            )
-    margin, scale, sides = prepared.margin_at(r if r is not None else 0.0)
-    side_values = dict(prepared.static_sides)
-    side_values.update(sides)
-    side_values["scale"] = scale
-    return TheoremReport(
-        theorem_id=theorem_id,
-        r=None if theorem_id == "e17" else float(r),
-        mu=None if mu is None else float(mu),
-        passed=margin >= -tol.psd_tol * scale,
-        margin=float(margin),
-        side_values=side_values,
-        witness=dict(witness or {}),
-    )
+def _build_report(theorem_id: str, prepared: _Prepared, rs: Sequence[float | None], mu,
+                  tol: ToleranceProfile, force: bool, witness: dict | None) -> list[TheoremReport]:
+    """Reports of a prepared check at every radius of rs (e17 takes none).
+
+    Every radius is validated before any is evaluated; the whole grid is then
+    evaluated in one ``margins`` call.
+    """
+    has_radius = theorem_id != "e17"
+    if has_radius:
+        for r in rs:
+            if r is None:
+                raise ContractError(f"{theorem_id} needs an evaluation radius")
+            if (prepared.stated_radius is not None and not force
+                    and r > prepared.stated_radius + 1e-12):
+                raise DomainError(
+                    f"r = {r:.6g} exceeds the stated radius {prepared.stated_radius:.6g} "
+                    f"for {theorem_id}; pass force=True for diagnostics"
+                )
+        grid = np.array([_check_r(r) for r in rs], dtype=np.float64)
+    else:
+        grid = np.zeros(len(rs))
+    if grid.size == 0:
+        return []
+    reports = []
+    for r, (margin, scale, sides) in zip(grid.tolist(), prepared.margins(grid)):
+        side_values = dict(prepared.static_sides)
+        side_values.update(sides)
+        side_values["scale"] = scale
+        reports.append(TheoremReport(
+            theorem_id=theorem_id,
+            r=r if has_radius else None,
+            mu=None if mu is None else float(mu),
+            passed=margin >= -tol.psd_tol * scale,
+            margin=float(margin),
+            side_values=side_values,
+            witness=dict(witness or {}),
+        ))
+    return reports
 
 
-def check_theorem(theorem_id: str, instance, r: float | None = None, mu: float | None = None,
-                  *, force: bool = False, normal: bool = False, k: int = 0,
-                  order: int = 64, liminf_grid: tuple[int, int] = (20, 360),
-                  boundary_eval=None, tol: ToleranceProfile = DEFAULT_TOL,
-                  witness: dict | None = None) -> TheoremReport:
-    """Run one inequality check and return its report.
+def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
+                       mu: float | None = None, *, force: bool = False,
+                       normal: bool = False, k: int = 0, order: int = 64,
+                       liminf_grid: tuple[int, int] = (20, 360),
+                       boundary_eval=None, tol: ToleranceProfile = DEFAULT_TOL,
+                       witness: dict | None = None) -> list[TheoremReport]:
+    """Run one inequality check at every radius of rs; one report per radius.
 
-    theorem_id selects the inequality:
+    The per-instance setup is done once and the margins of the whole grid are
+    evaluated in one pass.  theorem_id selects the inequality:
 
     l1     squared majorant against the scaled square-sum (Loewner), offset k
     t1i    rotated absolute-coefficient bound, peak sqrt(1+3r^2)/sqrt(1-r^2)
@@ -748,13 +808,15 @@ def check_theorem(theorem_id: str, instance, r: float | None = None, mu: float |
     e55    holomorphic majorant against I/sqrt(1-r^2)
     t2     chordal-distance Bohr inequality for exterior instances, plus the
            realization growth bounds; radius (2L-1)/(2L+1) from the instance
-    e17    chordal-distance monotonicity on an ordered triple (no radius)
+    e17    chordal-distance monotonicity on an ordered triple (no radius; each
+           entry of rs, which may be None, yields one report)
     t3a/b  subordination to a convex instance: norm sum against the boundary
            liminf at the condition-number radius; absolute sum against |A1|/2
     l2a/b  subordination majorants against the source majorant at r <= 1/3
     t4a/b  subordination to a normalized starlike instance at r <= 3 - 2 sqrt(2)
 
-    Checks at r beyond the stated radius raise DomainError unless force=True.
+    A grid with any r beyond the stated radius raises DomainError before any
+    evaluation, unless force=True.
     """
     if theorem_id not in _PREPARERS:
         raise ContractError(f"unknown theorem id: {theorem_id!r}")
@@ -762,20 +824,10 @@ def check_theorem(theorem_id: str, instance, r: float | None = None, mu: float |
         instance, mu=mu, normal=normal, k=k, order=order,
         liminf_grid=liminf_grid, boundary_eval=boundary_eval, tol=tol, force=force,
     )
-    return _build_report(theorem_id, prepared, r, mu, tol, force, witness)
+    return _build_report(theorem_id, prepared, rs, mu, tol, force, witness)
 
 
-def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float],
-                       mu: float | None = None, *, force: bool = False,
-                       normal: bool = False, k: int = 0, order: int = 64,
-                       liminf_grid: tuple[int, int] = (20, 360),
-                       boundary_eval=None, tol: ToleranceProfile = DEFAULT_TOL,
-                       witness: dict | None = None) -> list[TheoremReport]:
-    """Evaluate one check at several radii, sharing the per-instance setup."""
-    if theorem_id not in _PREPARERS:
-        raise ContractError(f"unknown theorem id: {theorem_id!r}")
-    prepared = _PREPARERS[theorem_id](
-        instance, mu=mu, normal=normal, k=k, order=order,
-        liminf_grid=liminf_grid, boundary_eval=boundary_eval, tol=tol, force=force,
-    )
-    return [_build_report(theorem_id, prepared, r, mu, tol, force, witness) for r in rs]
+def check_theorem(theorem_id: str, instance, r: float | None = None, mu: float | None = None,
+                  **kwargs) -> TheoremReport:
+    """check_theorem_grid at the single radius r; see there for the checks."""
+    return check_theorem_grid(theorem_id, instance, [r], mu, **kwargs)[0]

@@ -363,7 +363,8 @@ def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
         grid.append((float(r), float(m), bool(m >= -1e-12)))
     result = bohr_radius_bisect(predicate, r_min, r_max, tol=tol)
     return RadiusScan(family_id=family, params=merged, grid=tuple(grid),
-                      estimated_radius=result.radius, bracketed=result.bracketed)
+                      estimated_radius=result.radius, bracketed=result.bracketed,
+                      warnings=result.warnings)
 
 
 def write_scan_csv(scan: RadiusScan, path: str) -> None:
@@ -377,7 +378,8 @@ def write_scan_csv(scan: RadiusScan, path: str) -> None:
             writer.writerow([scan.family_id,
                              _json.dumps({**base, "row": "grid"}, sort_keys=True),
                              f"{r:.12g}", f"{margin:.12g}", passed])
-        est_params = {**base, "row": "estimate", "bracketed": scan.bracketed}
+        est_params = {**base, "row": "estimate", "bracketed": scan.bracketed,
+                      "warnings": list(scan.warnings)}
         writer.writerow([scan.family_id, _json.dumps(est_params, sort_keys=True),
                          f"{scan.estimated_radius:.12g}", "", scan.bracketed])
 

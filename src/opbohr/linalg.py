@@ -75,11 +75,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + adjoint(m))
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """Operator-norm distance of a single matrix from its Hermitian part."""
-    return float(operator_norm(m - adjoint(as_matrix(m))))
-
-
 def operator_norm(m):
     """Largest singular value (rectangular input allowed).
 
@@ -129,13 +124,18 @@ def re_im_parts(m) -> tuple[np.ndarray, np.ndarray]:
     return re, im
 
 
-def smallest_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (symmetrized defensively)."""
+def smallest_eigenvalue(h):
+    """Smallest eigenvalue of a Hermitian matrix (symmetrized defensively).
+
+    For a stack over leading axes, returns an array of smallest eigenvalues.
+    """
+    a = as_matrix_stack(h)
     try:
-        w = np.linalg.eigvalsh(hermitize(as_matrix(h)))
+        w = np.linalg.eigvalsh(hermitize(a))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigvalsh failed: {exc}") from exc
-    return float(w[0])
+    low = w[..., 0]
+    return float(low) if a.ndim == 2 else low
 
 
 def loewner_leq(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> LoewnerResult:

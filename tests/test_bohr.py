@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from opbohr import (
     KOEBE_RADIUS,
+    THEOREM_IDS,
     ContractError,
     DomainError,
     HarmonicSeries,
@@ -24,6 +25,7 @@ from opbohr import (
     thm2_radius,
     thm3_radius,
 )
+from opbohr import bohr
 from opbohr.generators import (
     FamilySpec,
     gaussian_coeff_sequence,
@@ -37,6 +39,36 @@ from opbohr.generators import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def reference_matrix_sum(stack, r, start_power):
+    """Compensated majorant sum at one radius, the loop the grid sum reproduces."""
+    total = np.zeros(stack.shape[1:], dtype=np.complex128)
+    comp = np.zeros_like(total)
+    weight = r ** start_power
+    for n in range(stack.shape[0]):
+        term = stack[n] * weight
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        weight *= r
+    return total
+
+
+def reference_scalar_sum(values, r, start_power):
+    """Scalar counterpart of reference_matrix_sum."""
+    total = 0.0
+    comp = 0.0
+    weight = r ** start_power
+    for v in values:
+        term = float(v) * weight
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        weight *= r
+    return total
 
 
 class TestMajorants:
@@ -79,6 +111,28 @@ class TestMajorants:
     def test_r_domain(self):
         with pytest.raises(DomainError):
             norm_majorant(np.zeros((1, 1, 1)), 1.0, 0)
+
+
+class TestGridKahanSums:
+    radii = st.lists(st.floats(0.0, 0.999), min_size=1, max_size=12)
+
+    @given(radii, st.integers(0, 4), st.integers(0, 70), st.integers(1, 3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_sum_is_the_per_radius_loop(self, rs, start_power, n, d, paired):
+        rng = np.random.default_rng(n * 97 + d)
+        shape = (n, 2, d, d) if paired else (n, d, d)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = bohr._kahan_matrix_sum(stack, np.array(rs), start_power)
+        assert out.shape == (len(rs),) + shape[1:]
+        for row, r in zip(out, rs):
+            assert row.tobytes() == reference_matrix_sum(stack, r, start_power).tobytes()
+
+    @given(radii, st.integers(0, 4), st.integers(0, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_sum_is_the_per_radius_loop(self, rs, start_power, n):
+        values = np.abs(np.random.default_rng(n).standard_normal(n)) * 10.0
+        out = bohr._kahan_scalar_sum(values, np.array(rs), start_power)
+        assert out.tolist() == [reference_scalar_sum(values, r, start_power) for r in rs]
 
 
 class TestRotatedCoeffs:
@@ -328,7 +382,82 @@ class TestCheckTheorem:
         for key in ("lambda_lhs", "lambda_rhs", "growth_bound", "a0_sq_bound", "L"):
             assert key in rep.side_values
 
+    def test_t4b_koebe_fails_just_past_its_sharp_radius(self):
+        pair = (koebe_series(2, 256), identity_witness(256))
+        at, past = check_theorem_grid("t4b", pair, (KOEBE_RADIUS, KOEBE_RADIUS + 1e-3),
+                                      force=True)
+        assert at.passed and abs(at.margin) <= 1e-9
+        assert not past.passed
+
+    def test_e55_mobius_touches_its_bound_only_at_the_extremal_radius(self):
+        # e55 holds at every radius, so no radius exists past which Mobius(a)
+        # fails: it meets the bound at r = a and lies strictly inside on both
+        # sides.  A checker that inflated margins would read > 0 at r = a; one
+        # that cannot fail is caught by pushing the instance past norm one.
+        f = mobius_series(INV_SQRT2, 2, 64)
+        rs = (INV_SQRT2 - 1e-3, INV_SQRT2, INV_SQRT2 + 1e-3)
+        below, at, past = check_theorem_grid("e55", f, rs, force=True)
+        assert at.passed and abs(at.margin) <= 1e-12
+        assert below.margin > 1e-6 and past.margin > 1e-6
+        scaled = HoloSeries((1.0 + 1e-3) * f.coeffs)
+        assert not any(rep.passed for rep in check_theorem_grid("e55", scaled, rs, force=True))
+
+    def test_grid_past_stated_radius_raises_before_evaluating(self, monkeypatch):
+        rs = (0.1, 1.0 / 3.0, 0.6)
+        assert len(check_theorem_grid("t1iii", self.scalar_z_harmonic(), rs, force=True)) == 3
+
+        def evaluated(*args):
+            raise AssertionError("a margin was evaluated before the grid was validated")
+
+        monkeypatch.setattr(bohr, "_kahan_matrix_sum", evaluated)
+        with pytest.raises(DomainError):
+            check_theorem_grid("t1iii", self.scalar_z_harmonic(), rs)
+
     def test_normalized_margin_and_scale(self):
         rep = check_theorem("t1iii", self.scalar_z_harmonic(), 1.0 / 3.0)
         assert rep.scale == 1.0
         assert rep.normalized_margin == rep.margin
+
+
+@pytest.fixture(scope="module")
+def radius_cases():
+    """theorem id -> (instance, radii, kwargs) for every check that takes a radius."""
+    harmonic = sample(FamilySpec(family_id="schur_harmonic", dim=2, aux_dim=4, order=32, seed=3))
+    holo = sample(FamilySpec(family_id="schur_holo", dim=2, aux_dim=4, order=32, seed=3))
+    holo_pair = sample(FamilySpec(family_id="schur_holo", dim=2, aux_dim=4, order=32, seed=4,
+                                  params={"with_witness": True}))
+    exterior = sample(FamilySpec(family_id="exterior_diag", dim=2, aux_dim=4, order=32, seed=5))
+    convex, convex_aux = sample(FamilySpec(family_id="convex_diag", dim=2, aux_dim=4, order=64,
+                                           seed=6, params={"with_witness": True}), with_aux=True)
+    starlike, starlike_aux = sample(FamilySpec(family_id="starlike_diag", dim=2, aux_dim=4,
+                                               order=64, seed=7, params={"with_witness": True}),
+                                    with_aux=True)
+    return {
+        "l1": (gaussian_coeff_sequence(2, 16, 5), (0.1, 0.5, 0.9), {"k": 1}),
+        "t1i": (harmonic, (0.1, 0.5, 0.9, 0.95), {"mu": 0.7}),
+        "t1ii": (harmonic, (0.05, 0.2, 0.6), {"mu": 0.7}),
+        "t1iii": (harmonic, (0.1, 1.0 / 3.0, 0.6), {}),
+        "e55": (holo, (0.25, 0.5, INV_SQRT2), {}),
+        "t2": (exterior, (0.1, 1.0 / 3.0, 0.6), {}),
+        "t3a": (convex, (0.05, thm3_radius(convex[0].coeffs[1]), 0.6),
+                {"boundary_eval": convex_aux["eval"]}),
+        "t3b": (convex, (0.05, 1.0 / 3.0, 0.6), {}),
+        "l2a": (holo_pair, (0.1, 0.2, 1.0 / 3.0, 0.6), {}),
+        "l2b": (holo_pair, (0.1, 0.2, 1.0 / 3.0, 0.6), {}),
+        "t4a": (starlike, (0.05, KOEBE_RADIUS, 0.6), {"boundary_eval": starlike_aux["eval"]}),
+        "t4b": (starlike, (0.05, KOEBE_RADIUS, 0.6), {}),
+    }
+
+
+def test_radius_cases_cover_every_check_with_a_radius(radius_cases):
+    assert set(radius_cases) == set(THEOREM_IDS) - {"e17"}
+
+
+@pytest.mark.parametrize("theorem_id", [t for t in THEOREM_IDS if t != "e17"])
+def test_grid_equals_single_radius_checks(theorem_id, radius_cases):
+    instance, rs, kwargs = radius_cases[theorem_id]
+    grid = check_theorem_grid(theorem_id, instance, rs, force=True, **kwargs)
+    singles = [check_theorem(theorem_id, instance, r, force=True, **kwargs) for r in rs]
+    assert [rep.r for rep in grid] == list(rs)
+    assert grid == singles
+    assert check_theorem_grid(theorem_id, instance, (), **kwargs) == []

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from opbohr import KOEBE_RADIUS
+from opbohr import KOEBE_RADIUS, RadiusScan
 from opbohr.cli import (
     RunConfig,
     demo,
@@ -165,6 +165,17 @@ class TestScan:
         assert len(rows) == len(scan.grid) + 2
         est_params = json.loads(rows[-1][1])
         assert est_params["row"] == "estimate" and est_params["bracketed"] is True
+        assert est_params["warnings"] == list(scan.warnings)
+
+    def test_estimate_row_carries_bisection_warnings(self, tmp_path):
+        warning = "non-monotone predicate near r = 0.3"
+        scan = RadiusScan(family_id="mobius", params={"a": 0.5}, grid=(),
+                          estimated_radius=0.5, bracketed=True, warnings=(warning,))
+        path = tmp_path / "scan.csv"
+        write_scan_csv(scan, str(path))
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        assert json.loads(rows[-1][1])["warnings"] == [warning]
 
     def test_koebe_estimate(self):
         scan = scan_radius("koebe")

@@ -19,6 +19,7 @@ from opbohr import (
     spectrum,
 )
 from opbohr.generators import random_unitary
+from opbohr.linalg import smallest_eigenvalue
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -148,6 +149,18 @@ class TestLoewner:
             a = abs_value(m)
             holds, _ = loewner_leq(a @ a, operator_norm(m) ** 2 * np.eye(4))
             assert holds
+
+
+class TestSmallestEigenvalue:
+    def test_single_matrix_gives_float(self):
+        out = smallest_eigenvalue(np.diag([3.0, -1.0, 2.0]).astype(complex))
+        assert isinstance(out, float) and out == -1.0
+
+    def test_stack_matches_loop_exactly(self):
+        stack = np.stack([abs_value(rand_matrix(s)) - 0.5 * np.eye(3) for s in range(6)])
+        batched = smallest_eigenvalue(stack.reshape(2, 3, 3, 3))
+        assert batched.shape == (2, 3)
+        assert batched.ravel().tolist() == [smallest_eigenvalue(m) for m in stack]
 
 
 class TestSpectrum:
