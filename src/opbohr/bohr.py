@@ -227,7 +227,7 @@ def boundary_distance_liminf(f, base, grid: tuple[int, int] = (20, 360),
     ring_min = np.empty(j_count)
     for j, rr in enumerate(radii):
         values = np.asarray(eval_fn(rr * np.exp(1j * theta))) - base[None, :, :]
-        ring_min[j] = float(np.linalg.svd(values, compute_uv=False)[:, 0].min())
+        ring_min[j] = float(operator_norm(values).min())
     value = float(ring_min[-min(tail_rings, j_count):].min())
     return LiminfEstimate(value=value, ring_radii=radii, ring_minima=ring_min)
 

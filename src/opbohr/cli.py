@@ -24,6 +24,8 @@ from .bohr import (
     RadiusScan,
     TheoremReport,
     THEOREM_IDS,
+    _check_r,
+    _kahan_scalar_sum,
     bohr_radius_bisect,
     check_theorem,
     check_theorem_grid,
@@ -337,32 +339,37 @@ _SCAN_DEFAULTS = {
 }
 
 
-def _scan_predicate(family: str, params: dict):
+def _scan_family(family: str, params: dict) -> tuple[np.ndarray, int, float]:
+    """Coefficients of a scan family, the first power of its majorant and its bound."""
     if family == "mobius":
-        coeffs = mobius_scalar_coeffs(float(params["a"]), int(params["order"]))[:, None, None]
-        return (lambda r: norm_majorant(coeffs, r, 0) <= 1.0), (lambda r: 1.0 - norm_majorant(coeffs, r, 0))
+        return mobius_scalar_coeffs(float(params["a"]), int(params["order"]))[:, None, None], 0, 1.0
     if family == "koebe":
-        coeffs = koebe_scalar_coeffs(int(params["order"]))[:, None, None]
-        return (lambda r: norm_majorant(coeffs, r, 1) <= 0.25), (lambda r: 0.25 - norm_majorant(coeffs, r, 1))
+        return koebe_scalar_coeffs(int(params["order"]))[:, None, None], 1, 0.25
     if family == "constant":
-        value = float(params["value"])
-        coeffs = np.array([[[value]]], dtype=np.complex128)
-        return (lambda r: norm_majorant(coeffs, r, 0) <= 1.0), (lambda r: 1.0 - norm_majorant(coeffs, r, 0))
+        return np.array([[[float(params["value"])]]], dtype=np.complex128), 0, 1.0
     raise OpBohrError(f"unknown scan family: {family!r}")
 
 
 def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
                 r_max: float = 0.95, steps: int = 40, tol: float = 1e-7) -> RadiusScan:
-    """Margin grid plus a bisection-refined radius for a named scalar family."""
+    """Margin grid plus a bisection-refined radius for a named scalar family.
+
+    The coefficient norms are computed once; the grid is one majorant sum over
+    all its radii, and the bisection predicate sums the same norms.
+    """
     merged = dict(_SCAN_DEFAULTS.get(family, {}))
     merged.update(params or {})
-    predicate, margin_fn = _scan_predicate(family, merged)
-    grid = []
-    for r in np.linspace(r_min, r_max, steps):
-        m = margin_fn(float(r))
-        grid.append((float(r), float(m), bool(m >= -1e-12)))
+    coeffs, k0, bound = _scan_family(family, merged)
+    norms = operator_norm(coeffs[k0:])
+    rs = np.linspace(_check_r(r_min), _check_r(r_max), steps)
+    margins = bound - _kahan_scalar_sum(norms, rs, k0)
+    grid = tuple((float(r), float(m), bool(m >= -1e-12)) for r, m in zip(rs, margins))
+
+    def predicate(r: float) -> bool:
+        return float(_kahan_scalar_sum(norms, np.array([_check_r(r)]), k0)[0]) <= bound
+
     result = bohr_radius_bisect(predicate, r_min, r_max, tol=tol)
-    return RadiusScan(family_id=family, params=merged, grid=tuple(grid),
+    return RadiusScan(family_id=family, params=merged, grid=grid,
                       estimated_radius=result.radius, bracketed=result.bracketed,
                       warnings=result.warnings)
 

@@ -4,7 +4,8 @@ A holomorphic series stores coefficients A_0..A_N as a single complex array of
 shape (N+1, d, d).  A harmonic series adds coanalytic coefficients B_1..B_N
 whose adjoints multiply conj(z)^n during evaluation.  Subordination composition
 follows the coefficient algebra B_k = sum over n of alpha_k^(n) A_n, where
-alpha^(n) are the Taylor coefficients of the n-th power of the inner map.
+alpha^(n) are the Taylor coefficients of the n-th power of the inner map,
+built once per composition as a power table.
 """
 
 from __future__ import annotations
@@ -179,44 +180,55 @@ def derivative(f: HoloSeries) -> HoloSeries:
     return HoloSeries(f.coeffs[1:] * n[:, None, None])
 
 
+def _inner_map(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of phi cut or zero-padded to ``order``, with phi(0) set to 0."""
+    phi = np.zeros(order + 1, dtype=np.complex128)
+    src = coeffs[: order + 1]
+    phi[: src.size] = src
+    phi[0] = 0.0
+    return phi
+
+
+def _power_table(phi: np.ndarray, count: int) -> np.ndarray:
+    """Table alpha[n, k] of the coefficient of z^k in phi^n, n = 0..count.
+
+    ``phi`` holds coefficients 0..order with phi[0] = 0 and count <= order.
+    Then phi^n vanishes below order n, so row n is one convolution of the
+    band of row n - 1 with phi, trimmed to the band k = n..order.
+    """
+    order = phi.size - 1
+    alpha = np.zeros((count + 1, order + 1), dtype=np.complex128)
+    alpha[0, 0] = 1.0
+    for n in range(1, count + 1):
+        band = order - n + 1
+        alpha[n, n:] = np.convolve(alpha[n - 1, n - 1:order], phi[1:band + 1])[:band]
+    return alpha
+
+
 def scalar_power_coeffs(phi: ScalarSeries, t: int, order: int) -> ScalarSeries:
-    """Coefficients of phi^t up to ``order`` by repeated Cauchy products.
+    """Coefficients of phi^t up to ``order``: row t of the power table.
 
     Requires phi(0) = 0 and t >= 1, so the result vanishes below order t.
     """
     if t < 1:
         raise ContractError("power must be a positive integer")
-    c = np.array(phi.coeffs[: order + 1])
-    if c.size and abs(c[0]) > 1e-12:
+    if abs(phi.coeffs[0]) > 1e-12:
         raise ContractError("scalar_power_coeffs requires phi(0) = 0")
-    if c.size:
-        c[0] = 0.0
-    c = np.pad(c, (0, max(0, order + 1 - c.size)))
-    acc = c.copy()
-    for _ in range(t - 1):
-        acc = np.convolve(acc, c)[: order + 1]
-    return ScalarSeries(acc)
+    if t > order:
+        return ScalarSeries(np.zeros(order + 1, dtype=np.complex128))
+    return ScalarSeries(_power_table(_inner_map(phi.coeffs, order), t)[t])
 
 
 def compose_subordination(f: HoloSeries, w: SubordinationWitness, order: int) -> HoloSeries:
     """Coefficients of f(phi(z)) up to ``order``.
 
     B_0 = A_0 and B_k = sum over n = 1..k of alpha_k^(n) A_n, with alpha^(n)
-    the coefficients of phi^n.  Powers of phi are built incrementally, one
-    truncated Cauchy product per step.
+    the coefficients of phi^n.  The power table of phi is built once and
+    applied to A_1..A_N in a single tensor contraction.
     """
-    phi = np.zeros(order + 1, dtype=np.complex128)
-    src = w.phi.coeffs[: order + 1]
-    phi[: src.size] = src
-    phi[0] = 0.0
-
-    out = np.zeros((order + 1, f.dim, f.dim), dtype=np.complex128)
-    out[0] = f.coeffs[0]
-    power = phi.copy()
-    for n in range(1, min(order, f.order) + 1):
-        if n > 1:
-            power = np.convolve(power, phi)[: order + 1]
-        out += power[:, None, None] * f.coeffs[n][None, :, :]
+    count = min(order, f.order)
+    alpha = _power_table(_inner_map(w.phi.coeffs, order), count)
+    out = np.tensordot(alpha[1:].T, f.coeffs[1:count + 1], axes=1)
     out[0] = f.coeffs[0]  # phi(0) = 0 keeps the constant term exact
     return HoloSeries(out)
 

@@ -16,6 +16,7 @@ from opbohr import (
     boundary_distance_liminf,
     check_theorem,
     check_theorem_grid,
+    evaluate_grid,
     norm_majorant,
     operator_majorant,
     operator_norm,
@@ -221,6 +222,25 @@ class TestBoundaryLiminf:
         coeffs[0] = 0.0
         est = boundary_distance_liminf(HoloSeries.from_scalar(coeffs, 1), 0.0)
         assert est.value < 0.01
+
+    def test_ring_minima_match_svd_reference(self):
+        spec = FamilySpec(family_id="starlike_diag", dim=3, aux_dim=4, order=64, seed=5,
+                          params={"with_witness": True})
+        _, aux = sample(spec, with_aux=True)
+        rng = np.random.default_rng(12)
+        series = HoloSeries(rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2)))
+        base = np.array([[1.0, 0.5j], [0.0, -1.0]])
+        grid = (12, 90)
+        for f, b in ((aux["eval"], 0.0), (series, base)):
+            est = boundary_distance_liminf(f, b, grid=grid)
+            eval_fn = f if callable(f) else (lambda zs: evaluate_grid(series, zs))
+            dim = np.asarray(eval_fn(np.zeros(1, dtype=complex))).shape[-1]
+            b_mat = np.asarray(b) if np.ndim(b) == 2 else b * np.eye(dim)
+            theta = 2.0 * math.pi * np.arange(grid[1]) / grid[1]
+            for j, rr in enumerate(1.0 - 2.0 ** -np.arange(1, grid[0] + 1)):
+                values = eval_fn(rr * np.exp(1j * theta)) - b_mat
+                ref = np.linalg.svd(values, compute_uv=False)[:, 0].min()
+                assert abs(est.ring_minima[j] - ref) <= 1e-12 * ref
 
 
 class TestRadiusFormulas:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from opbohr import KOEBE_RADIUS, RadiusScan
+from opbohr import KOEBE_RADIUS, DomainError, RadiusScan, bohr_radius_bisect, norm_majorant
 from opbohr.cli import (
     RunConfig,
     demo,
@@ -16,6 +16,7 @@ from opbohr.cli import (
     write_scan_csv,
     write_suite_report,
 )
+from opbohr.generators import koebe_scalar_coeffs, mobius_scalar_coeffs
 from opbohr.serialize import (
     dumps,
     report_from_json,
@@ -98,15 +99,22 @@ class TestDeterminism:
         assert dumps(a) == dumps(b)
 
     def test_cross_process_determinism(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import opbohr
+
+        # the child imports the same package as this process, installed or not
+        src = os.path.dirname(os.path.dirname(opbohr.__file__))
+        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path_var}
         args = [sys.executable, "-m", "opbohr.cli", "verify", "--theorems", "t1iii,l1",
                 "--trials", "2", "--dims", "1,2", "--seed", "19"]
         outs = []
         for i in range(2):
             path = tmp_path / f"proc{i}.json"
-            res = subprocess.run([*args, "--out", str(path)], capture_output=True)
+            res = subprocess.run([*args, "--out", str(path)], capture_output=True, env=env)
             assert res.returncode == 0, res.stderr.decode()
             outs.append(_strip_timestamp(path.read_text()))
         assert dumps(outs[0]) == dumps(outs[1])
@@ -176,6 +184,26 @@ class TestScan:
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert json.loads(rows[-1][1])["warnings"] == [warning]
+
+    @pytest.mark.parametrize("family, params, coeffs, k0, bound", [
+        ("mobius", {"a": 0.6, "order": 80},
+         mobius_scalar_coeffs(0.6, 80)[:, None, None], 0, 1.0),
+        ("koebe", {"order": 128}, koebe_scalar_coeffs(128)[:, None, None], 1, 0.25),
+        ("constant", {"value": 0.3}, np.array([[[0.3 + 0j]]]), 0, 1.0),
+    ])
+    def test_grid_and_radius_match_per_radius_majorants(self, family, params, coeffs, k0, bound):
+        scan = scan_radius(family, params, r_min=0.05, r_max=0.9, steps=23)
+        rs = np.linspace(0.05, 0.9, 23)
+        expected = [(float(r), bound - norm_majorant(coeffs, float(r), k0)) for r in rs]
+        assert [(r, m) for r, m, _ in scan.grid] == expected
+        assert [p for _, _, p in scan.grid] == [m >= -1e-12 for _, m in expected]
+        ref = bohr_radius_bisect(lambda r: norm_majorant(coeffs, r, k0) <= bound, 0.05, 0.9)
+        assert (scan.estimated_radius, scan.bracketed, scan.warnings) == (
+            ref.radius, ref.bracketed, ref.warnings)
+
+    def test_radius_outside_the_disk_raises(self):
+        with pytest.raises(DomainError):
+            scan_radius("koebe", r_max=1.0)
 
     def test_koebe_estimate(self):
         scan = scan_radius("koebe")

@@ -9,6 +9,7 @@ from scipy.spatial.distance import directed_hausdorff
 from opbohr import (
     ContractError,
     InvalidInputError,
+    NumericError,
     ToleranceProfile,
     abs_value,
     adjoint,
@@ -57,6 +58,36 @@ class TestOperatorNorm:
         bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(InvalidInputError):
             operator_norm(bad)
+
+    @given(st.integers(0, 10**6), st.lists(st.integers(1, 3), max_size=2),
+           st.integers(1, 6), st.integers(1, 6), st.floats(-3.0, 3.0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_svd_on_stacks(self, seed, lead, rows, cols, log_scale):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, rows, cols)
+        m = 10.0**log_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        ref = np.linalg.svd(m, compute_uv=False)[..., 0]
+        got = operator_norm(m)
+        assert np.shape(got) == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+    def test_tall_and_wide(self):
+        tall = np.array([[3.0], [4.0]], dtype=complex)
+        assert operator_norm(tall) == pytest.approx(5.0, rel=1e-15)
+        assert operator_norm(tall.T) == pytest.approx(5.0, rel=1e-15)
+        wide = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0j]])
+        assert operator_norm(wide) == pytest.approx(2.0, rel=1e-15)
+        assert operator_norm(adjoint(wide)) == pytest.approx(2.0, rel=1e-15)
+
+    def test_zero_matrix_is_exactly_zero(self):
+        assert operator_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+        assert np.all(operator_norm(np.zeros((4, 2, 3))) == 0.0)
+
+    def test_gram_overflow_raises(self):
+        for m in (1e200 * np.eye(2), np.full((3, 2), 1e160)):
+            with pytest.raises(NumericError):
+                operator_norm(m)
+        assert operator_norm(1e150 * np.eye(2)) == pytest.approx(1e150, rel=1e-15)
 
 
 class TestAbsValue:

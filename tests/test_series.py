@@ -88,6 +88,32 @@ class TestDerivative:
         assert np.allclose(df.coeffs[:, 0, 0], expected)
 
 
+def compose_reference(f, w, order):
+    """f(phi) by the per-power loop: one full Cauchy product and one update per power."""
+    phi = np.zeros(order + 1, dtype=complex)
+    src = w.phi.coeffs[: order + 1]
+    phi[: src.size] = src
+    out = np.zeros((order + 1, f.dim, f.dim), dtype=complex)
+    out[0] = f.coeffs[0]
+    power = phi.copy()
+    for n in range(1, min(order, f.order) + 1):
+        if n > 1:
+            power = np.convolve(power, phi)[: order + 1]
+        out += power[:, None, None] * f.coeffs[n][None, :, :]
+    out[0] = f.coeffs[0]
+    return out
+
+
+def random_pair(seed, f_order, phi_order, dim):
+    rng = np.random.default_rng(seed)
+    shape = (f_order + 1, dim, dim)
+    f = HoloSeries(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    phi = np.zeros(phi_order + 1, dtype=complex)
+    decay = 0.6 ** np.arange(1, phi_order + 1)
+    phi[1:] = decay * (rng.standard_normal(phi_order) + 1j * rng.standard_normal(phi_order))
+    return f, SubordinationWitness(phi=ScalarSeries(phi), certified_bound=0.99)
+
+
 class TestScalarPowerCoeffs:
     def test_monomial(self):
         phi = ScalarSeries([0.0, 1.0])
@@ -118,8 +144,37 @@ class TestScalarPowerCoeffs:
         with pytest.raises(ContractError):
             scalar_power_coeffs(ScalarSeries([1.0, 1.0]), 2, 4)
 
+    def test_power_beyond_order_vanishes(self):
+        out = scalar_power_coeffs(ScalarSeries([0.0, 0.5, 0.25]), 5, 3).coeffs
+        assert out.shape == (4,) and np.all(out == 0)
+
+    def test_rows_match_repeated_products(self):
+        _, w = random_pair(3, 1, 40, 1)
+        acc = np.array(w.phi.coeffs)
+        for t in range(1, 12):
+            if t > 1:
+                acc = np.convolve(acc, w.phi.coeffs)[:41]
+            got = scalar_power_coeffs(w.phi, t, 40).coeffs
+            assert np.abs(got - acc).max() <= 1e-14
+
 
 class TestComposeSubordination:
+    @pytest.mark.parametrize("f_order, phi_order, order", [
+        (0, 0, 0), (1, 1, 1), (8, 8, 8), (64, 64, 64), (256, 256, 256),
+        (100, 64, 40),    # order < f.order
+        (12, 64, 64),     # order > f.order
+        (64, 9, 64),      # phi shorter than order
+        (3, 2, 30),
+    ])
+    def test_matches_per_power_reference(self, f_order, phi_order, order):
+        for dim in (1, 3):
+            f, w = random_pair(f_order * 1000 + order + dim, f_order, phi_order, dim)
+            got = compose_subordination(f, w, order).coeffs
+            ref = compose_reference(f, w, order)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            assert np.array_equal(got[0], f.coeffs[0])
+
     def test_identity_map(self):
         rng = np.random.default_rng(1)
         f = HoloSeries(rng.standard_normal((7, 2, 2)) + 1j * rng.standard_normal((7, 2, 2)))
