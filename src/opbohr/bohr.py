@@ -753,14 +753,17 @@ def _build_report(theorem_id: str, prepared: _Prepared, rs: Sequence[float | Non
                   tol: ToleranceProfile, force: bool, witness: dict | None) -> list[TheoremReport]:
     """Reports of a prepared check at every radius of rs (e17 takes none).
 
-    Every radius is validated before any is evaluated; the whole grid is then
-    evaluated in one ``margins`` call.
+    A None radius is the check's stated radius.  Every radius is validated
+    before any is evaluated; the whole grid is then evaluated in one
+    ``margins`` call.
     """
     has_radius = theorem_id != "e17"
     if has_radius:
+        rs = [prepared.stated_radius if r is None else r for r in rs]
         for r in rs:
             if r is None:
-                raise ContractError(f"{theorem_id} needs an evaluation radius")
+                raise ContractError(
+                    f"{theorem_id} has no stated radius; pass an evaluation radius")
             if (prepared.stated_radius is not None and not force
                     and r > prepared.stated_radius + 1e-12):
                 raise DomainError(
@@ -798,7 +801,9 @@ def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
     """Run one inequality check at every radius of rs; one report per radius.
 
     The per-instance setup is done once and the margins of the whole grid are
-    evaluated in one pass.  theorem_id selects the inequality:
+    evaluated in one pass.  A None entry of rs is the check's stated radius
+    (ContractError for l1, t1i and e55, which have none).  theorem_id selects
+    the inequality:
 
     l1     squared majorant against the scaled square-sum (Loewner), offset k
     t1i    rotated absolute-coefficient bound, peak sqrt(1+3r^2)/sqrt(1-r^2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import itertools
 import math
 import os
 import sys
@@ -34,7 +35,7 @@ from .bohr import (
     thm2_radius,
     thm3_radius,
 )
-from .errors import OpBohrError
+from .errors import InvalidInputError, OpBohrError
 from .funcalc import (
     ColligationSpec,
     auto_contour,
@@ -72,15 +73,6 @@ THEOREM_GROUPS = {
     "t4": ("t4a", "t4b"),
 }
 
-_DEFAULT_ORDER = {
-    "l1": 32,
-    "convex": 128,
-    "starlike": 256,
-}
-
-_T1I_RS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     command: str = "verify"
@@ -101,6 +93,8 @@ class RunConfig:
             raise OpBohrError("trials must be >= 1")
         if not self.dims or any(d < 1 or d > 16 for d in self.dims):
             raise OpBohrError("dims must be a nonempty subset of 1..16")
+        if self.seed < 0:
+            raise OpBohrError("seed must be >= 0")
         for t in self.theorems:
             if t not in THEOREM_IDS:
                 raise OpBohrError(f"unknown theorem id: {t!r}")
@@ -160,140 +154,93 @@ def parse_theorem_list(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _order_for(config: RunConfig, family_kind: str) -> int:
-    if config.order is not None:
-        return config.order
-    return _DEFAULT_ORDER.get(family_kind, 64)
-
-
 def _random_mu(inst_seed: int) -> float:
     rng = np.random.default_rng(np.random.SeedSequence([int(inst_seed), 7]))
     return float(rng.uniform(0.0, 2.0 * math.pi))
 
 
-def _witness_ref(spec: FamilySpec, trial: int) -> dict:
-    return {
-        "family_id": spec.family_id,
-        "dim": spec.dim,
-        "aux_dim": spec.aux_dim,
-        "order": spec.order,
-        "seed": spec.seed,
-        "trial": trial,
-    }
+@dataclass(frozen=True)
+class SuiteRun:
+    """One check run of a suite trial: the instance it draws and how it calls the check.
+
+    family         family of the drawn instance: an id of ``FAMILY_IDS``, or
+                   ``gaussian_sequence`` (l1) or ``ordered_triple`` (e17)
+    order          default truncation order; ``--order`` replaces it
+    radii          default r-grid; ``--r`` replaces it.  A None radius is the
+                   check's stated radius; ``radii=None`` marks a check without
+                   a radius (one report per trial, ``--r`` ignored)
+    over_mu        check at every angle of MU_FIXED and at one random angle
+    normal_family  family drawn under ``--normal-variant``, checked with normal=True
+    pair           draw a (series, subordination witness) pair
+    boundary_eval  pass the family's exact evaluator as ``boundary_eval``
+    sub_seed       draw from ``derive_seed(trial seed, sub_seed)``
+    variants       check kwargs; the check runs once per entry
+    """
+
+    family: str
+    order: int = 64
+    radii: tuple[float | None, ...] | None = (None,)
+    over_mu: bool = False
+    normal_family: str | None = None
+    pair: bool = False
+    boundary_eval: bool = False
+    sub_seed: int | None = None
+    variants: tuple[dict, ...] = ({},)
+
+
+SUITE_RUNS: dict[str, tuple[SuiteRun, ...]] = {
+    "l1": (SuiteRun("gaussian_sequence", order=32, radii=(0.1, 0.5, 0.9),
+                    variants=({"k": 0}, {"k": 1}, {"k": 3})),),
+    "t1i": (SuiteRun("schur_harmonic", radii=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95),
+                     over_mu=True, normal_family="commuting_harmonic"),),
+    "t1ii": (SuiteRun("schur_harmonic", over_mu=True, normal_family="commuting_harmonic"),),
+    "t1iii": (SuiteRun("schur_harmonic"),),
+    "e55": (SuiteRun("schur_holo", radii=(0.25, 0.5, 1.0 / math.sqrt(2.0))),),
+    # the colligation's stated radius comes from two operator norms and lands
+    # within a few ulp of 1/3; its suite grid holds 1/3 itself
+    "t2": (SuiteRun("exterior_diag"),
+           SuiteRun("exterior_colligation", radii=(1.0 / 3.0,), sub_seed=1)),
+    "e17": (SuiteRun("ordered_triple", radii=None),),
+    "t3a": (SuiteRun("convex_diag", order=128, pair=True, boundary_eval=True),),
+    "t3b": (SuiteRun("convex_diag", order=128, pair=True),),
+    "l2a": (SuiteRun("schur_holo", radii=(0.1, 0.2, 1.0 / 3.0), pair=True),),
+    "l2b": (SuiteRun("schur_holo", radii=(0.1, 0.2, 1.0 / 3.0), pair=True),),
+    "t4a": (SuiteRun("starlike_diag", order=256, pair=True, boundary_eval=True),),
+    "t4b": (SuiteRun("starlike_diag", order=256, pair=True),),
+}
+
+
+def _draw(family: str, dim: int, order: int, seed: int, pair: bool):
+    """Instance, aux data and witness fields (besides family and trial) of one draw."""
+    if family == "gaussian_sequence":
+        fields = {"dim": dim, "order": order, "seed": seed}
+        return gaussian_coeff_sequence(dim, order, seed), {}, fields
+    if family == "ordered_triple":
+        return tuple(ordered_triples(1, seed)[0]), {}, {"seed": seed}
+    spec = FamilySpec(family_id=family, dim=dim, aux_dim=4, order=order, seed=seed,
+                      params={"with_witness": True} if pair else {})
+    instance, aux = sample(spec, with_aux=True)
+    return instance, aux, {"dim": dim, "aux_dim": spec.aux_dim, "order": order, "seed": seed}
 
 
 def _run_one_trial(theorem: str, dim: int, trial: int, config: RunConfig) -> list[TheoremReport]:
-    tol = config.tol
     inst_seed = derive_seed(config.seed, THEOREM_IDS.index(theorem), dim, trial)
     reports: list[TheoremReport] = []
-
-    if theorem == "l1":
-        order = _order_for(config, "l1")
-        seq = gaussian_coeff_sequence(dim, order, inst_seed)
-        witness = {"family_id": "gaussian_sequence", "dim": dim, "order": order,
-                   "seed": inst_seed, "trial": trial}
-        rs = config.r_values or (0.1, 0.5, 0.9)
-        for k in (0, 1, 3):
-            reports.extend(check_theorem_grid("l1", seq, rs, k=k, tol=tol,
-                                              force=config.force, witness=witness))
-        return reports
-
-    if theorem in ("t1i", "t1ii", "t1iii"):
-        family = "commuting_harmonic" if config.normal_variant else "schur_harmonic"
-        if theorem == "t1iii":
-            family = "schur_harmonic"
-        spec = FamilySpec(family_id=family, dim=dim, aux_dim=4,
-                          order=_order_for(config, "schur"), seed=inst_seed)
-        instance = sample(spec)
-        witness = _witness_ref(spec, trial)
-        normal = config.normal_variant and theorem in ("t1i", "t1ii")
-        if theorem == "t1i":
-            rs = config.r_values or _T1I_RS
-            for mu in (*MU_FIXED, _random_mu(inst_seed)):
-                reports.extend(check_theorem_grid("t1i", instance, rs, mu=mu, normal=normal,
-                                                  tol=tol, force=config.force, witness=witness))
-        elif theorem == "t1ii":
-            rs = config.r_values or ((1.0 / 3.0,) if normal else (0.2,))
-            for mu in (*MU_FIXED, _random_mu(inst_seed)):
-                reports.extend(check_theorem_grid("t1ii", instance, rs, mu=mu, normal=normal,
-                                                  tol=tol, force=config.force, witness=witness))
-        else:
-            rs = config.r_values or (1.0 / 3.0,)
-            reports.extend(check_theorem_grid("t1iii", instance, rs, tol=tol,
-                                              force=config.force, witness=witness))
-        return reports
-
-    if theorem == "e55":
-        spec = FamilySpec(family_id="schur_holo", dim=dim, aux_dim=4,
-                          order=_order_for(config, "schur"), seed=inst_seed)
-        instance = sample(spec)
-        rs = config.r_values or (0.25, 0.5, 1.0 / math.sqrt(2.0))
-        reports.extend(check_theorem_grid("e55", instance, rs, tol=tol,
-                                          force=config.force, witness=_witness_ref(spec, trial)))
-        return reports
-
-    if theorem == "t2":
-        diag_spec = FamilySpec(family_id="exterior_diag", dim=dim, aux_dim=4,
-                               order=_order_for(config, "exterior"), seed=inst_seed)
-        diag_inst = sample(diag_spec)
-        r = thm2_radius(diag_inst.coeffs[0], tol=tol)
-        reports.append(check_theorem("t2", diag_inst, config.r_values[0] if config.r_values else r,
-                                     tol=tol, force=config.force,
-                                     witness=_witness_ref(diag_spec, trial)))
-        col_spec = FamilySpec(family_id="exterior_colligation", dim=dim, aux_dim=4,
-                              order=_order_for(config, "exterior"),
-                              seed=derive_seed(inst_seed, 1))
-        col_inst = sample(col_spec)
-        reports.append(check_theorem("t2", col_inst,
-                                     config.r_values[0] if config.r_values else 1.0 / 3.0,
-                                     order=col_spec.order, tol=tol, force=config.force,
-                                     witness=_witness_ref(col_spec, trial)))
-        return reports
-
-    if theorem == "e17":
-        triple = ordered_triples(1, inst_seed)[0]
-        witness = {"family_id": "ordered_triple", "seed": inst_seed, "trial": trial}
-        reports.append(check_theorem("e17", tuple(triple), tol=tol, witness=witness))
-        return reports
-
-    if theorem in ("t3a", "t3b"):
-        spec = FamilySpec(family_id="convex_diag", dim=dim, aux_dim=4,
-                          order=_order_for(config, "convex"), seed=inst_seed,
-                          params={"with_witness": True})
-        pair, aux = sample(spec, with_aux=True)
-        witness = _witness_ref(spec, trial)
-        if theorem == "t3a":
-            r = config.r_values[0] if config.r_values else thm3_radius(pair[0].coeffs[1])
-            reports.append(check_theorem("t3a", pair, r, tol=tol, force=config.force,
-                                         boundary_eval=aux["eval"], witness=witness))
-        else:
-            rs = config.r_values or (1.0 / 3.0,)
-            reports.extend(check_theorem_grid("t3b", pair, rs, tol=tol, force=config.force,
-                                              witness=witness))
-        return reports
-
-    if theorem in ("l2a", "l2b"):
-        spec = FamilySpec(family_id="schur_holo", dim=dim, aux_dim=4,
-                          order=_order_for(config, "schur"), seed=inst_seed,
-                          params={"with_witness": True})
-        pair = sample(spec)
-        rs = config.r_values or (0.1, 0.2, 1.0 / 3.0)
-        reports.extend(check_theorem_grid(theorem, pair, rs, tol=tol, force=config.force,
-                                          witness=_witness_ref(spec, trial)))
-        return reports
-
-    if theorem in ("t4a", "t4b"):
-        spec = FamilySpec(family_id="starlike_diag", dim=dim, aux_dim=4,
-                          order=_order_for(config, "starlike"), seed=inst_seed,
-                          params={"with_witness": True})
-        pair, aux = sample(spec, with_aux=True)
-        rs = config.r_values or (KOEBE_RADIUS,)
-        reports.extend(check_theorem_grid(theorem, pair, rs, tol=tol, force=config.force,
-                                          boundary_eval=aux["eval"] if theorem == "t4a" else None,
-                                          witness=_witness_ref(spec, trial)))
-        return reports
-
-    raise OpBohrError(f"no runner for theorem id {theorem!r}")
+    for run in SUITE_RUNS[theorem]:
+        normal = config.normal_variant and run.normal_family is not None
+        family = run.normal_family if normal else run.family
+        order = run.order if config.order is None else config.order
+        seed = inst_seed if run.sub_seed is None else derive_seed(inst_seed, run.sub_seed)
+        instance, aux, fields = _draw(family, dim, order, seed, run.pair)
+        witness = {"family_id": family, **fields, "trial": trial}
+        rs = (None,) if run.radii is None else config.r_values or run.radii
+        mus = (*MU_FIXED, _random_mu(inst_seed)) if run.over_mu else (None,)
+        for mu, kwargs in itertools.product(mus, run.variants):
+            reports.extend(check_theorem_grid(
+                theorem, instance, rs, mu, normal=normal, order=order,
+                boundary_eval=aux["eval"] if run.boundary_eval else None,
+                tol=config.tol, force=config.force, witness=witness, **kwargs))
+    return reports
 
 
 def _aggregate(reports: list[TheoremReport]) -> dict:
@@ -339,14 +286,31 @@ _SCAN_DEFAULTS = {
 }
 
 
+def _float_param(params: dict, key: str) -> float:
+    try:
+        return float(params[key])
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"scan parameter {key} must be a number, "
+                                f"got {params[key]!r}") from None
+
+
+def _order_param(params: dict) -> int:
+    order = _float_param(params, "order")
+    if not (order.is_integer() and order >= 0):
+        raise InvalidInputError(f"scan parameter order must be an integer >= 0, "
+                                f"got {params['order']!r}")
+    return int(order)
+
+
 def _scan_family(family: str, params: dict) -> tuple[np.ndarray, int, float]:
     """Coefficients of a scan family, the first power of its majorant and its bound."""
     if family == "mobius":
-        return mobius_scalar_coeffs(float(params["a"]), int(params["order"]))[:, None, None], 0, 1.0
+        coeffs = mobius_scalar_coeffs(_float_param(params, "a"), _order_param(params))
+        return coeffs[:, None, None], 0, 1.0
     if family == "koebe":
-        return koebe_scalar_coeffs(int(params["order"]))[:, None, None], 1, 0.25
+        return koebe_scalar_coeffs(_order_param(params))[:, None, None], 1, 0.25
     if family == "constant":
-        return np.array([[[float(params["value"])]]], dtype=np.complex128), 0, 1.0
+        return np.array([[[_float_param(params, "value")]]], dtype=np.complex128), 0, 1.0
     raise OpBohrError(f"unknown scan family: {family!r}")
 
 
@@ -357,6 +321,8 @@ def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
     The coefficient norms are computed once; the grid is one majorant sum over
     all its radii, and the bisection predicate sums the same norms.
     """
+    if steps < 0:
+        raise InvalidInputError(f"steps must be >= 0, got {steps}")
     merged = dict(_SCAN_DEFAULTS.get(family, {}))
     merged.update(params or {})
     coeffs, k0, bound = _scan_family(family, merged)
@@ -455,6 +421,8 @@ def demo(name: str, tol: ToleranceProfile = DEFAULT_TOL) -> SuiteReport:
 
 def selftest(seed: int = 2024, verbose: bool = True) -> int:
     """Cross-validate the independent numerical routes; returns failure count."""
+    if seed < 0:
+        raise InvalidInputError("seed must be >= 0")
     failures = 0
 
     def record(label: str, ok: bool, detail: str = ""):
@@ -548,6 +516,19 @@ def write_suite_report(report: SuiteReport, path: str, fmt: str) -> None:
                              rep.witness.get("seed")])
 
 
+def _comma_list(convert, what: str):
+    """argparse type for a comma list; a malformed item is a usage error (exit 2)."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(x) for x in text.split(",") if x.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma list of {what}, "
+                                             f"got {text!r}") from None
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opbohr",
@@ -559,11 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--theorems", default="t1i,t1ii,t1iii",
                     help="comma list of ids (groups t1, l2, t3, t4 expand)")
     pv.add_argument("--trials", type=int, default=10)
-    pv.add_argument("--dims", default="1,2", help="comma list of matrix dimensions")
+    pv.add_argument("--dims", type=_comma_list(int, "integers"), default="1,2",
+                    help="comma list of matrix dimensions")
     pv.add_argument("--order", type=int, default=None, help="series truncation override")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--tol", type=float, default=1e-9, help="relative PSD slack")
-    pv.add_argument("--r", default=None, help="comma list of radius overrides")
+    pv.add_argument("--r", type=_comma_list(float, "numbers"), default=None,
+                    help="comma list of radii; replaces every theorem's default grid")
     pv.add_argument("--normal-variant", action="store_true",
                     help="use commuting samples and the sharper normal bounds for t1i/t1ii")
     pv.add_argument("--force", action="store_true",
@@ -616,12 +599,11 @@ def main(argv=None) -> int:
                 command="verify",
                 theorems=parse_theorem_list(args.theorems),
                 trials=args.trials,
-                dims=tuple(int(d) for d in args.dims.split(",") if d.strip()),
+                dims=args.dims,
                 order=args.order,
                 seed=args.seed,
                 psd_tol=args.tol,
-                r_values=None if args.r is None else tuple(
-                    float(x) for x in args.r.split(",") if x.strip()),
+                r_values=args.r,
                 normal_variant=args.normal_variant,
                 force=args.force,
                 out=args.out,

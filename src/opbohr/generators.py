@@ -232,8 +232,7 @@ def _build_exterior_diag(spec: FamilySpec, rng):
         return _diag_frame_stack(w, slice_values(zs))
 
     nodes = max(4 * order + 4, 512)
-    diag_coeffs = np.fft.fft(slice_values(_circle(nodes, 0.5)), axis=0)[: order + 1] / nodes
-    diag_coeffs *= (0.5 ** -np.arange(order + 1))[:, None]
+    diag_coeffs = coeffs_from_circle_samples(slice_values(_circle(nodes, 0.5)), 0.5, order)
     instance = HoloSeries(_diag_frame_stack(w, diag_coeffs))
 
     grid = _cert_grid(spec)

@@ -7,6 +7,7 @@ axes, which keeps the inequality checkers fully vectorized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,8 +30,9 @@ class ToleranceProfile:
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.psd_tol, self.eq_tol, self.quad_tol) < 0:
-            raise InvalidInputError("tolerances must be nonnegative")
+        tols = (self.psd_tol, self.eq_tol, self.quad_tol)
+        if not all(math.isfinite(t) and t >= 0 for t in tols):
+            raise InvalidInputError("tolerances must be finite and nonnegative")
 
 
 DEFAULT_TOL = ToleranceProfile()

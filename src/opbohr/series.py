@@ -236,7 +236,8 @@ def compose_subordination(f: HoloSeries, w: SubordinationWitness, order: int) ->
 def coeffs_from_circle_samples(samples: np.ndarray, rho: float, order: int) -> np.ndarray:
     """Taylor coefficients from equispaced samples on |z| = rho (DFT).
 
-    ``samples`` has shape (M, d, d) taken at z_m = rho * exp(2*pi*i*m/M).
+    ``samples`` has shape (M, ...) taken at z_m = rho * exp(2*pi*i*m/M), e.g.
+    (M, d, d) for matrix functions; the result has shape (N+1, ...).
     """
     samples = np.asarray(samples, dtype=np.complex128)
     m = samples.shape[0]
@@ -244,7 +245,7 @@ def coeffs_from_circle_samples(samples: np.ndarray, rho: float, order: int) -> n
         raise ContractError("need more than 2N sample points to extract N coefficients")
     spec = np.fft.fft(samples, axis=0)[: order + 1] / m
     scale = rho ** -np.arange(order + 1, dtype=np.float64)
-    return spec * scale[:, None, None]
+    return spec * scale.reshape((-1,) + (1,) * (samples.ndim - 1))
 
 
 def coeffs_via_cauchy_integral(eval_fn, order: int, rho: float, nodes: int) -> HoloSeries:

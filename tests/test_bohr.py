@@ -469,6 +469,33 @@ def radius_cases():
     }
 
 
+# theorem id -> stated radius of an instance; l1, t1i and e55 have none
+STATED_RADII = {
+    "t1ii": lambda h: 0.2,
+    "t1iii": lambda h: 1.0 / 3.0,
+    "t2": lambda f: thm2_radius(f.coeffs[0]),
+    "t3a": lambda pair: thm3_radius(pair[0].coeffs[1]),
+    "t3b": lambda pair: 1.0 / 3.0,
+    "l2a": lambda pair: 1.0 / 3.0,
+    "l2b": lambda pair: 1.0 / 3.0,
+    "t4a": lambda pair: KOEBE_RADIUS,
+    "t4b": lambda pair: KOEBE_RADIUS,
+}
+
+
+@pytest.mark.parametrize("theorem_id", [t for t in THEOREM_IDS if t != "e17"])
+def test_none_radius_is_the_stated_radius(theorem_id, radius_cases):
+    instance, _, kwargs = radius_cases[theorem_id]
+    if theorem_id in ("l1", "t1i", "e55"):
+        with pytest.raises(ContractError):
+            check_theorem_grid(theorem_id, instance, [None], **kwargs)
+        return
+    stated = STATED_RADII[theorem_id](instance)
+    (rep,) = check_theorem_grid(theorem_id, instance, [None], **kwargs)
+    assert rep.r == stated
+    assert rep == check_theorem(theorem_id, instance, stated, **kwargs)
+
+
 def test_radius_cases_cover_every_check_with_a_radius(radius_cases):
     assert set(radius_cases) == set(THEOREM_IDS) - {"e17"}
 

@@ -1,11 +1,22 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from opbohr import KOEBE_RADIUS, DomainError, RadiusScan, bohr_radius_bisect, norm_majorant
+from opbohr import (
+    KOEBE_RADIUS,
+    THEOREM_IDS,
+    DomainError,
+    RadiusScan,
+    bohr_radius_bisect,
+    norm_majorant,
+    thm2_radius,
+    thm3_radius,
+)
 from opbohr.cli import (
+    MU_FIXED,
     RunConfig,
     demo,
     main,
@@ -16,7 +27,7 @@ from opbohr.cli import (
     write_scan_csv,
     write_suite_report,
 )
-from opbohr.generators import koebe_scalar_coeffs, mobius_scalar_coeffs
+from opbohr.generators import FamilySpec, koebe_scalar_coeffs, mobius_scalar_coeffs, sample
 from opbohr.serialize import (
     dumps,
     report_from_json,
@@ -109,8 +120,8 @@ class TestDeterminism:
         src = os.path.dirname(os.path.dirname(opbohr.__file__))
         path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path_var}
-        args = [sys.executable, "-m", "opbohr.cli", "verify", "--theorems", "t1iii,l1",
-                "--trials", "2", "--dims", "1,2", "--seed", "19"]
+        args = [sys.executable, "-m", "opbohr.cli", "verify", "--theorems", ",".join(THEOREM_IDS),
+                "--trials", "1", "--dims", "1,2", "--seed", "19"]
         outs = []
         for i in range(2):
             path = tmp_path / f"proc{i}.json"
@@ -151,6 +162,17 @@ class TestExitCodes:
     def test_bad_arguments_return_two(self):
         assert main(["verify", "--theorems", "nonsense"]) == 2
         assert main(["frobnicate"]) == 2
+        assert main(["verify", "--dims", "a"]) == 2
+        assert main(["verify", "--seed", "-1", "--trials", "1", "--dims", "1"]) == 2
+        assert main(["selftest", "--seed", "-1"]) == 2
+        assert main(["verify", "--r", "abc"]) == 2
+        for tol in ("nan", "inf"):
+            assert main(["verify", "--tol", tol, "--trials", "1", "--dims", "1"]) == 2
+        assert main(["verify", "--theorems", "t3a", "--order", "0",
+                     "--trials", "1", "--dims", "1"]) == 2
+        assert main(["scan", "--family", "koebe", "--steps", "-1"]) == 2
+        for order in ("abc", "2.5"):
+            assert main(["scan", "--family", "koebe", "--param", f"order={order}"]) == 2
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPBOHR_OUT_DIR", str(tmp_path))
@@ -250,7 +272,60 @@ class TestSelftest:
         assert main(["selftest"]) == 0
 
 
+def _stated_radius(witness: dict) -> float:
+    """Stated radius of a t2 (exterior_diag) or t3a instance, redrawn from its witness."""
+    spec = FamilySpec(family_id=witness["family_id"], dim=witness["dim"],
+                      aux_dim=witness["aux_dim"], order=witness["order"], seed=witness["seed"])
+    f = sample(spec)
+    if spec.family_id == "exterior_diag":
+        return thm2_radius(f.coeffs[0])
+    return thm3_radius(f.coeffs[1])
+
+
+STATED = "stated"
+
+# theorem id -> (reports per trial and dim, radii, whether the check rotates over
+# mu); STATED is the stated radius of the instance of the first report
+DEFAULT_RUNS = {
+    "l1": (9, {0.1, 0.5, 0.9}, False),
+    "t1i": (50, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}, True),
+    "t1ii": (5, {0.2}, True),
+    "t1iii": (1, {1.0 / 3.0}, False),
+    "e55": (3, {0.25, 0.5, 1.0 / math.sqrt(2.0)}, False),
+    "t2": (2, {STATED, 1.0 / 3.0}, False),
+    "e17": (1, {None}, False),
+    "t3a": (1, {STATED}, False),
+    "t3b": (1, {1.0 / 3.0}, False),
+    "l2a": (3, {0.1, 0.2, 1.0 / 3.0}, False),
+    "l2b": (3, {0.1, 0.2, 1.0 / 3.0}, False),
+    "t4a": (1, {KOEBE_RADIUS}, False),
+    "t4b": (1, {KOEBE_RADIUS}, False),
+}
+
+
 class TestSuiteStructure:
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_default_runs(self, theorem_id):
+        count, radii, rotated = DEFAULT_RUNS[theorem_id]
+        reports = run_suite(RunConfig(theorems=(theorem_id,), trials=1, dims=(1,))).reports
+        assert len(reports) == count
+        expected = {_stated_radius(reports[0].witness) if r == STATED else r for r in radii}
+        assert {rep.r for rep in reports} == expected
+        mus = {rep.mu for rep in reports}
+        if rotated:
+            assert set(MU_FIXED) < mus and len(mus) == len(MU_FIXED) + 1
+        else:
+            assert mus == {None}
+        assert all(rep.passed for rep in reports)
+
+    def test_r_override_replaces_every_default_grid(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--theorems", "t2,t3a", "--trials", "1", "--dims", "1",
+                     "--r", "0.01,0.02", "--out", str(out)]) == 0
+        radii = [(rep["theorem_id"], rep["r"]) for rep in json.loads(out.read_text())["reports"]]
+        assert radii == [("t2", 0.01), ("t2", 0.02), ("t2", 0.01), ("t2", 0.02),
+                         ("t3a", 0.01), ("t3a", 0.02)]
+
     def test_normal_variant_uses_sharper_radius(self):
         config = RunConfig(theorems=("t1ii",), trials=1, dims=(2,), seed=9,
                            normal_variant=True)
