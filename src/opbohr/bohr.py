@@ -11,6 +11,16 @@ validates every radius of the grid, and evaluates the margins of the whole grid
 in one pass.  ``check_theorem`` is its single-radius wrapper.  The grid sums
 perform, for each radius, the same floating-point operations as a sum at that
 radius alone, so a report does not depend on the grid it was evaluated in.
+
+The paper states each subordination result twice about one composite f(phi),
+and t1i and t1ii bound one rotated family P_n.  Preparation shared by such a
+pair is kept for the most recent instance object, so t3a/t3b, l2a/l2b and
+t4a/t4b compose once, and t1i/t1ii at one angle decompose P_n once.  A check
+on another instance replaces what is kept, and the parts kept are read-only,
+so a report never depends on which checks ran before it.
+
+The boundary liminf takes each ring's smallest operator norm from
+``linalg.min_operator_norm``, which skips the points that cannot hold it.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .linalg import (
     adjoint,
     as_matrix,
     hermitize,
+    min_operator_norm,
     operator_norm,
     smallest_eigenvalue,
 )
@@ -227,7 +238,7 @@ def boundary_distance_liminf(f, base, grid: tuple[int, int] = (20, 360),
     ring_min = np.empty(j_count)
     for j, rr in enumerate(radii):
         values = np.asarray(eval_fn(rr * np.exp(1j * theta))) - base[None, :, :]
-        ring_min[j] = float(operator_norm(values).min())
+        ring_min[j] = min_operator_norm(values)
     value = float(ring_min[-min(tail_rings, j_count):].min())
     return LiminfEstimate(value=value, ring_radii=radii, ring_minima=ring_min)
 
@@ -394,6 +405,36 @@ def _require_mu(mu) -> float:
     return float(mu)
 
 
+# --- shared per-instance preparation ------------------------------------------
+
+# The most recent instance and the parts prepared for it, (instance, {key: value}).
+# Paired checks (t1i/t1ii at one angle, t3a/t3b, l2a/l2b, t4a/t4b) prepare the
+# same parts of one instance; the slot lets the second check reuse them.  The
+# instance is compared by identity: series are frozen and own read-only
+# buffers, and the slot's strong reference keeps its id from being reused.
+# Each call works on the dict it read with its instance, so concurrent checks
+# can lose reuse but never read the parts of another instance.
+_shared_slot: tuple = (None, {})
+
+
+def _shared(instance, key, compute: Callable):
+    """compute(), computed once per key while ``instance`` is the most recent
+    instance; a different instance replaces the whole slot."""
+    global _shared_slot
+    held, parts = _shared_slot
+    if held is not instance:
+        parts = {}
+        _shared_slot = (instance, parts)
+    if key not in parts:
+        parts[key] = compute()
+    return parts[key]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # --- per-theorem preparers --------------------------------------------------
 
 def _prep_l1(instance, *, k: int = 0, tol=DEFAULT_TOL, **_) -> _Prepared:
@@ -418,9 +459,18 @@ def _prep_l1(instance, *, k: int = 0, tol=DEFAULT_TOL, **_) -> _Prepared:
     return _Prepared(margins=margins, static_sides={"k": float(k)})
 
 
-def _rotated_parts(h: HarmonicSeries, mu: float, normal: bool, tol: ToleranceProfile):
+def _rotated_parts(h: HarmonicSeries, mu: float, normal: bool):
     """Re(e^(i mu) A0), T = |Re(e^(i mu) A0)|, |P_n|, ||P_n|| and the residual
-    mass_coeff (I - T^2) - sum P_n* P_n left for the dropped tail."""
+    mass_coeff (I - T^2) - sum P_n* P_n left for the dropped tail.
+
+    Shared by t1i and t1ii at the same angle; the arrays are read-only.  The
+    key holds the bits of mu, so -0.0 and 0.0 stay apart.
+    """
+    return _shared(h, ("rotated", mu.hex(), bool(normal)),
+                   lambda: tuple(map(_read_only, _compute_rotated_parts(h, mu, normal))))
+
+
+def _compute_rotated_parts(h: HarmonicSeries, mu: float, normal: bool):
     phase = complex(np.exp(1j * mu))
     re_a0 = hermitize(phase * h.analytic[0])
     t_mat = abs_value(re_a0)
@@ -443,7 +493,7 @@ def _rotated_parts(h: HarmonicSeries, mu: float, normal: bool, tol: TolerancePro
 def _prep_t1i(instance, *, mu=None, normal: bool = False, tol=DEFAULT_TOL, **_) -> _Prepared:
     h = _as_harmonic(instance)
     mu = _require_mu(mu)
-    _, t_mat, abs_p, _, residual = _rotated_parts(h, mu, normal, tol)
+    _, t_mat, abs_p, _, residual = _rotated_parts(h, mu, normal)
     d = h.dim
     residual_top = max(0.0, _largest_eigenvalue(residual))
     order = h.order
@@ -470,7 +520,7 @@ def _prep_t1ii(instance, *, mu=None, normal: bool = False, force: bool = False,
                tol=DEFAULT_TOL, **_) -> _Prepared:
     h = _as_harmonic(instance)
     mu = _require_mu(mu)
-    re_a0, _, _, norms_p, residual = _rotated_parts(h, mu, normal, tol)
+    re_a0, _, _, norms_p, residual = _rotated_parts(h, mu, normal)
     d = h.dim
     rhs = operator_norm(np.eye(d) - re_a0)
     # sum of ||P_n||^2 over the dropped tail is at most the trace of the residual
@@ -608,9 +658,15 @@ def _prep_e17(instance, **_) -> _Prepared:
 
 
 def _subordinated(instance):
+    """f, the composite f(phi) and the norms ||A_n||, n >= 1 (read-only).
+
+    Both are prepared once per instance and shared by the subordination checks.
+    """
     f, w = _as_pair(instance)
-    g = compose_subordination(f, w, f.order)
-    return f, w, g
+    g = _shared(instance, "composite", lambda: compose_subordination(f, w, f.order))
+    norms_a = _shared(instance, "source_norms",
+                      lambda: _read_only(operator_norm(f.coeffs[1:])))
+    return f, g, norms_a
 
 
 def _liminf_margins(norms_b: np.ndarray, liminf: float, sum_norm_a: float, order: int):
@@ -629,26 +685,26 @@ def _liminf_margins(norms_b: np.ndarray, liminf: float, sum_norm_a: float, order
 
 def _prep_t3a(instance, *, liminf_grid=(20, 360), boundary_eval=None,
               tol=DEFAULT_TOL, **_) -> _Prepared:
-    f, _, g = _subordinated(instance)
+    f, g, norms_a = _subordinated(instance)
     if f.order < 1:
         raise ContractError("t3a needs a series of order >= 1")
     radius = thm3_radius(f.coeffs[1])
     norms_b = operator_norm(g.coeffs[1:])
     liminf = boundary_distance_liminf(boundary_eval if boundary_eval is not None else f,
                                       f.coeffs[0], grid=liminf_grid)
-    sum_norm_a = float(np.sum(operator_norm(f.coeffs[1:])))
+    sum_norm_a = float(np.sum(norms_a))
     return _Prepared(margins=_liminf_margins(norms_b, liminf.value, sum_norm_a, g.order),
                      stated_radius=radius, static_sides={"radius": radius})
 
 
 def _prep_t3b(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
-    f, _, g = _subordinated(instance)
+    f, g, norms_a = _subordinated(instance)
     if f.order < 1:
         raise ContractError("t3b needs a series of order >= 1")
     abs_b = abs_value(g.coeffs[1:])
     rhs = 0.5 * abs_value(f.coeffs[1])
     rhs_norm = operator_norm(rhs)
-    sum_norm_a = float(np.sum(operator_norm(f.coeffs[1:])))
+    sum_norm_a = float(np.sum(norms_a))
     order = g.order
 
     def margins(rs: np.ndarray):
@@ -664,8 +720,7 @@ def _prep_t3b(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
 
 
 def _prep_l2(instance, *, loewner: bool, tol=DEFAULT_TOL, **_) -> _Prepared:
-    f, _, g = _subordinated(instance)
-    norms_a = operator_norm(f.coeffs[1:]) if f.order >= 1 else np.zeros(0)
+    f, g, norms_a = _subordinated(instance)
     sum_norm_a = float(np.sum(norms_a))
     order = g.order
     d = f.dim
@@ -703,21 +758,21 @@ def _check_starlike_normalization(f: HoloSeries) -> None:
 
 def _prep_t4a(instance, *, liminf_grid=(20, 360), boundary_eval=None,
               tol=DEFAULT_TOL, **_) -> _Prepared:
-    f, _, g = _subordinated(instance)
+    f, g, norms_a = _subordinated(instance)
     _check_starlike_normalization(f)
     norms_b = operator_norm(g.coeffs[1:])
     liminf = boundary_distance_liminf(boundary_eval if boundary_eval is not None else f,
                                       0.0, grid=liminf_grid)
-    sum_norm_a = float(np.sum(operator_norm(f.coeffs[1:])))
+    sum_norm_a = float(np.sum(norms_a))
     return _Prepared(margins=_liminf_margins(norms_b, liminf.value, sum_norm_a, g.order),
                      stated_radius=KOEBE_RADIUS)
 
 
 def _prep_t4b(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
-    f, _, g = _subordinated(instance)
+    f, g, norms_a = _subordinated(instance)
     _check_starlike_normalization(f)
     abs_b = abs_value(g.coeffs[1:])
-    sum_norm_a = float(np.sum(operator_norm(f.coeffs[1:])))
+    sum_norm_a = float(np.sum(norms_a))
     order = g.order
     d = f.dim
 

@@ -309,9 +309,7 @@ def _scan_family(family: str, params: dict) -> tuple[np.ndarray, int, float]:
         return coeffs[:, None, None], 0, 1.0
     if family == "koebe":
         return koebe_scalar_coeffs(_order_param(params))[:, None, None], 1, 0.25
-    if family == "constant":
-        return np.array([[[_float_param(params, "value")]]], dtype=np.complex128), 0, 1.0
-    raise OpBohrError(f"unknown scan family: {family!r}")
+    return np.array([[[_float_param(params, "value")]]], dtype=np.complex128), 0, 1.0
 
 
 def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
@@ -323,7 +321,13 @@ def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
     """
     if steps < 0:
         raise InvalidInputError(f"steps must be >= 0, got {steps}")
-    merged = dict(_SCAN_DEFAULTS.get(family, {}))
+    if family not in _SCAN_DEFAULTS:
+        raise OpBohrError(f"unknown scan family: {family!r}")
+    merged = dict(_SCAN_DEFAULTS[family])
+    unknown = sorted(set(params or {}) - set(merged))
+    if unknown:
+        raise InvalidInputError(f"unknown scan parameter(s) for {family}: {', '.join(unknown)}; "
+                                f"expected {', '.join(sorted(merged))}")
     merged.update(params or {})
     coeffs, k0, bound = _scan_family(family, merged)
     norms = operator_norm(coeffs[k0:])

@@ -131,8 +131,14 @@ def _cert_grid(spec: FamilySpec, radius: float = CERT_RADIUS) -> np.ndarray:
 
 
 def _diag_frame_stack(w: np.ndarray, diag_vals: np.ndarray) -> np.ndarray:
-    """Stack of W diag(diag_vals[n]) W* over the leading axis of diag_vals."""
-    return (w[None, :, :] * diag_vals[:, None, :]) @ adjoint(w)[None, :, :]
+    """Stack of W diag(diag_vals[n]) W* over the leading axis of diag_vals.
+
+    The scaled frames W diag(diag_vals[n]) are stacked into one (M d, d)
+    matrix, so a single product with W* forms the whole stack.
+    """
+    m, d = diag_vals.shape
+    scaled = w[None, :, :] * diag_vals[:, None, :]
+    return (scaled.reshape(m * d, d) @ adjoint(w)).reshape(m, d, d)
 
 
 def _scalar_schur_coeffs(rng: np.random.Generator, aux_dim: int, order: int):

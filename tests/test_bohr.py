@@ -224,14 +224,18 @@ class TestBoundaryLiminf:
         assert est.value < 0.01
 
     def test_ring_minima_match_svd_reference(self):
+        # the pruned ring minimum is also the unpruned one, bit for bit
         spec = FamilySpec(family_id="starlike_diag", dim=3, aux_dim=4, order=64, seed=5,
                           params={"with_witness": True})
         _, aux = sample(spec, with_aux=True)
+        convex_spec = FamilySpec(family_id="convex_diag", dim=4, aux_dim=4, order=64, seed=6,
+                                 params={"with_witness": True})
+        (convex, _), convex_aux = sample(convex_spec, with_aux=True)
         rng = np.random.default_rng(12)
         series = HoloSeries(rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2)))
         base = np.array([[1.0, 0.5j], [0.0, -1.0]])
         grid = (12, 90)
-        for f, b in ((aux["eval"], 0.0), (series, base)):
+        for f, b in ((aux["eval"], 0.0), (convex_aux["eval"], convex.coeffs[0]), (series, base)):
             est = boundary_distance_liminf(f, b, grid=grid)
             eval_fn = f if callable(f) else (lambda zs: evaluate_grid(series, zs))
             dim = np.asarray(eval_fn(np.zeros(1, dtype=complex))).shape[-1]
@@ -241,6 +245,7 @@ class TestBoundaryLiminf:
                 values = eval_fn(rr * np.exp(1j * theta)) - b_mat
                 ref = np.linalg.svd(values, compute_uv=False)[:, 0].min()
                 assert abs(est.ring_minima[j] - ref) <= 1e-12 * ref
+                assert est.ring_minima[j] == operator_norm(values).min()
 
 
 class TestRadiusFormulas:
@@ -508,3 +513,85 @@ def test_grid_equals_single_radius_checks(theorem_id, radius_cases):
     assert [rep.r for rep in grid] == list(rs)
     assert grid == singles
     assert check_theorem_grid(theorem_id, instance, (), **kwargs) == []
+
+
+class TestSharedPreparation:
+    """Paired checks on one instance share its preparation, and a cache hit
+    gives the reports of a cold call."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(bohr, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bohr, name, counted)
+        return calls
+
+    @staticmethod
+    def pair(family_id, seed):
+        return sample(FamilySpec(family_id=family_id, dim=2, aux_dim=4, order=64, seed=seed,
+                                 params={"with_witness": True}), with_aux=True)
+
+    def test_rotated_parts_once_per_angle(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "_compute_rotated_parts")
+        h = sample(FamilySpec(family_id="commuting_harmonic", dim=2, aux_dim=4, order=32, seed=8))
+        for mu in (0.0, 1.0):
+            check_theorem_grid("t1i", h, (0.1, 0.5), mu=mu)
+            check_theorem("t1ii", h, 0.2, mu=mu)
+        assert len(calls) == 2
+        check_theorem("t1ii", h, 0.2, mu=1.0, normal=True)
+        check_theorem("t1ii", h, 0.2, mu=-0.0)
+        assert len(calls) == 4
+
+    def test_each_subordination_pair_composes_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "compose_subordination")
+        for (a, b), family_id in ((("t3a", "t3b"), "convex_diag"),
+                                  (("l2a", "l2b"), "schur_holo"),
+                                  (("t4a", "t4b"), "starlike_diag")):
+            pair, aux = self.pair(family_id, seed=9)
+            kwargs = {"boundary_eval": aux["eval"]} if a != "l2a" else {}
+            before = len(calls)
+            check_theorem_grid(a, pair, [None], **kwargs)
+            check_theorem_grid(b, pair, [None])
+            assert len(calls) == before + 1
+
+    def test_interleaved_instances_give_cold_reports(self, monkeypatch):
+        h = sample(FamilySpec(family_id="commuting_harmonic", dim=3, aux_dim=4, order=32, seed=2))
+        h_copy = HarmonicSeries(analytic=h.analytic, coanalytic=h.coanalytic)
+        (f, w), aux = self.pair("convex_diag", seed=3)
+        pair, pair_copy = (f, w), (HoloSeries(f.coeffs), w)
+        runs = [
+            ("t1i", h, (0.1, 0.9), {"mu": 0.4}),
+            ("t1ii", h_copy, (0.1, 0.2), {"mu": 0.4, "normal": True}),
+            ("t1ii", h, (0.2,), {"mu": 2.0}),
+            ("t1i", h_copy, (0.5,), {"mu": 0.4, "normal": True}),
+            ("t1ii", h, (0.2,), {"mu": 0.4}),
+            ("t3a", pair, [None], {"boundary_eval": aux["eval"]}),
+            ("l2b", pair_copy, (0.1, 1.0 / 3.0), {}),
+            ("t3b", pair, [None], {}),
+            ("l2a", pair, (0.2,), {}),
+            ("t3a", pair_copy, [None], {"boundary_eval": aux["eval"]}),
+        ]
+        warm = [check_theorem_grid(t, inst, rs, **kw) for t, inst, rs, kw in runs]
+        monkeypatch.setattr(bohr, "_shared", lambda instance, key, compute: compute())
+        cold = [check_theorem_grid(t, inst, rs, **kw) for t, inst, rs, kw in runs]
+        assert warm == cold
+
+    def test_shared_arrays_are_read_only(self):
+        h = sample(FamilySpec(family_id="schur_harmonic", dim=2, aux_dim=4, order=32, seed=4))
+        check_theorem("t1ii", h, 0.2, mu=0.3)
+        (parts,) = bohr._shared_slot[1].values()
+        assert len(parts) == 5
+        for a in parts:
+            assert not a.flags.writeable
+        pair, _ = self.pair("schur_holo", seed=5)
+        check_theorem("l2a", pair, 0.2)
+        shared = bohr._shared_slot[1]
+        assert not shared["composite"].coeffs.flags.writeable
+        assert not shared["source_norms"].flags.writeable
+        with pytest.raises(ValueError):
+            shared["source_norms"][0] = 0.0

@@ -173,6 +173,8 @@ class TestExitCodes:
         assert main(["scan", "--family", "koebe", "--steps", "-1"]) == 2
         for order in ("abc", "2.5"):
             assert main(["scan", "--family", "koebe", "--param", f"order={order}"]) == 2
+        for family, param in (("koebe", "foo=1"), ("mobius", "oder=64"), ("constant", "a=0.5")):
+            assert main(["scan", "--family", family, "--param", param]) == 2
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPBOHR_OUT_DIR", str(tmp_path))

@@ -20,7 +20,8 @@ from opbohr import (
     spectrum,
 )
 from opbohr.generators import random_unitary
-from opbohr.linalg import smallest_eigenvalue
+from opbohr import linalg
+from opbohr.linalg import min_operator_norm, smallest_eigenvalue
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -88,6 +89,75 @@ class TestOperatorNorm:
             with pytest.raises(NumericError):
                 operator_norm(m)
         assert operator_norm(1e150 * np.eye(2)) == pytest.approx(1e150, rel=1e-15)
+
+
+class TestMinOperatorNorm:
+    @given(st.integers(0, 10**6), st.lists(st.integers(1, 40), min_size=1, max_size=2),
+           st.integers(1, 4), st.integers(1, 4), st.floats(-170.0, 148.0), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_is_the_unpruned_minimum_bit_for_bit(self, seed, lead, rows, cols, log_scale,
+                                                 spread):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, rows, cols)
+        m = 10.0**log_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        if spread:
+            m = m * 10.0 ** rng.uniform(-2.0, 2.0, size=(*lead, 1, 1))
+        # scales reach Gram matrices in the subnormal range and near overflow
+        assert min_operator_norm(m) == operator_norm(m).min()
+
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 60), st.floats(-3.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_tied_stacks(self, seed, d, count, log_scale):
+        # multiples of unitaries by one constant: every norm ties, nothing prunes
+        c = 10.0**log_scale
+        stack = np.stack([c * random_unitary(d, seed + i) for i in range(count)])
+        assert min_operator_norm(stack) == operator_norm(stack).min()
+        scalars = np.full((count, 1, 1), c * np.exp(0.3j))
+        assert min_operator_norm(scalars) == operator_norm(scalars).min()
+
+    def test_single_matrix_and_zero_matrices(self):
+        m = rand_matrix(3)
+        assert min_operator_norm(m) == operator_norm(m)
+        stack = np.stack([rand_matrix(4), np.zeros((3, 3)), rand_matrix(5)])
+        assert min_operator_norm(stack) == 0.0
+
+    def test_prunes_matrices_that_cannot_hold_the_minimum(self, monkeypatch):
+        stack = np.stack([(1.0 + k) * rand_matrix(k, d=4) for k in range(50)])
+        expected = operator_norm(stack).min()
+        solved = []
+
+        def spy(a):
+            solved.append(a.reshape(-1, 4, 4).shape[0])
+            return top_eigenvalues(a)
+
+        top_eigenvalues = linalg._gram_top_eigenvalues
+        monkeypatch.setattr(linalg, "_gram_top_eigenvalues", spy)
+        assert min_operator_norm(stack) == expected
+        first, rest = solved
+        assert first == 1 and rest < stack.shape[0]
+
+    def test_non_finite_entry_at_a_pruned_matrix_raises(self):
+        stack = np.stack([np.eye(3, dtype=complex), 100.0 * np.eye(3, dtype=complex)])
+        for bad in (np.nan, np.inf):
+            with_bad = stack.copy()
+            with_bad[1, 0, 2] = bad
+            with pytest.raises(InvalidInputError):
+                min_operator_norm(with_bad)
+
+    def test_gram_overflow_raises(self):
+        # the overflowing matrices are ones the bounds would skip; the wide one
+        # overflows in its row norm (its Gram is MM*) but not in its column norms
+        wide = np.array([[[1.0, 0.0, 0.0]], [[1e154, 1e154, 1e154]]])
+        for stack in (np.stack([np.eye(2), 1e200 * np.eye(2)]), wide):
+            with pytest.raises(NumericError):
+                operator_norm(stack)
+            with pytest.raises(NumericError):
+                min_operator_norm(stack)
+
+    def test_rejects_empty_stacks_and_vectors(self):
+        for bad in (np.zeros((0, 2, 2)), np.ones(3)):
+            with pytest.raises(InvalidInputError):
+                min_operator_norm(bad)
 
 
 class TestAbsValue:
