@@ -591,8 +591,7 @@ def _colligation_series_norms(c: ColligationSpec, order: int, rho: float = 0.5):
     nodes = max(4 * order + 4, 256)
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     logs = herglotz_transfer_grid(c, rho * np.exp(1j * theta))
-    samples = np.stack([matrix_exp(logs[i]) for i in range(nodes)])
-    coeffs = coeffs_from_circle_samples(samples, rho, order)
+    coeffs = coeffs_from_circle_samples(matrix_exp(logs), rho, order)
     return operator_norm(coeffs)
 
 

@@ -40,6 +40,7 @@ from .linalg import (
     adjoint,
     all_finite,
     as_matrix,
+    as_matrix_stack,
     hermitize,
     operator_norm,
 )
@@ -123,9 +124,13 @@ class ColligationSpec:
 
 
 def matrix_exp(m, norm_cap: float = EXP_NORM_CAP) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with a Pade core via SciPy)."""
-    a = as_matrix(m)
-    if operator_norm(a) > norm_cap:
+    """Matrix exponential (scaling-and-squaring with a Pade core via SciPy).
+
+    Takes one matrix or a stack (..., d, d); every matrix of a stack must
+    satisfy the norm cap, and each is exponentiated as it would be alone.
+    """
+    a = as_matrix_stack(m)
+    if np.any(operator_norm(a) > norm_cap):
         raise RangeError(f"||M|| exceeds the exp cap {norm_cap}")
     return np.asarray(_scipy_expm(a), dtype=np.complex128)
 

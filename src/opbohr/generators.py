@@ -1,5 +1,19 @@
 """Seeded, reproducible factories for the instance families the checkers need.
 
+Stored coefficients come from closed forms or exact recurrences, not from
+samples on a circle:
+
+* Schur realizations (``schur_holo``, ``schur_harmonic``,
+  ``commuting_harmonic`` and the subordination witness): A_0 = A and
+  A_n = B D^(n-1) C from the blocks of the unitary
+  (``SchurRealization.coeffs``);
+* ``exterior_diag``: each slice exp(c (1 + beta z)/(1 - beta z)) from the
+  recurrence n a_n = sum_k k g_k a_(n-k) of its exponent g;
+* ``convex_diag`` and ``starlike_diag``: t beta^(n-1) and n zeta^(n-1) per
+  slice.
+
+``exterior_colligation`` stores its colligation (U, V) only.
+
 Every family re-verifies its certified properties at generation time (norm
 grids, positivity, coefficient bounds) and raises ``GenerationError`` if a
 check fails, which would indicate a bug rather than bad luck.  Identical
@@ -22,7 +36,6 @@ from .series import (
     HoloSeries,
     ScalarSeries,
     SubordinationWitness,
-    coeffs_from_circle_samples,
 )
 
 FAMILY_IDS = (
@@ -101,6 +114,32 @@ class SchurRealization:
         u = self.unitary
         return u[:d, :d], u[:d, d:], u[d:, :d], u[d:, d:]
 
+    def coeffs(self, order: int) -> np.ndarray:
+        """Taylor coefficients A_0 = A and A_n = B D^(n-1) C, n = 1..order.
+
+        The terms D^j C (j < order) are built by doubling: with the first m
+        of them in hand, one product with D^m gives the next m, and D^m is
+        squared.  So ceil(log2(order)) products form them all.
+        """
+        a, b, c, dd = self.blocks()
+        d, k = self.dim, self.aux_dim
+        out = np.empty((order + 1, d, d), dtype=np.complex128)
+        out[0] = a
+        if order == 0:
+            return out
+        # D^j C sits in columns j*d .. (j+1)*d - 1
+        terms = np.empty((k, order * d), dtype=np.complex128)
+        terms[:, :d] = c
+        power, done = dd, 1
+        while done < order:
+            step = min(done, order - done)
+            terms[:, done * d:(done + step) * d] = power @ terms[:, :step * d]
+            done += step
+            if done < order:
+                power = power @ power
+        out[1:] = (b @ terms).reshape(d, order, d).transpose(1, 0, 2)
+        return out
+
     def transfer_grid(self, zs) -> np.ndarray:
         a, b, c, dd = self.blocks()
         z = np.asarray(zs, dtype=np.complex128).ravel()
@@ -112,17 +151,6 @@ class SchurRealization:
 
 def _circle(nodes: int, rho: float) -> np.ndarray:
     return rho * np.exp(2j * math.pi * np.arange(nodes) / nodes)
-
-
-def _extract(eval_grid_fn, order: int, rho: float | None = None,
-             min_nodes: int = 512) -> np.ndarray:
-    # For unit-ball functions the DFT scale factor rho^-n amplifies roundoff,
-    # so the radius grows with the order (amplification capped near 1e3) and
-    # the node count keeps the aliasing term rho^(M-n) far below it.
-    if rho is None:
-        rho = 10.0 ** (-3.0 / max(order, 8))
-    nodes = max(8 * order, min_nodes)
-    return coeffs_from_circle_samples(eval_grid_fn(_circle(nodes, rho)), rho, order)
 
 
 def _cert_grid(spec: FamilySpec, radius: float = CERT_RADIUS) -> np.ndarray:
@@ -141,10 +169,26 @@ def _diag_frame_stack(w: np.ndarray, diag_vals: np.ndarray) -> np.ndarray:
     return (scaled.reshape(m * d, d) @ adjoint(w)).reshape(m, d, d)
 
 
+def _exp_herglotz_coeffs(cs: np.ndarray, betas: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients of exp(c (1 + beta z)/(1 - beta z)), one column per (c, beta).
+
+    The exponent g has g_0 = c and g_k = 2 c beta^k, so a_0 = e^c and
+    n a_n = sum_{k=1..n} k g_k a_{n-k}.  For c > 0 and beta >= 0 every term
+    is nonnegative, so a_n is accurate to about n eps, relative, above the
+    subnormal range (below n eps against a 40-digit reference, n <= 256).
+    """
+    k = np.arange(1, order + 1, dtype=np.float64)[:, None]
+    kg = 2.0 * k * cs[None, :] * betas[None, :] ** k
+    a = np.empty((order + 1, cs.size), dtype=np.float64)
+    a[0] = np.exp(cs)
+    for n in range(1, order + 1):
+        a[n] = (kg[:n] * a[n - 1::-1]).sum(axis=0) / n
+    return a.astype(np.complex128)
+
+
 def _scalar_schur_coeffs(rng: np.random.Generator, aux_dim: int, order: int):
     real = SchurRealization(random_unitary(1 + aux_dim, rng), dim=1)
-    coeffs = _extract(real.transfer_grid, order, min_nodes=512)[:, 0, 0]
-    return coeffs, real
+    return real.coeffs(order)[:, 0, 0], real
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +197,7 @@ def _scalar_schur_coeffs(rng: np.random.Generator, aux_dim: int, order: int):
 
 def _build_schur_holo(spec: FamilySpec, rng):
     real = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
-    coeffs = _extract(real.transfer_grid, spec.order)
-    instance = HoloSeries(coeffs)
+    instance = HoloSeries(real.coeffs(spec.order))
     grid = _cert_grid(spec)
     sup = float(operator_norm(real.transfer_grid(grid)).max())
     if sup > 1.0 + CERT_SLACK:
@@ -167,8 +210,8 @@ def _build_schur_harmonic(spec: FamilySpec, rng):
     g = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
     h = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
     t = float(rng.uniform(0.0, 1.0))
-    gc = _extract(g.transfer_grid, spec.order)
-    hc = _extract(h.transfer_grid, spec.order)
+    gc = g.coeffs(spec.order)
+    hc = h.coeffs(spec.order)
     analytic = t * gc
     analytic[0] = t * gc[0] + (1.0 - t) * adjoint(hc[0])
     coanalytic = (1.0 - t) * hc[1:]
@@ -237,9 +280,7 @@ def _build_exterior_diag(spec: FamilySpec, rng):
     def eval_exact(zs):
         return _diag_frame_stack(w, slice_values(zs))
 
-    nodes = max(4 * order + 4, 512)
-    diag_coeffs = coeffs_from_circle_samples(slice_values(_circle(nodes, 0.5)), 0.5, order)
-    instance = HoloSeries(_diag_frame_stack(w, diag_coeffs))
+    instance = HoloSeries(_diag_frame_stack(w, _exp_herglotz_coeffs(cs, betas, order)))
 
     grid = _cert_grid(spec)
     low = float(np.abs(slice_values(grid)).min())
@@ -259,10 +300,10 @@ def _build_exterior_colligation(spec: FamilySpec, rng):
 
     grid = _cert_grid(spec, radius=0.95)
     logs = herglotz_transfer_grid(instance, grid)
-    re_min = float(min(np.linalg.eigvalsh(hermitize(lg))[0] for lg in logs))
+    re_min = float(np.linalg.eigvalsh(hermitize(logs))[:, 0].min())
     if re_min < -CERT_SLACK:
         raise GenerationError(f"colligation sample has Re(log f) dipping below 0: {re_min:.3e}")
-    sv_min = float(min(np.linalg.svd(matrix_exp(lg), compute_uv=False)[-1] for lg in logs))
+    sv_min = float(np.linalg.svd(matrix_exp(logs), compute_uv=False)[:, -1].min())
     if sv_min < 1.0 - CERT_SLACK:
         raise GenerationError(f"colligation sample dips inside the unit ball: {sv_min:.12f}")
     return instance, {"re_log_min": re_min, "abs_min": sv_min, "v_norm_sq": target}

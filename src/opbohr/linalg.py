@@ -137,9 +137,10 @@ def min_operator_norm(m) -> float:
     the smallest such bound, goes through ``eigvalsh`` first; a matrix whose
     bound exceeds that eigenvalue by more than the slack cannot hold the
     minimum and is skipped.  Only the others have their Gram matrices formed
-    and go through ``eigvalsh``.  Non-finite input anywhere raises
-    ``InvalidInputError``, and a Gram diagonal that overflows anywhere raises
-    ``NumericError``, as in ``operator_norm``.
+    and go through ``eigvalsh``.  A stack of 1x1 matrices needs no
+    ``eigvalsh`` at all: each Gram matrix is its own eigenvalue.  Non-finite
+    input anywhere raises ``InvalidInputError``, and a Gram diagonal that
+    overflows anywhere raises ``NumericError``, as in ``operator_norm``.
     """
     a = _norm_input(m)
     a = a.reshape((-1,) + a.shape[-2:])
@@ -150,6 +151,9 @@ def min_operator_norm(m) -> float:
     if not all_finite(diag):
         raise NumericError(f"Gram matrix overflows (entries up to {np.abs(a).max():.3e})")
     lower = diag.max(axis=-1)
+    if a.shape[-2:] == (1, 1):
+        # a 1x1 Gram matrix is its own eigenvalue, re^2 + im^2
+        return float(np.sqrt(lower.min()))
     probe_top = max(float(_gram_top_eigenvalues(a[np.argmin(lower)])), 0.0)
     candidates = a[lower <= (1.0 + _PRUNE_SLACK) * probe_top + _PRUNE_FLOOR]
     return float(np.sqrt(np.maximum(_gram_top_eigenvalues(candidates), 0.0)).min())

@@ -60,6 +60,25 @@ class TestMatrixExp:
         with pytest.raises(RangeError):
             matrix_exp(1e6 * np.eye(2))
 
+    def test_stack_equals_per_matrix_loop(self):
+        rng = np.random.default_rng(4)
+        for shape in ((7, 1, 1), (5, 3, 3), (2, 4, 2, 2), (1, 4, 4)):
+            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            stack[..., 0, :] *= 3.0
+            got = matrix_exp(stack)
+            assert got.shape == stack.shape
+            flat = stack.reshape(-1, *shape[-2:])
+            loop = np.stack([matrix_exp(m) for m in flat]).reshape(shape)
+            assert np.array_equal(got, loop)
+
+    def test_norm_cap_applies_to_every_matrix_of_a_stack(self):
+        stack = np.stack([np.eye(2), 0.5 * np.eye(2), 301.0 * np.eye(2)]).astype(complex)
+        with pytest.raises(RangeError):
+            matrix_exp(stack)
+        with pytest.raises(RangeError):
+            matrix_exp(stack[::-1])
+        assert np.array_equal(matrix_exp(stack[:2]), np.stack([matrix_exp(m) for m in stack[:2]]))
+
 
 class TestBranchCut:
     def test_principal_matches_numpy(self):

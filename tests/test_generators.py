@@ -15,8 +15,11 @@ from opbohr import (
     operator_norm,
     thm2_radius,
 )
+from opbohr import bohr, generators
+from opbohr.funcalc import herglotz_transfer_grid, matrix_exp
 from opbohr.generators import (
     FamilySpec,
+    SchurRealization,
     derive_seed,
     gaussian_coeff_sequence,
     identity_witness,
@@ -25,6 +28,8 @@ from opbohr.generators import (
     random_unitary,
     sample,
 )
+from opbohr.linalg import hermitize
+from opbohr.series import coeffs_from_circle_samples, coeffs_via_cauchy_integral
 
 BOUNDARY_GRID = 0.97 * np.exp(2j * math.pi * np.arange(720) / 720)
 
@@ -103,6 +108,94 @@ class TestSchurFamilies:
             p = rotated_coeffs(inst, mu).coeffs
             defect = operator_norm(p @ adjoint(p) - adjoint(p) @ p)
             assert float(np.max(defect)) <= 1e-10
+
+
+def mp_schur_coeffs(u, d, order):
+    """A_0 = A and A_n = B D^(n-1) C of a realization, as a 40-digit running product."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m = mpmath.matrix(u.tolist())
+        n = u.shape[0]
+        b, p = m[:d, d:n], m[d:n, :d]
+        out = [m[:d, :d]]
+        for _ in range(order):
+            out.append(b * p)
+            p = m[d:n, d:n] * p
+        return np.array([[[complex(a[i, j]) for j in range(d)] for i in range(d)] for a in out])
+
+
+def cauchy_coeffs(fn, order, rho=0.95, nodes=1024):
+    """Taylor coefficients 0..order of a matrix function of z, by Cauchy integral."""
+    return coeffs_via_cauchy_integral(lambda z: fn(np.array([z]))[0], order, rho, nodes).coeffs
+
+
+class TestExactCoefficients:
+    # a Schur realization's coefficients have norm at most 1, so the bound is
+    # absolute: about 4.5 eps (the largest error seen is 1.3e-16)
+    SCHUR_BOUND = 1e-15
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_schur_coeffs_match_high_precision_reference(self, d):
+        for order, seed in ((64, 10 + d), (256, 20 + d), (0, 1), (1, 2), (3, 3), (5, 4)):
+            u = random_unitary(d + 4, seed)
+            got = SchurRealization(u, d).coeffs(order)
+            ref = mp_schur_coeffs(u, d, order)
+            assert got.shape == (order + 1, d, d)
+            assert float(np.abs(got - ref).max()) <= self.SCHUR_BOUND
+
+    def test_schur_families_match_cauchy_integral(self):
+        for d, seed in ((1, 3), (2, 4), (4, 5)):
+            inst, aux = sample(spec_of("schur_holo", dim=d, seed=seed), with_aux=True)
+            assert np.abs(inst.coeffs - cauchy_coeffs(aux["eval"], 64)).max() <= 1e-12
+            for family in ("schur_harmonic", "commuting_harmonic"):
+                inst, aux = sample(spec_of(family, dim=d, seed=seed), with_aux=True)
+                # F = sum A_n z^n + (sum B_m z^m)*, so F* carries B_m at z^m
+                analytic = cauchy_coeffs(aux["eval"], 64)
+                coanalytic = cauchy_coeffs(lambda z: adjoint(aux["eval"](z)), 64)
+                assert np.abs(inst.analytic - analytic).max() <= 1e-12
+                assert np.abs(inst.coanalytic - coanalytic[1:]).max() <= 1e-12
+            w, waux = sample(spec_of("subordination", dim=1, seed=seed), with_aux=True)
+            phi = cauchy_coeffs(lambda z: waux["eval_phi"](z)[:, None, None], 64)[:, 0, 0]
+            assert np.abs(w.phi.coeffs - phi).max() <= 1e-12
+
+    def test_exterior_diag_matches_high_precision_reference(self):
+        # exp(c (1 + beta z)/(1 - beta z)) has a_0 = e^c and, for n >= 1,
+        # a_n = e^c beta^n sum_{k=1..n} binom(n-1, k-1) (2c)^k / k!.  Bound:
+        # 2(n+1) eps relative (the largest error seen is below n eps), with an
+        # absolute floor for coefficients in the subnormal range.
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        for seed, dim, order in ((1, 3, 64), (2, 3, 64), (3, 1, 256)):
+            inst, aux = sample(spec_of("exterior_diag", dim=dim, order=order, seed=seed),
+                               with_aux=True)
+            got = generators._exp_herglotz_coeffs(aux["c"], aux["beta"], order)
+            assert np.array_equal(inst.coeffs, generators._diag_frame_stack(aux["frame"], got))
+            with mpmath.workdps(40):
+                for c, beta, column in zip(aux["c"], aux["beta"], got.T):
+                    c, beta = mpmath.mpf(float(c)), mpmath.mpf(float(beta))
+                    for n, a in enumerate(column):
+                        ref = mpmath.exp(c) * (1 if n == 0 else beta**n * mpmath.fsum(
+                            mpmath.binomial(n - 1, k - 1) * (2 * c) ** k / mpmath.factorial(k)
+                            for k in range(1, n + 1)))
+                        bound = 2 * (n + 1) * eps * float(ref) + 1e-300
+                        assert abs(a - complex(ref)) <= bound, (seed, n)
+
+    def test_colligation_path_matches_per_node_reference(self):
+        for d, seed in ((1, 2), (2, 7), (3, 8), (4, 9)):
+            inst, aux = sample(spec_of("exterior_colligation", dim=d, seed=seed), with_aux=True)
+            logs = herglotz_transfer_grid(inst, 0.95 * np.exp(2j * math.pi * np.arange(96) / 96))
+            re_min = float(min(np.linalg.eigvalsh(hermitize(lg))[0] for lg in logs))
+            sv_min = float(min(np.linalg.svd(matrix_exp(lg), compute_uv=False)[-1]
+                               for lg in logs))
+            assert aux["re_log_min"] == re_min
+            assert aux["abs_min"] == sv_min
+            # the t2 series norms: radius-0.5 samples of exp(log f), one node at a time
+            nodes = 4 * 64 + 4
+            theta = 2.0 * math.pi * np.arange(nodes) / nodes
+            logs = herglotz_transfer_grid(inst, 0.5 * np.exp(1j * theta))
+            samples = np.stack([matrix_exp(lg) for lg in logs])
+            norms = operator_norm(coeffs_from_circle_samples(samples, 0.5, 64))
+            assert np.array_equal(bohr._colligation_series_norms(inst, 64), norms)
 
 
 class TestExteriorFamilies:

@@ -115,6 +115,33 @@ class TestMinOperatorNorm:
         scalars = np.full((count, 1, 1), c * np.exp(0.3j))
         assert min_operator_norm(scalars) == operator_norm(scalars).min()
 
+    @given(st.integers(0, 10**6), st.lists(st.integers(1, 360), min_size=1, max_size=2),
+           st.floats(-150.0, 150.0), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_scalar_stacks_bit_for_bit(self, seed, lead, log_scale, real):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, 1, 1)
+        m = 10.0**log_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        if real:
+            m = m.real.astype(complex)
+        m = m * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+        assert min_operator_norm(m) == operator_norm(m).min()
+
+    def test_scalar_stacks_skip_eigvalsh(self, monkeypatch):
+        m = np.array([3.0 + 4.0j, -0.5j, 2.0, 1e-200, 7e150]).reshape(-1, 1, 1)
+        expected = operator_norm(m).min()
+
+        def fail(a):
+            raise AssertionError("eigvalsh reached on a 1x1 stack")
+
+        monkeypatch.setattr(linalg, "_gram_top_eigenvalues", fail)
+        assert min_operator_norm(m) == expected
+        assert min_operator_norm(np.zeros((3, 1, 1))) == 0.0
+        with pytest.raises(InvalidInputError):
+            min_operator_norm(np.array([[[1.0]], [[np.nan]]]))
+        with pytest.raises(NumericError):
+            min_operator_norm(np.array([[[1.0]], [[1e200]]]))
+
     def test_single_matrix_and_zero_matrices(self):
         m = rand_matrix(3)
         assert min_operator_norm(m) == operator_norm(m)
