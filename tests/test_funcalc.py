@@ -77,7 +77,6 @@ class TestMatrixExp:
             matrix_exp(stack)
         with pytest.raises(RangeError):
             matrix_exp(stack[::-1])
-        assert np.array_equal(matrix_exp(stack[:2]), np.stack([matrix_exp(m) for m in stack[:2]]))
 
 
 class TestBranchCut:

@@ -1,16 +1,16 @@
-"""Record one point of the benchmark trajectory as ``BENCH_<pr>.json``.
+"""Record one point of the benchmark trajectory as ``BENCH_<N>.json``.
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_record.py 6
-    python3 tools/bench_record.py 5 --checkout ../parent-checkout
+    python3 tools/bench_record.py N
+    python3 tools/bench_record.py N --checkout ../other-checkout
 
 Runs the checkout's ``perfbench/run.py`` for each workload named in its
 ``BENCHMARK.json``, at seeds 1 and 1001 (default and held-out), untraced and
-traced: 12 runs of ``run_seconds`` each (from ``BENCHMARK.json`` unless
-``--seconds`` is given), one after another. The file is written to the root
-of the repository that holds this script. It holds the checkout's commit,
-the environment line of the first run, and, for each run, its workload,
+traced: 12 runs of ``run_seconds`` each (from ``BENCHMARK.json``), one
+after another. The file is written to the root of the repository that holds
+this script. It holds the checkout's commit, the environment line of the
+first run, and, for each run, its workload,
 seed, trace flag, the last JSON line of ``run.py`` (``correct``,
 ``attempted``, ``failed``, ``metrics``) and the details line without its
 environment. A run whose environment differs from the first keeps its own.
@@ -45,15 +45,13 @@ def run_one(checkout: Path, workload: str, seed: int, trace: int, seconds: float
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("pr", type=int, help="number in the output name BENCH_<pr>.json")
+    parser.add_argument("number", type=int, help="N in the output name BENCH_<N>.json")
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="checkout whose perfbench is run (default: this repository)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
 
     environment = None
     runs = []
@@ -70,9 +68,9 @@ def main(argv=None) -> int:
                              "result": result, "details": details})
                 print(f"{workload} seed {seed} trace {trace}: correct={result['correct']}",
                       file=sys.stderr)
-    record = {"pr": args.pr, "commit": _commit(checkout), "seconds": seconds,
+    record = {"number": args.number, "commit": _commit(checkout), "seconds": seconds,
               "environment": environment, "runs": runs}
-    path = ROOT / f"BENCH_{args.pr}.json"
+    path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)
     return 0
