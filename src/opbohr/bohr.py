@@ -19,8 +19,10 @@ t4a/t4b compose once, and t1i/t1ii at one angle decompose P_n once.  A check
 on another instance replaces what is kept, and the parts kept are read-only,
 so a report never depends on which checks ran before it.
 
-The boundary liminf takes each ring's smallest operator norm from
-``linalg.min_operator_norm``, which skips the points that cannot hold it.
+The boundary liminf samples only the rings nearest the boundary that its
+value reads (the last ``tail_rings`` of its grid) and takes each ring's
+smallest operator norm from ``linalg.min_operator_norm``, which skips the
+points that cannot hold it.
 """
 
 from __future__ import annotations
@@ -199,10 +201,11 @@ def psi_peak(r: float) -> tuple[float, float]:
 class LiminfEstimate:
     """Boundary-approach estimate of liminf ||f(z) - base|| as |z| -> 1.
 
-    ``ring_minima[j]`` is the minimum over the sampled angles at radius
-    1 - 2^-(j+1); ``value`` is the minimum over the rings closest to the
-    boundary (the liminf proxy).  Finite sampling can only overestimate each
-    ring's true infimum.
+    ``ring_radii`` are the sampled radii, the rings nearest the boundary, in
+    increasing order; ``ring_minima[j]`` is the minimum over the sampled
+    angles at ``ring_radii[j]``, and ``value`` is the minimum over them (the
+    liminf proxy).  Finite sampling can only overestimate each ring's true
+    infimum.
     """
 
     value: float
@@ -223,24 +226,28 @@ def boundary_distance_liminf(f, base, grid: tuple[int, int] = (20, 360),
     is a different function near |z| = 1 (its partial sums can vanish there)
     and its ring minima say nothing about the generating function.
 
-    All ring minima are reported so monotone trends are visible; the value is
-    taken over the last ``tail_rings`` rings, the ones nearest the boundary.
+    ``grid`` is (ring count J, angle count): of the rings j = 1..J, only the
+    last ``tail_rings``, the ones nearest the boundary, are sampled, each at
+    the given number of equally spaced angles, and the value is the minimum
+    over their ring minima.
     """
     j_count, m_count = grid
     if j_count < 1 or m_count < 4:
         raise InvalidInputError("grid must request at least one ring and four angles")
+    if tail_rings < 1:
+        raise InvalidInputError("tail_rings must be at least 1")
     eval_fn = f if callable(f) else (lambda zs: evaluate_grid(f, zs))
     probe = np.asarray(eval_fn(np.zeros(1, dtype=np.complex128)))
     dim = probe.shape[-1]
     base = as_matrix(base, "base") if np.ndim(base) >= 2 else complex(base) * np.eye(dim)
-    radii = 1.0 - 2.0 ** -np.arange(1, j_count + 1, dtype=np.float64)
+    radii = 1.0 - 2.0 ** -np.arange(max(1, j_count - tail_rings + 1), j_count + 1,
+                                    dtype=np.float64)
     theta = 2.0 * math.pi * np.arange(m_count) / m_count
-    ring_min = np.empty(j_count)
+    ring_min = np.empty(radii.size)
     for j, rr in enumerate(radii):
         values = np.asarray(eval_fn(rr * np.exp(1j * theta))) - base[None, :, :]
         ring_min[j] = min_operator_norm(values)
-    value = float(ring_min[-min(tail_rings, j_count):].min())
-    return LiminfEstimate(value=value, ring_radii=radii, ring_minima=ring_min)
+    return LiminfEstimate(value=float(ring_min.min()), ring_radii=radii, ring_minima=ring_min)
 
 
 # ---------------------------------------------------------------------------

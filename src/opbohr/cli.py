@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import itertools
 import math
 import os
@@ -577,6 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls, so one parser serves every
+# main() of a process.
+_parser = functools.cache(build_parser)
+
+
 def _parse_params(items: list[str]) -> dict:
     out = {}
     for item in items:
@@ -591,9 +597,8 @@ def _parse_params(items: list[str]) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

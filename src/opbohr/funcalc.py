@@ -15,6 +15,10 @@ the angle pi reproduces the principal branch on the slit plane C \\ (-inf, 0].
 A finite spectrum can never separate 0 from infinity in the plane, so the
 only operative preconditions for a matrix logarithm are that 0 lies outside
 the spectrum and that the spectrum stays off the chosen branch ray.
+
+``scipy.linalg`` is imported on first use, inside ``matrix_exp`` and the
+Schur step of ``log_eig_normal``: loading it costs more than half of a process
+start, and runs that never reach those two functions do not load it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm, schur as _schur
 
 from .errors import (
     BranchCutError,
@@ -129,14 +132,18 @@ def matrix_exp(m, norm_cap: float = EXP_NORM_CAP) -> np.ndarray:
     Takes one matrix or a stack (..., d, d); every matrix of a stack must
     satisfy the norm cap, and each is exponentiated as it would be alone.
     """
+    from scipy.linalg import expm
+
     a = as_matrix_stack(m)
     if np.any(operator_norm(a) > norm_cap):
         raise RangeError(f"||M|| exceeds the exp cap {norm_cap}")
-    return np.asarray(_scipy_expm(a), dtype=np.complex128)
+    return np.asarray(expm(a), dtype=np.complex128)
 
 
 def _normal_eigensystem(m: np.ndarray, tol: ToleranceProfile):
     """Unitary diagonalization of a normal matrix via a complex Schur form."""
+    from scipy.linalg import schur
+
     norm = operator_norm(m)
     defect = operator_norm(m @ adjoint(m) - adjoint(m) @ m)
     if defect > tol.eq_tol * max(1.0, norm**2):
@@ -144,7 +151,7 @@ def _normal_eigensystem(m: np.ndarray, tol: ToleranceProfile):
     if np.allclose(m, adjoint(m), atol=tol.eq_tol * max(1.0, norm)):
         w, z = np.linalg.eigh(hermitize(m))
         return w.astype(np.complex128), z
-    t, z = _schur(m, output="complex")
+    t, z = schur(m, output="complex")
     off = t - np.diag(np.diag(t))
     if operator_norm(off) > math.sqrt(max(tol.eq_tol, 1e-300)) * max(1.0, norm):
         raise NumericError("Schur form of a nominally normal matrix is far from diagonal")

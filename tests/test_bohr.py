@@ -11,6 +11,7 @@ from opbohr import (
     ContractError,
     DomainError,
     HarmonicSeries,
+    InvalidInputError,
     HoloSeries,
     bohr_radius_bisect,
     boundary_distance_liminf,
@@ -223,8 +224,10 @@ class TestBoundaryLiminf:
         est = boundary_distance_liminf(HoloSeries.from_scalar(coeffs, 1), 0.0)
         assert est.value < 0.01
 
-    def test_ring_minima_match_svd_reference(self):
-        # the pruned ring minimum is also the unpruned one, bit for bit
+    @staticmethod
+    def _inputs():
+        """(f, base) for a starlike and a convex callable and a plain series,
+        each with the evaluator and base matrix a reference loop needs."""
         spec = FamilySpec(family_id="starlike_diag", dim=3, aux_dim=4, order=64, seed=5,
                           params={"with_witness": True})
         _, aux = sample(spec, with_aux=True)
@@ -234,18 +237,63 @@ class TestBoundaryLiminf:
         rng = np.random.default_rng(12)
         series = HoloSeries(rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2)))
         base = np.array([[1.0, 0.5j], [0.0, -1.0]])
-        grid = (12, 90)
+        out = []
         for f, b in ((aux["eval"], 0.0), (convex_aux["eval"], convex.coeffs[0]), (series, base)):
-            est = boundary_distance_liminf(f, b, grid=grid)
             eval_fn = f if callable(f) else (lambda zs: evaluate_grid(series, zs))
             dim = np.asarray(eval_fn(np.zeros(1, dtype=complex))).shape[-1]
             b_mat = np.asarray(b) if np.ndim(b) == 2 else b * np.eye(dim)
-            theta = 2.0 * math.pi * np.arange(grid[1]) / grid[1]
-            for j, rr in enumerate(1.0 - 2.0 ** -np.arange(1, grid[0] + 1)):
+            out.append((f, b, eval_fn, b_mat))
+        return out
+
+    def test_ring_minima_match_svd_reference(self):
+        # the pruned ring minimum is also the unpruned one, bit for bit
+        grid = (12, 90)
+        theta = 2.0 * math.pi * np.arange(grid[1]) / grid[1]
+        for f, b, eval_fn, b_mat in self._inputs():
+            est = boundary_distance_liminf(f, b, grid=grid)
+            assert est.ring_radii.size == est.ring_minima.size == 5
+            for j, rr in enumerate(est.ring_radii):
                 values = eval_fn(rr * np.exp(1j * theta)) - b_mat
                 ref = np.linalg.svd(values, compute_uv=False)[:, 0].min()
                 assert abs(est.ring_minima[j] - ref) <= 1e-12 * ref
                 assert est.ring_minima[j] == operator_norm(values).min()
+
+    def test_value_is_the_tail_of_the_full_ring_loop(self):
+        # sampling only the tail rings gives the value every ring would
+        theta = 2.0 * math.pi * np.arange(360) / 360
+        for f, b, eval_fn, b_mat in self._inputs():
+            ring_min = [operator_norm(eval_fn(rr * np.exp(1j * theta)) - b_mat).min()
+                        for rr in 1.0 - 2.0 ** -np.arange(1, 21)]
+            est = boundary_distance_liminf(f, b)
+            assert est.value == min(ring_min[-5:])
+            assert est.ring_minima.tolist() == ring_min[-5:]
+
+    def test_ring_radii_are_the_tail_rings(self):
+        f = lambda zs: (zs / (1.0 - zs))[:, None, None]
+        for j_count, tail in ((20, 5), (20, 1), (12, 3), (6, 6), (3, 5)):
+            est = boundary_distance_liminf(f, 0.0, grid=(j_count, 8), tail_rings=tail)
+            expected = (1.0 - 2.0 ** -np.arange(1, j_count + 1))[-tail:]
+            assert est.ring_radii.tolist() == expected.tolist()
+            assert est.ring_minima.size == min(tail, j_count)
+
+    def test_evaluates_only_the_probe_and_the_tail_rings(self):
+        sizes = []
+
+        def counting(zs):
+            sizes.append(zs.size)
+            return (zs / (1.0 - zs))[:, None, None]
+
+        for tail in (5, 2):
+            sizes.clear()
+            boundary_distance_liminf(counting, 0.0, tail_rings=tail)
+            assert sizes[0] == 1
+            assert sum(sizes) == 1 + tail * 360
+
+    def test_tail_rings_below_one_raise(self):
+        f = lambda zs: zs[:, None, None]
+        for tail in (0, -1, -5):
+            with pytest.raises(InvalidInputError):
+                boundary_distance_liminf(f, 0.0, tail_rings=tail)
 
 
 class TestRadiusFormulas:

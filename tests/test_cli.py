@@ -176,6 +176,28 @@ class TestExitCodes:
         for family, param in (("koebe", "foo=1"), ("mobius", "oder=64"), ("constant", "a=0.5")):
             assert main(["scan", "--family", family, "--param", param]) == 2
 
+    def test_one_parser_per_process(self, monkeypatch):
+        # the parser is built once; nothing one call appends reaches the next
+        from opbohr import cli
+
+        seen = []
+
+        def fake_scan(family, params, **kwargs):
+            seen.append(params)
+            return RadiusScan(family_id=family, params=params, grid=(),
+                              estimated_radius=0.5, bracketed=True, warnings=())
+
+        monkeypatch.setattr(cli, "scan_radius", fake_scan)
+        assert main(["scan", "--family", "koebe", "--param", "order=8"]) == 0
+        assert main(["scan", "--family", "koebe"]) == 0
+        assert seen == [{"order": 8.0}, {}]
+        assert main(["scan", "--family", "koebe", "--steps", "x"]) == 2
+        assert main(["scan", "--family", "nonsense"]) == 2
+        assert main(["scan", "--family", "koebe", "--param", "order"]) == 2
+        assert main(["scan", "--family", "koebe", "--param", "order=16"]) == 0
+        assert seen[-1] == {"order": 16.0}
+        assert cli._parser() is cli._parser()
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPBOHR_OUT_DIR", str(tmp_path))
         code = main(["verify", "--theorems", "t1iii", "--trials", "1",

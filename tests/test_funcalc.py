@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opbohr
 from opbohr import (
     BranchCut,
     BranchCutError,
@@ -77,6 +83,26 @@ class TestMatrixExp:
             matrix_exp(stack)
         with pytest.raises(RangeError):
             matrix_exp(stack[::-1])
+
+
+class TestScipyLoadedOnFirstUse:
+    def test_only_exponentials_load_scipy_linalg(self):
+        # a fresh process: the suites without t2 never load scipy.linalg, and
+        # t2's colligation exponentials load it when they first run
+        script = textwrap.dedent("""
+            import sys
+            from opbohr.cli import main
+            assert main(["verify", "--theorems", "t1,l2,t3,t4", "--trials", "2",
+                         "--dims", "1,2", "--seed", "3"]) == 0
+            assert "scipy.linalg" not in sys.modules, "loaded without an exponential"
+            assert main(["verify", "--theorems", "t2", "--trials", "1", "--dims", "1",
+                         "--seed", "3"]) == 0
+            assert "scipy.linalg" in sys.modules, "t2 ran without scipy.linalg"
+        """)
+        src = str(Path(opbohr.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
 
 
 class TestBranchCut:
