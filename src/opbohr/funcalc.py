@@ -17,8 +17,8 @@ only operative preconditions for a matrix logarithm are that 0 lies outside
 the spectrum and that the spectrum stays off the chosen branch ray.
 
 ``scipy.linalg`` is imported on first use, inside ``matrix_exp`` and the
-Schur step of ``log_eig_normal``: loading it costs more than half of a process
-start, and runs that never reach those two functions do not load it.
+eigensystem behind ``log_eig_normal``: loading it costs more than half of a
+process start, and runs that reach neither never load it.
 """
 
 from __future__ import annotations
