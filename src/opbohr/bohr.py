@@ -28,6 +28,7 @@ points that cannot hold it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -229,9 +230,14 @@ def boundary_distance_liminf(f, base, grid: tuple[int, int] = (20, 360),
     ``grid`` is (ring count J, angle count): of the rings j = 1..J, only the
     last ``tail_rings``, the ones nearest the boundary, are sampled, each at
     the given number of equally spaced angles, and the value is the minimum
-    over their ring minima.
+    over their ring minima.  Counts that are not integers raise
+    ``InvalidInputError``.
     """
-    j_count, m_count = grid
+    try:
+        j_count, m_count = (operator.index(n) for n in grid)
+        tail_rings = operator.index(tail_rings)
+    except (TypeError, ValueError):
+        raise InvalidInputError("grid must be two integers and tail_rings an integer") from None
     if j_count < 1 or m_count < 4:
         raise InvalidInputError("grid must request at least one ring and four angles")
     if tail_rings < 1:

@@ -14,6 +14,12 @@ samples on a circle:
 
 ``exterior_colligation`` stores its colligation (U, V) only.
 
+The subordination witness's 720-point boundary certificate evaluates its
+realization exactly on that circle with one inverse FFT
+(``SchurRealization.transfer_circle``); the 96-point certificates of the
+other families, and every evaluation callback, solve at each point
+(``transfer_grid``).
+
 Every family re-verifies its certified properties at generation time (norm
 grids, positivity, coefficient bounds) and raises ``GenerationError`` if a
 check fails, which would indicate a bug rather than bad luck.  Identical
@@ -94,12 +100,35 @@ def random_unitary(n: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))[None, :]
 
 
+def _power_terms(dd: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+    """The terms D^j X, j < count, side by side: D^j X fills columns j w..(j+1) w - 1.
+
+    Built by doubling: with the first m terms in hand, one product with D^m
+    gives the next m, and D^m is squared, so ceil(log2(count)) products form
+    them all.
+    """
+    w = x.shape[1]
+    terms = np.empty((x.shape[0], count * w), dtype=np.complex128)
+    terms[:, :w] = x
+    power, done = dd, 1
+    while done < count:
+        step = min(done, count - done)
+        terms[:, done * w:(done + step) * w] = power @ terms[:, :step * w]
+        done += step
+        if done < count:
+            power = power @ power
+    return terms
+
+
 @dataclass(frozen=True)
 class SchurRealization:
     """Block colligation of a (d+k) x (d+k) unitary.
 
     The transfer function z -> A + z B (I - z D)^(-1) C maps the disk into
-    the norm-one ball.
+    the norm-one ball.  ``transfer_grid`` evaluates it at any points, one
+    batched solve per point; ``transfer_circle`` evaluates it exactly on an
+    equispaced circle with one inverse FFT, the route of the subordination
+    witness's 720-point certificate.
     """
 
     unitary: np.ndarray
@@ -117,27 +146,15 @@ class SchurRealization:
     def coeffs(self, order: int) -> np.ndarray:
         """Taylor coefficients A_0 = A and A_n = B D^(n-1) C, n = 1..order.
 
-        The terms D^j C (j < order) are built by doubling: with the first m
-        of them in hand, one product with D^m gives the next m, and D^m is
-        squared.  So ceil(log2(order)) products form them all.
+        The terms D^j C (j < order) are built by doubling (``_power_terms``).
         """
         a, b, c, dd = self.blocks()
-        d, k = self.dim, self.aux_dim
+        d = self.dim
         out = np.empty((order + 1, d, d), dtype=np.complex128)
         out[0] = a
         if order == 0:
             return out
-        # D^j C sits in columns j*d .. (j+1)*d - 1
-        terms = np.empty((k, order * d), dtype=np.complex128)
-        terms[:, :d] = c
-        power, done = dd, 1
-        while done < order:
-            step = min(done, order - done)
-            terms[:, done * d:(done + step) * d] = power @ terms[:, :step * d]
-            done += step
-            if done < order:
-                power = power @ power
-        out[1:] = (b @ terms).reshape(d, order, d).transpose(1, 0, 2)
+        out[1:] = (b @ _power_terms(dd, c, order)).reshape(d, order, d).transpose(1, 0, 2)
         return out
 
     def transfer_grid(self, zs) -> np.ndarray:
@@ -147,6 +164,24 @@ class SchurRealization:
         lhs = eye[None, :, :] - z[:, None, None] * dd[None, :, :]
         x = np.linalg.solve(lhs, np.broadcast_to(c, (z.size, *c.shape)))
         return a[None, :, :] + z[:, None, None] * (b[None, :, :] @ x)
+
+    def transfer_circle(self, nodes: int, rho: float) -> np.ndarray:
+        """The transfer function at z_j = rho exp(2 pi i j / nodes), j < nodes.
+
+        Since z_j^nodes = rho^nodes, (I - z_j D)^(-1) C = sum over r < nodes
+        of z_j^r D^r E with E = (I - rho^nodes D^nodes)^(-1) C, with no
+        truncation, and z_j^r = rho^r exp(2 pi i j r / nodes).  So the value
+        is A + nodes z_j ifft(t)_j for the terms t_r = B (rho D)^r E, built
+        by doubling (``_power_terms``).
+        """
+        a, b, c, dd = self.blocks()
+        d = self.dim
+        scaled = rho * dd
+        eye = np.eye(self.aux_dim, dtype=np.complex128)
+        e = np.linalg.solve(eye - np.linalg.matrix_power(scaled, nodes), c)
+        terms = (b @ _power_terms(scaled, e, nodes)).reshape(d, nodes, d).transpose(1, 0, 2)
+        z = _circle(nodes, rho)
+        return a[None, :, :] + (nodes * z)[:, None, None] * np.fft.ifft(terms, axis=0)
 
 
 def _circle(nodes: int, rho: float) -> np.ndarray:
@@ -365,6 +400,8 @@ def _build_starlike_diag(spec: FamilySpec, rng):
 
 def _build_subordination(spec: FamilySpec, rng):
     order = spec.order
+    nodes, rho = 720, 0.999
+    boundary = _circle(nodes, rho)
     if "constant" in spec.params:
         s = float(spec.params["constant"])
         if not (0.0 <= s < 1.0):
@@ -374,15 +411,15 @@ def _build_subordination(spec: FamilySpec, rng):
         if order >= 1:
             phi[1] = b0
         eval_b = lambda zs: np.full(np.asarray(zs).size, b0, dtype=np.complex128)
+        boundary_b = eval_b(boundary)
     else:
         aux_k = max(2, min(spec.aux_dim, 6))
         b_coeffs, real = _scalar_schur_coeffs(rng, aux_k, max(order - 1, 0))
         phi = np.zeros(order + 1, dtype=np.complex128)
         phi[1 : 1 + min(order, b_coeffs.size)] = b_coeffs[: max(order, 0)]
         eval_b = lambda zs: real.transfer_grid(zs)[:, 0, 0]
-
-    boundary = _circle(720, 0.999)
-    bound = float(np.abs(boundary * eval_b(boundary)).max())
+        boundary_b = real.transfer_circle(nodes, rho)[:, 0, 0]
+    bound = float(np.abs(boundary * boundary_b).max())
     if bound > 1.0 + CERT_SLACK:
         raise GenerationError(f"subordination witness exceeds the unit ball: {bound:.12f}")
     witness = SubordinationWitness(phi=ScalarSeries(phi), certified_bound=min(bound, 1.0))

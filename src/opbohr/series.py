@@ -5,7 +5,10 @@ shape (N+1, d, d).  A harmonic series adds coanalytic coefficients B_1..B_N
 whose adjoints multiply conj(z)^n during evaluation.  Subordination composition
 follows the coefficient algebra B_k = sum over n of alpha_k^(n) A_n, where
 alpha^(n) are the Taylor coefficients of the n-th power of the inner map,
-built once per composition as a power table.
+built once per composition as a power table.  The table is built by block
+doubling, ceil(log2(count)) products with triangular Toeplitz matrices, each
+entry within (order + 1) (ceil(log2(count)) + 1) u (|phi|^n)_k of the exact
+coefficient (``_power_table``).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DomainError, InvalidInputError
 from .linalg import DEFAULT_TOL, ToleranceProfile, adjoint, all_finite, as_matrix
@@ -192,16 +196,42 @@ def _inner_map(coeffs: np.ndarray, order: int) -> np.ndarray:
 def _power_table(phi: np.ndarray, count: int) -> np.ndarray:
     """Table alpha[n, k] of the coefficient of z^k in phi^n, n = 0..count.
 
-    ``phi`` holds coefficients 0..order with phi[0] = 0 and count <= order.
-    Then phi^n vanishes below order n, so row n is one convolution of the
-    band of row n - 1 with phi, trimmed to the band k = n..order.
+    ``phi`` holds coefficients 0..order with phi[0] = 0 and count <= order,
+    so phi^n vanishes below order n.  The rows are built by doubling (Brent
+    and Kung, JACM 1978): with rows 1..m in hand, rows m+1..min(2m, count)
+    are phi^j phi^m for j = 1..m, one product of the block of rows 1..m with
+    the upper-triangular Toeplitz matrix of row m's band.  That matrix is
+    split once into 2x2 blocks and its zero block is never multiplied, so
+    ceil(log2(count)) block products form the table.  Below a row's band
+    every product has an exact zero factor, so with finite entries each row
+    stays exactly zero there.
+
+    Entry (n, k) lies within (order + 1) (ceil(log2(count)) + 1) u (|phi|^n)_k
+    of phi^n's coefficient, with u the unit roundoff and |phi| the series of
+    the moduli |phi_k|.
     """
     order = phi.size - 1
     alpha = np.zeros((count + 1, order + 1), dtype=np.complex128)
     alpha[0, 0] = 1.0
-    for n in range(1, count + 1):
-        band = order - n + 1
-        alpha[n, n:] = np.convolve(alpha[n - 1, n - 1:order], phi[1:band + 1])[:band]
+    if count == 0:
+        return alpha
+    alpha[1] = phi
+    m = 1
+    while m < count:
+        step, size = min(m, count - m), order - m
+        h = size // 2
+        # columns h.. of the Toeplitz matrix t[i, k] = alpha[m, m + k - i] (zero for
+        # k < i), copied from the reversed rows of a Hankel view of the padded band;
+        # the leading h x h block of t is right[h:2h, :h]
+        padded = np.zeros(2 * size - h - 1, dtype=np.complex128)
+        padded[size - h - 1:] = alpha[m, m:order]
+        hankel = as_strided(padded, shape=(size, size - h), strides=2 * padded.strides)
+        right = hankel[::-1].copy()
+        rows = alpha[1:step + 1, 1:size + 1]
+        out = alpha[m + 1:m + step + 1, m + 1:]
+        np.matmul(rows[:, :h], right[h:2 * h, :h], out=out[:, :h])
+        np.matmul(rows, right, out=out[:, h:])
+        m += step
     return alpha
 
 

@@ -295,6 +295,12 @@ class TestBoundaryLiminf:
             with pytest.raises(InvalidInputError):
                 boundary_distance_liminf(f, 0.0, tail_rings=tail)
 
+    def test_non_integer_counts_raise(self):
+        f = lambda zs: zs[:, None, None]
+        for kwargs in ({"tail_rings": 2.5}, {"grid": (20.5, 360)}, {"grid": (20, 360.0)}):
+            with pytest.raises(InvalidInputError):
+                boundary_distance_liminf(f, 0.0, **kwargs)
+
 
 class TestRadiusFormulas:
     def test_thm2_at_twice_identity(self):

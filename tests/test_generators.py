@@ -129,6 +129,35 @@ def cauchy_coeffs(fn, order, rho=0.95, nodes=1024):
     return coeffs_via_cauchy_integral(lambda z: fn(np.array([z]))[0], order, rho, nodes).coeffs
 
 
+class TestTransferCircle:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_transfer_grid(self, d):
+        for k in range(2, 7):
+            real = SchurRealization(random_unitary(d + k, 10 * d + k), d)
+            for nodes in (96, 720):
+                for rho in (0.97, 0.999):
+                    zs = rho * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+                    got = real.transfer_circle(nodes, rho)
+                    assert got.shape == (nodes, d, d)
+                    assert float(np.abs(got - real.transfer_grid(zs)).max()) <= 1e-12
+
+    def test_witness_bound_matches_transfer_grid_route(self):
+        boundary = 0.999 * np.exp(2j * math.pi * np.arange(720) / 720)
+        for seed in range(8):
+            for aux_dim, order in ((2, 8), (4, 64), (6, 256)):
+                w, waux = sample(spec_of("subordination", dim=1, aux_dim=aux_dim, order=order,
+                                         seed=seed), with_aux=True)
+                # eval_phi is z times the realization's transfer_grid
+                bound = float(np.abs(waux["eval_phi"](boundary)).max())
+                assert abs(w.certified_bound - min(bound, 1.0)) <= 1e-12
+
+    def test_constant_witness_bound_unchanged(self):
+        boundary = 0.999 * np.exp(2j * math.pi * np.arange(720) / 720)
+        for s in (0.0, 0.3, 0.9):
+            w = sample(spec_of("subordination", order=16, seed=3, params={"constant": s}))
+            assert w.certified_bound == float(np.abs(boundary * w.phi.coeffs[1]).max())
+
+
 class TestExactCoefficients:
     # a Schur realization's coefficients have norm at most 1, so the bound is
     # absolute: about 4.5 eps (the largest error seen is 1.3e-16)

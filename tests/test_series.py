@@ -21,6 +21,7 @@ from opbohr import (
     scalar_power_coeffs,
 )
 from opbohr.generators import FamilySpec, identity_witness, koebe_series, sample
+from opbohr.series import _inner_map, _power_table
 
 
 def scalar_series(coeffs, dim=1):
@@ -156,6 +157,85 @@ class TestScalarPowerCoeffs:
                 acc = np.convolve(acc, w.phi.coeffs)[:41]
             got = scalar_power_coeffs(w.phi, t, 40).coeffs
             assert np.abs(got - acc).max() <= 1e-14
+
+
+def power_table_loop(phi, count):
+    """alpha[n] = phi^n by the per-power loop: one full convolution per power."""
+    order = phi.size - 1
+    alpha = np.zeros((count + 1, order + 1), dtype=complex)
+    alpha[0, 0] = 1.0
+    for n in range(1, count + 1):
+        alpha[n] = np.convolve(alpha[n - 1], phi)[: order + 1]
+    return alpha
+
+
+def doubling_bound(order, count):
+    """The stated error bound of the doubled table, in units of u (|phi|^n)_k."""
+    return (order + 1) * (math.ceil(math.log2(max(count, 1))) + 1)
+
+
+class TestPowerTable:
+    U = np.finfo(float).eps / 2
+
+    @staticmethod
+    def witness_phi(order, seed):
+        return np.array(sample(FamilySpec(family_id="subordination", dim=1, aux_dim=4,
+                                          order=order, seed=seed)).phi.coeffs)
+
+    @staticmethod
+    def non_schur_phi(order, seed):
+        # sum |phi_k| is about 3, so the powers grow: not a self-map of the disk
+        rng = np.random.default_rng(seed)
+        phi = np.zeros(order + 1, dtype=complex)
+        phi[1:] = 0.9 ** np.arange(order) * (rng.standard_normal(order)
+                                             + 1j * rng.standard_normal(order))
+        return phi
+
+    @pytest.mark.parametrize("order", [64, 96])
+    def test_matches_high_precision_reference(self, order):
+        mpmath = pytest.importorskip("mpmath")
+        for phi in (self.witness_phi(order, order), self.non_schur_phi(order, order)):
+            got = _power_table(phi, order)
+            with mpmath.workdps(40):
+                p = [mpmath.mpc(complex(c)) for c in phi]
+                ref = [[mpmath.mpc(1)] + [mpmath.mpc(0)] * order]
+                for n in range(1, order + 1):
+                    ref.append([mpmath.fsum(ref[-1][i] * p[k - i] for i in range(n - 1, k))
+                                if k >= n else mpmath.mpc(0) for k in range(order + 1)])
+                ref = np.array([[complex(c) for c in row] for row in ref])
+            # (|phi|^n)_k sums nonnegative terms, so the loop gets it to a few ulps
+            mod = power_table_loop(np.abs(phi).astype(complex), order).real
+            # entry by entry, and exactly zero where (|phi|^n)_k is zero (below the band)
+            bound = doubling_bound(order, order) * self.U * mod
+            assert np.all(np.abs(got - ref) <= bound)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 63, 64, 65, 100])
+    def test_matches_per_power_reference(self, count):
+        for order, length in ((100, 101), (130, 101), (100, 9)):
+            # count == order, count < order, and phi shorter than the order
+            phi = _inner_map(self.non_schur_phi(length - 1, count), order)
+            got = _power_table(phi, count)
+            ref = power_table_loop(phi, count)
+            mod = power_table_loop(np.abs(phi).astype(complex), count).real
+            assert got.shape == (count + 1, order + 1)
+            assert got[0, 0] == 1 and np.all(got[0, 1:] == 0)
+            if count >= 1:
+                assert np.array_equal(got[1], phi)
+            for n in range(count + 1):
+                assert np.all(got[n, :n] == 0)
+            # the doubled table's bound plus the loop's own, n (order + 1) u (|phi|^n)_k
+            n = np.arange(count + 1)[:, None]
+            bound = (doubling_bound(order, count) + n * (order + 1)) * self.U * mod
+            assert np.all(np.abs(got - ref) <= bound)
+
+    def test_identity_witness_table_is_exact(self):
+        # phi(z) = z gives alpha[n] = e_n with no rounding, so composing with
+        # it returns f bit for bit (the planted t4b Koebe margin rests on it)
+        alpha = _power_table(_inner_map(identity_witness(256).phi.coeffs, 256), 256)
+        assert np.array_equal(alpha, np.eye(257))
+        f = koebe_series(2, 256)
+        assert np.array_equal(compose_subordination(f, identity_witness(256), 256).coeffs,
+                              f.coeffs)
 
 
 class TestComposeSubordination:
