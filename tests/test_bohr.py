@@ -297,7 +297,8 @@ class TestBoundaryLiminf:
 
     def test_non_integer_counts_raise(self):
         f = lambda zs: zs[:, None, None]
-        for kwargs in ({"tail_rings": 2.5}, {"grid": (20.5, 360)}, {"grid": (20, 360.0)}):
+        for kwargs in ({"tail_rings": 2.5}, {"grid": (20.5, 360)}, {"grid": (20, 360.0)},
+                       {"grid": (20,)}, {"grid": (20, 360, 1)}, {"grid": 20}):
             with pytest.raises(InvalidInputError):
                 boundary_distance_liminf(f, 0.0, **kwargs)
 

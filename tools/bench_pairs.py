@@ -7,9 +7,8 @@ Usage, from the root of a checkout:
 Runs ``perfbench/run.py`` (untraced) of the PARENT checkout and of the
 CHANGE checkout one after the other, ``--pairs`` times, and alternates which
 side runs first: the parent leads the even-numbered pairs, the change the
-odd-numbered ones. The run length is ``run_seconds`` from the CHANGE
-checkout's ``BENCHMARK.json`` unless ``--seconds`` is given; both sides run
-for the same time.
+odd-numbered ones. Both sides run for ``run_seconds`` from the CHANGE
+checkout's ``BENCHMARK.json``.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, the ratio of the medians (change over parent) and the
@@ -43,14 +42,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds of the change's BENCHMARK.json)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     runs = {side: [] for side in sides}
     for i in range(args.pairs):
