@@ -17,7 +17,9 @@ and t1i and t1ii bound one rotated family P_n.  Preparation shared by such a
 pair is kept for the most recent instance object, so t3a/t3b, l2a/l2b and
 t4a/t4b compose once, and t1i/t1ii at one angle decompose P_n once.  A check
 on another instance replaces what is kept, and the parts kept are read-only,
-so a report never depends on which checks ran before it.
+so a report never depends on which checks ran before it.  ``cli.run_suite``
+draws one instance per theorem group and runs its parts back to back, so the
+slot serves ``opbohr verify`` as well as callers of this module.
 
 The boundary liminf samples only the rings nearest the boundary that its
 value reads (the last ``tail_rings`` of its grid) and takes each ring's

@@ -74,6 +74,12 @@ THEOREM_GROUPS = {
     "t4": ("t4a", "t4b"),
 }
 
+# theorem id -> the first id of its group (the id itself outside the groups);
+# the whole group draws its instance from the leader's seed
+_LEADER = {t: t for t in THEOREM_IDS} | {
+    t: ids[0] for ids in THEOREM_GROUPS.values() for t in ids}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str = "verify"
@@ -94,6 +100,8 @@ class RunConfig:
             raise OpBohrError("trials must be >= 1")
         if not self.dims or any(d < 1 or d > 16 for d in self.dims):
             raise OpBohrError("dims must be a nonempty subset of 1..16")
+        if self.r_values is not None and not self.r_values:
+            raise OpBohrError("r values must be a nonempty list")
         if self.seed < 0:
             raise OpBohrError("seed must be >= 0")
         for t in self.theorems:
@@ -164,6 +172,14 @@ def _random_mu(inst_seed: int) -> float:
 class SuiteRun:
     """One check run of a suite trial: the instance it draws and how it calls the check.
 
+    A trial's seed is ``derive_seed(seed, THEOREM_IDS.index(leader), dim, trial)``,
+    where the leader is the first id of the theorem's group (t1i, l2a, t3a,
+    t4a) or the id itself outside the groups.  Runs of one trial that draw
+    the same (family, dim, order, seed, pair) get the same instance object:
+    t1ii and t1iii check t1i's harmonic function (t1iii keeps
+    ``schur_harmonic`` under ``--normal-variant``), l2b, t3b and t4b their
+    leader's pair, and the witness of each report names that draw.
+
     family         family of the drawn instance: an id of ``FAMILY_IDS``, or
                    ``gaussian_sequence`` (l1) or ``ordered_triple`` (e17)
     order          default truncation order; ``--order`` replaces it
@@ -224,15 +240,20 @@ def _draw(family: str, dim: int, order: int, seed: int, pair: bool):
     return instance, aux, {"dim": dim, "aux_dim": spec.aux_dim, "order": order, "seed": seed}
 
 
-def _run_one_trial(theorem: str, dim: int, trial: int, config: RunConfig) -> list[TheoremReport]:
-    inst_seed = derive_seed(config.seed, THEOREM_IDS.index(theorem), dim, trial)
+def _run_one_trial(theorem: str, dim: int, trial: int, config: RunConfig,
+                   draws: dict) -> list[TheoremReport]:
+    """Reports of one id at one (dim, trial); ``draws`` memoizes the trial's draws."""
+    inst_seed = derive_seed(config.seed, THEOREM_IDS.index(_LEADER[theorem]), dim, trial)
     reports: list[TheoremReport] = []
     for run in SUITE_RUNS[theorem]:
         normal = config.normal_variant and run.normal_family is not None
         family = run.normal_family if normal else run.family
         order = run.order if config.order is None else config.order
         seed = inst_seed if run.sub_seed is None else derive_seed(inst_seed, run.sub_seed)
-        instance, aux, fields = _draw(family, dim, order, seed, run.pair)
+        key = (family, dim, order, seed, run.pair)
+        if key not in draws:
+            draws[key] = _draw(*key)
+        instance, aux, fields = draws[key]
         witness = {"family_id": family, **fields, "trial": trial}
         rs = (None,) if run.radii is None else config.r_values or run.radii
         mus = (*MU_FIXED, _random_mu(inst_seed)) if run.over_mu else (None,)
@@ -257,13 +278,23 @@ def _aggregate(reports: list[TheoremReport]) -> dict:
 
 
 def run_suite(config: RunConfig) -> SuiteReport:
-    """Execute trials x dims x theorem checks and assemble the suite report."""
+    """Execute trials x dims x theorem checks and assemble the suite report.
+
+    Each (dim, trial) draws one instance per theorem group (t1, l2, t3, t4),
+    from the seed of the group's first id, and runs the selected ids of the
+    group on that instance back to back, so the checks share what ``bohr``
+    prepares for it.  Reports come out by theorem, then dim, then trial.
+    """
     start = time.perf_counter()
-    reports: list[TheoremReport] = []
-    for theorem in config.theorems:
-        for dim in config.dims:
-            for trial in range(config.trials):
-                reports.extend(_run_one_trial(theorem, dim, trial, config))
+    leaders = list(dict.fromkeys(_LEADER[t] for t in config.theorems))
+    grouped = sorted(config.theorems, key=lambda t: leaders.index(_LEADER[t]))
+    by_id: dict[str, list[TheoremReport]] = {t: [] for t in config.theorems}
+    for dim in config.dims:
+        for trial in range(config.trials):
+            draws: dict = {}
+            for theorem in grouped:
+                by_id[theorem].extend(_run_one_trial(theorem, dim, trial, config, draws))
+    reports = [rep for t in config.theorems for rep in by_id[t]]
     wall = time.perf_counter() - start
     meta = {
         "artifact_version": __version__,

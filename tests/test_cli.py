@@ -17,6 +17,7 @@ from opbohr import (
 )
 from opbohr.cli import (
     MU_FIXED,
+    THEOREM_GROUPS,
     RunConfig,
     demo,
     main,
@@ -27,7 +28,14 @@ from opbohr.cli import (
     write_scan_csv,
     write_suite_report,
 )
-from opbohr.generators import FamilySpec, koebe_scalar_coeffs, mobius_scalar_coeffs, sample
+from opbohr.errors import OpBohrError
+from opbohr.generators import (
+    FamilySpec,
+    derive_seed,
+    koebe_scalar_coeffs,
+    mobius_scalar_coeffs,
+    sample,
+)
 from opbohr.serialize import (
     dumps,
     report_from_json,
@@ -175,6 +183,14 @@ class TestExitCodes:
             assert main(["scan", "--family", "koebe", "--param", f"order={order}"]) == 2
         for family, param in (("koebe", "foo=1"), ("mobius", "oder=64"), ("constant", "a=0.5")):
             assert main(["scan", "--family", family, "--param", param]) == 2
+
+    def test_empty_list_returns_two(self):
+        # an empty list is an error, not a request for every default
+        for text in (",", "", " , "):
+            assert main(["verify", "--r", text, "--trials", "1", "--dims", "1"]) == 2
+            assert main(["verify", "--dims", text, "--trials", "1"]) == 2
+        with pytest.raises(OpBohrError):
+            RunConfig(r_values=())
 
     def test_one_parser_per_process(self, monkeypatch):
         # the parser is built once; nothing one call appends reaches the next
@@ -386,3 +402,78 @@ class TestSuiteStructure:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "theorem_id"
         assert len(rows) == len(suite.reports) + 1
+
+
+def _report_bytes(reports, theorem_id: str) -> list[str]:
+    return [dumps(report_to_json(rep)) for rep in reports if rep.theorem_id == theorem_id]
+
+
+class TestGroupDraws:
+    """Each (dim, trial) draws one instance per theorem group, from its first id's seed."""
+
+    @pytest.mark.parametrize("normal, draws_per_trial", [(False, 4), (True, 5)])
+    def test_one_draw_per_group(self, monkeypatch, normal, draws_per_trial):
+        from opbohr import bohr, cli
+
+        counts = {"sample": 0, "compose": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        # the suite draws through cli.sample and composes inside the checks
+        monkeypatch.setattr(cli, "sample", counting("sample", cli.sample))
+        monkeypatch.setattr(bohr, "compose_subordination",
+                            counting("compose", bohr.compose_subordination))
+        argv = ["verify", "--theorems", "t1,t3,l2,t4", "--dims", "1,2", "--trials", "2"]
+        assert main(argv + ["--normal-variant"] * normal) == 0
+        # 2 dims x 2 trials; under --normal-variant t1iii draws apart from t1i, t1ii
+        assert counts == {"sample": 4 * draws_per_trial, "compose": 4 * 3}
+
+    def test_follower_alone_equals_follower_in_its_group(self):
+        config = {"trials": 2, "dims": (1, 2), "seed": 3}
+        alone = run_suite(RunConfig(theorems=("t3b",), **config)).reports
+        grouped = run_suite(RunConfig(theorems=parse_theorem_list("t3"), **config)).reports
+        assert len(alone) == 4
+        assert _report_bytes(alone, "t3b") == _report_bytes(grouped, "t3b")
+
+    def test_reports_do_not_depend_on_neighbours(self):
+        config = {"trials": 2, "dims": (1, 2), "seed": 6}
+        mixed = run_suite(RunConfig(theorems=("t1ii", "e55", "t1i"), **config)).reports
+        group = run_suite(RunConfig(theorems=parse_theorem_list("t1"), **config)).reports
+        for theorem_id in ("t1i", "t1ii"):
+            assert _report_bytes(mixed, theorem_id) == _report_bytes(group, theorem_id)
+        ids = [rep.theorem_id for rep in mixed]
+        assert ids == sorted(ids, key=("t1ii", "e55", "t1i").index)
+
+    def test_group_runs_back_to_back(self, monkeypatch):
+        from opbohr import bohr
+
+        rotations = []
+        compute = bohr._compute_rotated_parts
+        monkeypatch.setattr(bohr, "_compute_rotated_parts",
+                            lambda *args: rotations.append(args[1:]) or compute(*args))
+        run_suite(RunConfig(theorems=("t1ii", "l2a", "t1i"), trials=2, dims=(1, 2), seed=6))
+        # l2a runs after t1i, not between the t1 parts, so each angle rotates
+        # once per (dim, trial): 4 fixed angles and one random angle
+        assert len(rotations) == 2 * 2 * (len(MU_FIXED) + 1)
+
+    @pytest.mark.parametrize("normal", [False, True])
+    def test_followers_carry_their_leaders_seed(self, normal):
+        config = RunConfig(theorems=parse_theorem_list("t1,l2,t3,t4"), trials=2, dims=(1, 2),
+                           seed=8, normal_variant=normal)
+        seeds = {}
+        for rep in run_suite(config).reports:
+            w = rep.witness
+            seeds.setdefault((rep.theorem_id, w["dim"], w["trial"]), set()).add(w["seed"])
+            if rep.theorem_id == "t1iii":
+                assert w["family_id"] == "schur_harmonic"
+        for group in THEOREM_GROUPS.values():
+            leader = group[0]
+            for dim in (1, 2):
+                for trial in (0, 1):
+                    expected = {derive_seed(8, THEOREM_IDS.index(leader), dim, trial)}
+                    for theorem_id in group:
+                        assert seeds[(theorem_id, dim, trial)] == expected

@@ -15,7 +15,8 @@ median and quartiles, the ratio of the medians (change over parent) and the
 number of pairs in which the change reads better, ties counting for neither
 side. One run can read far from its code's median on a shared host, so a
 metric is read from the pairs, never from one run. The last lines give, per
-side, the runs that were not correct and the report digests seen.
+side, the runs that were not correct and the report digests seen; the
+exit status is 1 if any run on either side was not correct, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -70,12 +71,14 @@ def main(argv=None) -> int:
         print(f"  {name} [{metric['unit']}]: parent {pm:.6g} [{p1:.6g}-{p3:.6g}] -> "
               f"change {cm:.6g} [{c1:.6g}-{c3:.6g}], {ratio}, "
               f"change better in {wins}/{args.pairs}")
+    incorrect = 0
     for side in sides:
         failed = sum(not r["correct"] for _, r in runs[side])
+        incorrect += failed
         digests = sorted({json.dumps(d["report_digest"]) for d, _ in runs[side]})
         print(f"  {side}: {failed} of {args.pairs} runs not correct; "
               f"report digests {', '.join(digests)}")
-    return 0
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":
