@@ -28,6 +28,7 @@ from opbohr import (
     thm3_radius,
 )
 from opbohr import bohr
+from opbohr.linalg import abs_value, adjoint, hermitize, smallest_eigenvalue
 from opbohr.generators import (
     FamilySpec,
     gaussian_coeff_sequence,
@@ -43,34 +44,36 @@ from opbohr.generators import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def reference_matrix_sum(stack, r, start_power):
-    """Compensated majorant sum at one radius, the loop the grid sum reproduces."""
-    total = np.zeros(stack.shape[1:], dtype=np.complex128)
-    comp = np.zeros_like(total)
-    weight = r ** start_power
-    for n in range(stack.shape[0]):
-        term = stack[n] * weight
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        weight *= r
-    return total
+U = 2.0 ** -53  # unit roundoff of float64
 
 
-def reference_scalar_sum(values, r, start_power):
-    """Scalar counterpart of reference_matrix_sum."""
-    total = 0.0
-    comp = 0.0
-    weight = r ** start_power
-    for v in values:
-        term = float(v) * weight
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        weight *= r
-    return total
+def gamma(k):
+    return k * U / (1.0 - k * U)
+
+
+def formed_terms(stack, rs, start_power):
+    """The float64 terms the matrix sum adds: real and imaginary parts of
+    stack[n] r^(start_power + n), one row per n and one column per radius."""
+    weights = bohr._weight_table(np.array(rs), start_power, stack.shape[0])
+    parts = np.ascontiguousarray(stack).view(np.float64)
+    return parts[:, None] * weights.reshape(weights.shape + (1,) * (parts.ndim - 1))
+
+
+def sum_case(seed, n, d, paired, spread, cancel, r0):
+    """A complex stack of n terms with entries spread over 10^(+-spread).
+
+    With cancel, every odd term is the negation of its predecessor divided
+    by r0, perturbed in its last few digits, so the formed terms at r0 cancel
+    in pairs down to a sum far below the sum of their magnitudes.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (n, 2, d, d) if paired else (n, d, d)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack *= 10.0 ** rng.uniform(-spread, spread, shape)
+    if cancel:
+        odd = -stack[0:n - 1:2] / r0
+        stack[1::2] = odd * (1.0 + 1e-12 * rng.standard_normal(odd.shape))
+    return stack
 
 
 class TestMajorants:
@@ -117,24 +120,64 @@ class TestMajorants:
 
 class TestGridKahanSums:
     radii = st.lists(st.floats(0.0, 0.999), min_size=1, max_size=12)
+    # around the powers of two at which the cascade gains a level
+    term_counts = st.sampled_from((0, 1, 2, 3, 63, 64, 65, 256, 257))
 
-    @given(radii, st.integers(0, 4), st.integers(0, 70), st.integers(1, 3), st.booleans())
+    @given(radii, st.integers(0, 4), term_counts, st.integers(1, 3), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_matrix_sum_is_the_per_radius_loop(self, rs, start_power, n, d, paired):
-        rng = np.random.default_rng(n * 97 + d)
+    def test_matrix_sum_rows_equal_single_radius_sums(self, rs, start_power, n, d, paired):
         shape = (n, 2, d, d) if paired else (n, d, d)
+        rng = np.random.default_rng(n * 97 + d)
         stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         out = bohr._kahan_matrix_sum(stack, np.array(rs), start_power)
         assert out.shape == (len(rs),) + shape[1:]
         for row, r in zip(out, rs):
-            assert row.tobytes() == reference_matrix_sum(stack, r, start_power).tobytes()
+            alone = bohr._kahan_matrix_sum(stack, np.array([r]), start_power)[0]
+            assert row.tobytes() == alone.tobytes()
 
-    @given(radii, st.integers(0, 4), st.integers(0, 300))
+    @given(radii, st.integers(0, 4), term_counts)
     @settings(max_examples=60, deadline=None)
-    def test_scalar_sum_is_the_per_radius_loop(self, rs, start_power, n):
+    def test_scalar_sum_rows_equal_single_radius_sums(self, rs, start_power, n):
         values = np.abs(np.random.default_rng(n).standard_normal(n)) * 10.0
         out = bohr._kahan_scalar_sum(values, np.array(rs), start_power)
-        assert out.tolist() == [reference_scalar_sum(values, r, start_power) for r in rs]
+        assert out.tolist() == [bohr._kahan_scalar_sum(values, np.array([r]), start_power)[0]
+                                for r in rs]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 260), st.integers(1, 3), st.booleans(),
+           st.sampled_from((0.0, 5.0, 20.0)), st.booleans(),
+           st.lists(st.floats(0.05, 0.999), min_size=1, max_size=3), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_sum_within_compensated_bound(self, seed, n, d, paired, spread, cancel,
+                                                 rs, start_power):
+        """Each real component lies within u |S| + gamma_(n-1)^2 sum |x| of
+        the exact sum S of the formed terms x, against a 40-digit reference."""
+        mpmath = pytest.importorskip("mpmath")
+        stack = sum_case(seed, n, d, paired, spread, cancel, rs[0])
+        out = bohr._kahan_matrix_sum(stack, np.array(rs), start_power)
+        got = np.ascontiguousarray(out).view(np.float64).reshape(-1)
+        terms = formed_terms(stack, rs, start_power).reshape(n, got.size)
+        g2 = gamma(max(n - 1, 0)) ** 2
+        with mpmath.workdps(40):
+            for column, value in zip(terms.T.tolist(), got.tolist()):
+                exact = mpmath.fsum(column)
+                bound = U * abs(exact) + g2 * mpmath.fsum(column, absolute=True)
+                assert abs(mpmath.mpf(value) - exact) <= bound
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 300), st.sampled_from((0.0, 5.0, 20.0)),
+           st.booleans(), st.lists(st.floats(0.05, 0.999), min_size=1, max_size=4),
+           st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_sum_is_correctly_rounded(self, seed, n, spread, cancel, rs, start_power):
+        """Each sum is the exact sum of its formed terms rounded once.  The
+        reference is mpmath's summation at a precision that covers the whole
+        float64 range, so it is exact: a 40-digit one could round onto a tie
+        that the exact sum is not on."""
+        mpmath = pytest.importorskip("mpmath")
+        values = sum_case(seed, n, 1, False, spread, cancel, rs[0])[:, 0, 0].real
+        out = bohr._kahan_scalar_sum(values, np.array(rs), start_power)
+        terms = values[:, None] * bohr._weight_table(np.array(rs), start_power, n)
+        with mpmath.workprec(2200):
+            assert out.tolist() == [float(mpmath.fsum(column)) for column in terms.T.tolist()]
 
 
 class TestRotatedCoeffs:
@@ -568,6 +611,60 @@ def test_grid_equals_single_radius_checks(theorem_id, radius_cases):
     assert [rep.r for rep in grid] == list(rs)
     assert grid == singles
     assert check_theorem_grid(theorem_id, instance, (), **kwargs) == []
+
+
+def loewner_sides(theorem_id, instance, rs, kwargs):
+    """(lhs, rhs) stacks over the grid rs: the two sides of each Loewner
+    check, formed with the module's own sums and preparation."""
+    grid = np.array(rs)
+    if theorem_id == "l1":
+        k = kwargs["k"]
+        tail = bohr._coeff_stack(instance)[k:]
+        s = bohr._kahan_matrix_sum(abs_value(tail), grid, k)
+        sq = hermitize(np.sum(adjoint(tail) @ tail, axis=0))
+        coeff = np.array([r ** (2 * k) / (1.0 - r * r) for r in rs])
+        return hermitize(s @ s), coeff[:, None, None] * sq
+    if theorem_id == "t1i":
+        _, t_mat, abs_p, _, _ = bohr._rotated_parts(instance, kwargs["mu"], False)
+        s = t_mat + bohr._kahan_matrix_sum(abs_p, grid, 1)
+        c = [psi_peak(r)[1] for r in rs]
+    elif theorem_id == "t1iii":
+        pair = np.stack([abs_value(instance.analytic[1:]),
+                         abs_value(adjoint(instance.coanalytic))], axis=1)
+        halves = bohr._kahan_matrix_sum(pair, grid, 1)
+        s, c = halves[:, 0] + halves[:, 1], 0.5
+    elif theorem_id == "e55":
+        s = bohr._kahan_matrix_sum(abs_value(instance.coeffs), grid, 0)
+        c = [1.0 / math.sqrt(1.0 - r * r) for r in rs]
+    else:
+        f, g, norms_a = bohr._subordinated(instance)
+        s = bohr._kahan_matrix_sum(abs_value(g.coeffs[1:]), grid, 1)
+        if theorem_id == "t3b":
+            return s, np.broadcast_to(0.5 * abs_value(f.coeffs[1]), s.shape)
+        c = 0.25 if theorem_id == "t4b" else bohr._kahan_scalar_sum(norms_a, grid, 1)
+    return s, np.multiply.outer(np.broadcast_to(c, len(rs)), np.eye(s.shape[-1]))
+
+
+@pytest.mark.parametrize("theorem_id", ["l1", "t1i", "t1iii", "e55", "l2a", "t3b", "t4b"])
+def test_loewner_checks_agree_with_the_difference_eigenvalue(theorem_id, radius_cases):
+    """A check against c I reads its margin and its norm off one eigvalsh of
+    the PSD side S; both agree with the two-solve route, lambda_min(c I - S)
+    and the Gram norm of S, and so does the pass flag."""
+    instance, rs, kwargs = radius_cases[theorem_id]
+    reports = check_theorem_grid(theorem_id, instance, rs, force=True, **kwargs)
+    lhs, rhs = loewner_sides(theorem_id, instance, rs, kwargs)
+    d = lhs.shape[-1]
+    for rep, left, right in zip(reports, lhs, rhs):
+        lhs_norm = operator_norm(left)
+        assert abs(rep.side_values["lhs_norm"] - lhs_norm) <= 8 * d * U * lhs_norm
+        scale = rep.scale
+        if theorem_id == "l1":
+            rhs_norm = operator_norm(right)
+            assert abs(rep.side_values["rhs_norm"] - rhs_norm) <= 8 * d * U * rhs_norm
+            scale = max(1.0, rhs_norm)
+        margin = smallest_eigenvalue(right - left) - rep.side_values.get("tail", 0.0)
+        assert abs(rep.margin - margin) <= 1e-14 * rep.scale
+        assert rep.passed == (margin >= -bohr.DEFAULT_TOL.psd_tol * scale)
 
 
 class TestSharedPreparation:
