@@ -525,6 +525,29 @@ class TestCheckTheorem:
         scaled = HoloSeries((1.0 + 1e-3) * f.coeffs)
         assert not any(rep.passed for rep in check_theorem_grid("e55", scaled, rs, force=True))
 
+    @pytest.mark.parametrize("theorem_id", ["l2a", "l2b"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_l2_identity_witness_meets_its_bound(self, theorem_id, d):
+        # phi(z) = z makes f(phi) = f, so both sides are sum ||A_n|| r^n (the
+        # A_n are scalar, so |A_n| = ||A_n|| I) and the margin is minus the tail
+        pair = (mobius_series(0.5, d, 64), identity_witness(64))
+        for rep in check_theorem_grid(theorem_id, pair, (0.1, 0.2, 1.0 / 3.0)):
+            assert abs(rep.margin + rep.side_values["tail"]) <= 1e-14 * rep.scale
+
+    def test_l2b_identity_witness_meets_its_bound_on_a_schur_draw(self):
+        f = sample(FamilySpec(family_id="schur_holo", dim=3, aux_dim=4, order=64, seed=11))
+        pair = (f, identity_witness(64))
+        for rep in check_theorem_grid("l2b", pair, (0.1, 0.2, 1.0 / 3.0)):
+            assert abs(rep.margin + rep.side_values["tail"]) <= 1e-14 * rep.scale
+
+    def test_t3b_fails_just_past_one_third_on_z_over_one_minus_z(self):
+        # f = z/(1 - z) I: sum over n >= 1 of r^n = r/(1 - r) meets |A_1|/2 = 1/2
+        # at r = 1/3
+        pair = (HoloSeries.from_scalar([0.0] + [1.0] * 64, 2), identity_witness(64))
+        at, past = check_theorem_grid("t3b", pair, (1.0 / 3.0, 1.0 / 3.0 + 1e-3), force=True)
+        assert at.passed and abs(at.margin) <= 1e-12
+        assert not past.passed
+
     def test_grid_past_stated_radius_raises_before_evaluating(self, monkeypatch):
         rs = (0.1, 1.0 / 3.0, 0.6)
         assert len(check_theorem_grid("t1iii", self.scalar_z_harmonic(), rs, force=True)) == 3
