@@ -281,13 +281,9 @@ def boundary_distance_liminf(f, base, grid: tuple[int, int] = (20, 360),
 # sharp-radius formulas
 # ---------------------------------------------------------------------------
 
-def thm2_radius(a0, tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """(2L - 1)/(2L + 1) with L = log||A0|| / ||log A0||.
-
-    Requires A0 Hermitian positive definite with spectrum in [1, inf) and
-    ||A0|| > 1.  Under these preconditions L always evaluates to 1 in finite
-    dimension, so the value is 1/3; the general expression is kept verbatim.
-    """
+def _thm2_parts(a0, tol: ToleranceProfile) -> tuple[float, float, float]:
+    """||A0||, ||log A0|| and the radius (2L - 1)/(2L + 1), L = log||A0|| / ||log A0||,
+    from one logarithm of A0; the contracts are those of ``thm2_radius``."""
     m = as_matrix(a0, "A0")
     norm = operator_norm(m)
     if operator_norm(m - adjoint(m)) > tol.eq_tol * max(1.0, norm):
@@ -297,9 +293,19 @@ def thm2_radius(a0, tol: ToleranceProfile = DEFAULT_TOL) -> float:
         raise ContractError(f"A0 must have spectrum in [1, inf); smallest eigenvalue {lam_min:.6g}")
     if norm <= 1.0 + tol.eq_tol:
         raise ContractError("radius is degenerate for ||A0|| <= 1 (A0 = identity)")
-    log_a0 = log_eig_normal(hermitize(m), tol=tol)
-    ell = math.log(norm) / operator_norm(log_a0)
-    return (2.0 * ell - 1.0) / (2.0 * ell + 1.0)
+    norm_log = operator_norm(log_eig_normal(hermitize(m), tol=tol))
+    ell = math.log(norm) / norm_log
+    return norm, norm_log, (2.0 * ell - 1.0) / (2.0 * ell + 1.0)
+
+
+def thm2_radius(a0, tol: ToleranceProfile = DEFAULT_TOL) -> float:
+    """(2L - 1)/(2L + 1) with L = log||A0|| / ||log A0||.
+
+    Requires A0 Hermitian positive definite with spectrum in [1, inf) and
+    ||A0|| > 1.  Under these preconditions L always evaluates to 1 in finite
+    dimension, so the value is 1/3; the general expression is kept verbatim.
+    """
+    return _thm2_parts(a0, tol)[2]
 
 
 def thm3_radius(a1) -> float:
@@ -636,19 +642,18 @@ def _colligation_series_norms(c: ColligationSpec, order: int, rho: float = 0.5):
 
 def _prep_t2(instance, *, order: int = 64, tol=DEFAULT_TOL, **_) -> _Prepared:
     if isinstance(instance, ColligationSpec):
-        v_sq = operator_norm(instance.V) ** 2
         a0 = matrix_exp(0.5 * hermitize(adjoint(instance.V) @ instance.V))
+        norm_a0, norm_log_a0, radius = _thm2_parts(a0, tol)
+        v_sq = operator_norm(instance.V) ** 2
         norms_a = _colligation_series_norms(instance, order)
     elif isinstance(instance, HoloSeries):
-        a0 = instance.coeffs[0]
+        norm_a0, norm_log_a0, radius = _thm2_parts(instance.coeffs[0], tol)
+        v_sq = 2.0 * norm_log_a0
         norms_a = operator_norm(instance.coeffs)
-        v_sq = 2.0 * operator_norm(log_eig_normal(hermitize(a0), tol=tol))
         order = instance.order
     else:
         raise ContractError("t2 needs a ColligationSpec or exterior HoloSeries instance")
-    radius = thm2_radius(a0, tol=tol)
-    norm_a0 = operator_norm(as_matrix(a0))
-    ell = math.log(norm_a0) / operator_norm(log_eig_normal(hermitize(as_matrix(a0)), tol=tol))
+    ell = math.log(norm_a0) / norm_log_a0
 
     def margin(r: float, alpha: float):
         rho_t = 0.5 * (1.0 + r)
