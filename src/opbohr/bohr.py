@@ -1,13 +1,15 @@
 """Majorant sums, disk metrics, sharp-radius formulas, and inequality checkers.
 
-Every checker reports a margin (RHS minus LHS: the smallest eigenvalue of the
-difference for Loewner comparisons, the plain difference for scalar ones) plus
-a scale, and passes when ``margin >= -psd_tol * scale``.  Margins are reduced
-by an analytic bound on the truncation tail of the majorant involved, so a
-reported pass is robust to the series being finite.  Where the right-hand side
-is c I and the left-hand side S is positive semidefinite, the smallest
-eigenvalue of c I - S is c - lambda_max(S), and lambda_max(S) is also ||S||,
-so one ``eigvalsh`` of S per radius gives both the margin and the norm.
+Each inequality bounds a left side (a majorant sum of |A_n| r^n or of
+||A_n|| r^n) plus an analytic bound on its truncation tail by a right side.
+A check gives its two sides and its tail at every radius, and one function,
+``_form_margins``, turns them into a margin and a scale, max(1, ||right||):
+right - left - tail for two scalars; c - lambda_max(S) - tail for a positive
+semidefinite S against c I, one ``eigvalsh`` of S giving both the margin and
+lambda_max(S) = ||S||; and lambda_min(R - S) - tail for a matrix R against S.
+A check passes when ``margin >= -psd_tol * scale``, so a reported pass is
+robust to the series being finite.  t2 (the least of three inequalities) and
+e17 (no radius) form their own margins.
 
 ``check_theorem_grid`` is the check entry point: it prepares the instance once,
 validates every radius of the grid, and evaluates the margins of the whole grid
@@ -19,14 +21,16 @@ rounded.  Both act on each radius's terms alone, performing for each radius
 the same floating-point operations as a sum at that radius alone, so a report
 does not depend on the grid it was evaluated in.
 
-The paper states each subordination result twice about one composite f(phi),
-and t1i and t1ii bound one rotated family P_n.  Preparation shared by such a
-pair is kept for the most recent instance object, so t3a/t3b, l2a/l2b and
-t4a/t4b compose once, and t1i/t1ii at one angle decompose P_n once.  A check
-on another instance replaces what is kept, and the parts kept are read-only,
-so a report never depends on which checks ran before it.  ``cli.run_suite``
-draws one instance per theorem group and runs its parts back to back, so the
-slot serves ``opbohr verify`` as well as callers of this module.
+The paper states each subordination result twice about one composite
+f(phi) = sum B_n z^n, and t1i and t1ii bound one rotated family P_n.
+Preparation shared by such a pair is kept for the most recent instance
+object, so t3a/t3b, l2a/l2b and t4a/t4b compose f(phi) and take |B_n| and
+||B_n|| from one eigendecomposition once, and t1i/t1ii at one angle
+decompose P_n once.  A check on another instance replaces what is kept, and
+the parts kept are read-only, so a report never depends on which checks ran
+before it.  ``cli.run_suite`` draws one instance per theorem group and runs
+its parts back to back, so the slot serves ``opbohr verify`` as well as
+callers of this module.
 
 The boundary liminf samples only the rings nearest the boundary that its
 value reads (the last ``tail_rings`` of its grid) and takes each ring's
@@ -39,7 +43,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,10 +52,12 @@ from .errors import ContractError, DomainError, InvalidInputError
 from .funcalc import ColligationSpec, herglotz_transfer_grid, log_eig_normal, matrix_exp
 from .linalg import (
     DEFAULT_TOL,
+    GramParts,
     ToleranceProfile,
     abs_value,
     adjoint,
     as_matrix,
+    gram_parts,
     hermitize,
     min_operator_norm,
     operator_norm,
@@ -398,15 +405,60 @@ class TheoremReport:
         return self.margin / self.scale
 
 
+class _Sides(NamedTuple):
+    """The two sides of a check and its truncation-tail bound, per radius.
+
+    lhs       floats, or a stack of positive semidefinite matrices S
+    rhs       floats c (c I against a matrix lhs), or a stack of matrices R
+    tail      floats
+    rhs_norm  ||R|| per radius when rhs is a stack of matrices
+    extra     further side values, key -> one value per radius
+    """
+
+    lhs: list | np.ndarray
+    rhs: list | np.ndarray
+    tail: list
+    rhs_norm: list | None = None
+    extra: dict = {}
+
+
+def _form_margins(sides: _Sides) -> list[tuple[float, float, dict]]:
+    """(margin, scale, side values) per radius, with scale max(1, ||rhs||).
+
+    The margin is rhs - lhs - tail for floats on both sides, and
+    c - lambda_max(S) - tail for S against c I: one ``eigvalsh`` of S gives
+    both the margin and lhs_norm = lambda_max(S) = ||S||.  For R against S it
+    is lambda_min(R - S) - tail.
+    """
+    lhs, rhs, tails, rhs_norms, extra = sides
+    lhs_norms = _largest_eigenvalue(lhs).tolist() if isinstance(lhs, np.ndarray) else lhs
+    if rhs_norms is None:
+        rhs_norms = rhs
+        margins = [c - s - tail for c, s, tail in zip(rhs, lhs_norms, tails)]
+    else:
+        lows = smallest_eigenvalue(rhs - lhs).tolist()
+        margins = [low - tail for low, tail in zip(lows, tails)]
+    rows = []
+    for i, (margin, lhs_norm, rhs_norm, tail) in enumerate(
+            zip(margins, lhs_norms, rhs_norms, tails)):
+        values = {key: column[i] for key, column in extra.items()}
+        values.update(lhs_norm=lhs_norm, rhs_norm=rhs_norm, tail=tail)
+        rows.append((margin, max(1.0, rhs_norm), values))
+    return rows
+
+
 @dataclass
 class _Prepared:
     """A check prepared for one instance.
 
-    ``margins(rs)`` evaluates the check at every radius of the validated grid
-    ``rs`` (a float array) and returns one ``(margin, scale, sides)`` per radius.
+    ``sides(rs)`` gives the check's two sides and tail bound at every radius
+    of the validated grid ``rs`` (a float array); ``_form_margins`` turns them
+    into one ``(margin, scale, sides)`` per radius.  t2 and e17, whose margin
+    is not one side less the other, give ``margins(rs)`` in its place.
     """
 
-    margins: Callable[[np.ndarray], list[tuple[float, float, dict]]]
+    sides: Callable[[np.ndarray], _Sides] | None = None
+    margins: Callable[[np.ndarray], list[tuple[float, float, dict]]] | None = None
     stated_radius: float | None = None
     static_sides: dict = field(default_factory=dict)
 
@@ -489,23 +541,17 @@ def _prep_l1(instance, *, k: int = 0, tol=DEFAULT_TOL, **_) -> _Prepared:
     stack = _coeff_stack(instance, "H")
     if k < 0 or k > stack.shape[0]:
         raise ContractError(f"k out of range: {k}")
-    tail_part = stack[k:]
-    abs_h = abs_value(tail_part)
-    sq = hermitize(np.sum(adjoint(tail_part) @ tail_part, axis=0))
+    grams, abs_h, _ = gram_parts(stack[k:])
+    sq = hermitize(np.sum(grams, axis=0))
     sq_top = _largest_eigenvalue(sq)
 
-    def margins(rs: np.ndarray):
+    def sides(rs: np.ndarray) -> _Sides:
         s = _kahan_matrix_sum(abs_h, rs, k)
-        lhs = hermitize(s @ s)
-        coeff = np.array([r ** (2 * k) / (1.0 - r * r) for r in rs.tolist()])
-        rhs = coeff[:, None, None] * sq
-        lows = smallest_eigenvalue(rhs - lhs).tolist()
-        lhs_norms = operator_norm(lhs).tolist()
-        rhs_norms = (coeff * sq_top).tolist()
-        return [(low, max(1.0, rhs_norm), {"lhs_norm": lhs_norm, "rhs_norm": rhs_norm})
-                for low, lhs_norm, rhs_norm in zip(lows, lhs_norms, rhs_norms)]
+        coeff = [r ** (2 * k) / (1.0 - r * r) for r in rs.tolist()]
+        return _Sides(hermitize(s @ s), np.multiply.outer(coeff, sq), [0.0] * rs.size,
+                      rhs_norm=[c * sq_top for c in coeff])
 
-    return _Prepared(margins=margins, static_sides={"k": float(k)})
+    return _Prepared(sides=sides, static_sides={"k": float(k)})
 
 
 def _rotated_parts(h: HarmonicSeries, mu: float, normal: bool):
@@ -529,11 +575,7 @@ def _compute_rotated_parts(h: HarmonicSeries, mu: float, normal: bool):
         scale = np.maximum(1.0, operator_norm(p) ** 2)
         if np.any(defect > 1e-8 * scale):
             raise ContractError("normal variant requested but some P_n is not normal")
-    gram = hermitize(adjoint(p) @ p)
-    w, v = np.linalg.eigh(gram)
-    w = np.clip(w, 0.0, None)
-    abs_p = hermitize((v * np.sqrt(w)[..., None, :]) @ adjoint(v))
-    norms_p = np.sqrt(w[:, -1])
+    gram, abs_p, norms_p = gram_parts(p)
     mass_coeff = 2.0 if normal else 4.0
     residual = mass_coeff * (np.eye(h.dim) - t_mat @ t_mat) - np.sum(gram, axis=0)
     return re_a0, t_mat, abs_p, norms_p, residual
@@ -546,21 +588,18 @@ def _prep_t1i(instance, *, mu=None, normal: bool = False, tol=DEFAULT_TOL, **_) 
     residual_top = max(0.0, _largest_eigenvalue(residual))
     order = h.order
 
-    def margins(rs: np.ndarray):
-        s = t_mat + _kahan_matrix_sum(abs_p, rs, 1)
+    def sides(rs: np.ndarray) -> _Sides:
         radii = rs.tolist()
         if normal:
             x0s = [math.sqrt(1.0 - r * r) / math.sqrt(1.0 + r * r) for r in radii]
             peaks = [math.sqrt(1.0 + r * r) / math.sqrt(1.0 - r * r) for r in radii]
         else:
-            x0s, peaks = zip(*(psi_peak(r) for r in radii))
+            x0s, peaks = map(list, zip(*(psi_peak(r) for r in radii)))
         tails = [_l2_mass_tail(residual_top, order, r) for r in radii]
-        lhs_norms = _largest_eigenvalue(s).tolist()
-        return [(peak - lhs_norm - tail, max(1.0, peak),
-                 {"x0": x0, "psi_peak": peak, "lhs_norm": lhs_norm, "tail": tail})
-                for tail, peak, x0, lhs_norm in zip(tails, peaks, x0s, lhs_norms)]
+        return _Sides(t_mat + _kahan_matrix_sum(abs_p, rs, 1), peaks, tails,
+                      extra={"x0": x0s, "psi_peak": peaks})
 
-    return _Prepared(margins=margins, static_sides={"normal": float(normal)})
+    return _Prepared(sides=sides, static_sides={"normal": float(normal)})
 
 
 def _prep_t1ii(instance, *, mu=None, normal: bool = False, force: bool = False,
@@ -574,15 +613,11 @@ def _prep_t1ii(instance, *, mu=None, normal: bool = False, force: bool = False,
     residual_trace = max(0.0, float(np.trace(hermitize(residual)).real))
     order = h.order
 
-    def margins(rs: np.ndarray):
-        result = []
-        for r, lhs in zip(rs.tolist(), _kahan_scalar_sum(norms_p, rs, 1).tolist()):
-            tail = _l2_mass_tail(residual_trace, order, r)
-            result.append((rhs - lhs - tail, max(1.0, rhs),
-                           {"lhs_norm": lhs, "rhs_norm": rhs, "tail": tail}))
-        return result
+    def sides(rs: np.ndarray) -> _Sides:
+        tails = [_l2_mass_tail(residual_trace, order, r) for r in rs.tolist()]
+        return _Sides(_kahan_scalar_sum(norms_p, rs, 1).tolist(), [rhs] * rs.size, tails)
 
-    return _Prepared(margins=margins,
+    return _Prepared(sides=sides,
                      stated_radius=(1.0 / 3.0 if normal else 0.2),
                      static_sides={"normal": float(normal)})
 
@@ -590,23 +625,20 @@ def _prep_t1ii(instance, *, mu=None, normal: bool = False, force: bool = False,
 def _prep_t1iii(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
     h = _as_harmonic(instance)
     d = h.dim
-    abs_pair = np.stack([abs_value(h.analytic[1:]), abs_value(adjoint(h.coanalytic))], axis=1)
+    analytic = gram_parts(h.analytic[1:])
+    coanalytic = gram_parts(adjoint(h.coanalytic))
+    abs_pair = np.stack([analytic.abs, coanalytic.abs], axis=1)
     a0 = h.analytic[0]
-    used = adjoint(a0) @ a0
-    used = used + np.sum(adjoint(h.analytic[1:]) @ h.analytic[1:], axis=0)
-    used = used + np.sum(h.coanalytic @ adjoint(h.coanalytic), axis=0)
+    used = adjoint(a0) @ a0 + np.sum(analytic.gram, axis=0) + np.sum(coanalytic.gram, axis=0)
     residual_top = max(0.0, _largest_eigenvalue(np.eye(d) - used))
     order = h.order
 
-    def margins(rs: np.ndarray):
+    def sides(rs: np.ndarray) -> _Sides:
         pair = _kahan_matrix_sum(abs_pair, rs, 1)
-        s = pair[:, 0] + pair[:, 1]
         tails = [_l2_mass_tail(2.0 * residual_top, order, r) for r in rs.tolist()]
-        lhs_norms = _largest_eigenvalue(s).tolist()
-        return [(0.5 - lhs_norm - tail, 1.0, {"lhs_norm": lhs_norm, "tail": tail})
-                for tail, lhs_norm in zip(tails, lhs_norms)]
+        return _Sides(pair[:, 0] + pair[:, 1], [0.5] * rs.size, tails)
 
-    return _Prepared(margins=margins, stated_radius=1.0 / 3.0)
+    return _Prepared(sides=sides, stated_radius=1.0 / 3.0)
 
 
 def _prep_e55(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
@@ -614,22 +646,17 @@ def _prep_e55(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
         raise ContractError("e55 needs a HoloSeries instance")
     f = instance
     d = f.dim
-    abs_a = abs_value(f.coeffs)
-    used = np.sum(adjoint(f.coeffs) @ f.coeffs, axis=0)
-    residual_top = max(0.0, _largest_eigenvalue(np.eye(d) - used))
+    grams, abs_a, _ = gram_parts(f.coeffs)
+    residual_top = max(0.0, _largest_eigenvalue(np.eye(d) - np.sum(grams, axis=0)))
     order = f.order
 
-    def margins(rs: np.ndarray):
-        s = _kahan_matrix_sum(abs_a, rs, 0)
+    def sides(rs: np.ndarray) -> _Sides:
         radii = rs.tolist()
-        rhs_vals = [1.0 / math.sqrt(1.0 - r * r) for r in radii]
+        rhs = [1.0 / math.sqrt(1.0 - r * r) for r in radii]
         tails = [_l2_mass_tail(residual_top, order, r) for r in radii]
-        lhs_norms = _largest_eigenvalue(s).tolist()
-        return [(rhs_val - lhs_norm - tail, max(1.0, rhs_val),
-                 {"lhs_norm": lhs_norm, "rhs_norm": rhs_val, "tail": tail})
-                for tail, rhs_val, lhs_norm in zip(tails, rhs_vals, lhs_norms)]
+        return _Sides(_kahan_matrix_sum(abs_a, rs, 0), rhs, tails)
 
-    return _Prepared(margins=margins)
+    return _Prepared(sides=sides)
 
 
 def _colligation_series_norms(c: ColligationSpec, order: int, rho: float = 0.5):
@@ -700,91 +727,6 @@ def _prep_e17(instance, **_) -> _Prepared:
     return _Prepared(margins=margins)
 
 
-def _subordinated(instance):
-    """f, the composite f(phi) and the norms ||A_n||, n >= 1 (read-only).
-
-    Both are prepared once per instance and shared by the subordination checks.
-    """
-    f, w = _as_pair(instance)
-    g = _shared(instance, "composite", lambda: compose_subordination(f, w, f.order))
-    norms_a = _shared(instance, "source_norms",
-                      lambda: _read_only(operator_norm(f.coeffs[1:])))
-    return f, g, norms_a
-
-
-def _liminf_margins(norms_b: np.ndarray, liminf: float, sum_norm_a: float, order: int):
-    """Margins of the norm sum of the B_n against a boundary liminf (t3a, t4a)."""
-
-    def margins(rs: np.ndarray):
-        result = []
-        for r, lhs in zip(rs.tolist(), _kahan_scalar_sum(norms_b, rs, 1).tolist()):
-            tail = _geom_tail(sum_norm_a, order, r)
-            result.append((liminf - lhs - tail, max(1.0, liminf),
-                           {"lhs_norm": lhs, "liminf": liminf, "tail": tail}))
-        return result
-
-    return margins
-
-
-def _prep_t3a(instance, *, liminf_grid=(20, 360), boundary_eval=None,
-              tol=DEFAULT_TOL, **_) -> _Prepared:
-    f, g, norms_a = _subordinated(instance)
-    if f.order < 1:
-        raise ContractError("t3a needs a series of order >= 1")
-    radius = thm3_radius(f.coeffs[1])
-    norms_b = operator_norm(g.coeffs[1:])
-    liminf = boundary_distance_liminf(boundary_eval if boundary_eval is not None else f,
-                                      f.coeffs[0], grid=liminf_grid)
-    sum_norm_a = float(np.sum(norms_a))
-    return _Prepared(margins=_liminf_margins(norms_b, liminf.value, sum_norm_a, g.order),
-                     stated_radius=radius, static_sides={"radius": radius})
-
-
-def _prep_t3b(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
-    f, g, norms_a = _subordinated(instance)
-    if f.order < 1:
-        raise ContractError("t3b needs a series of order >= 1")
-    abs_b = abs_value(g.coeffs[1:])
-    rhs = 0.5 * abs_value(f.coeffs[1])
-    rhs_norm = operator_norm(rhs)
-    sum_norm_a = float(np.sum(norms_a))
-    order = g.order
-
-    def margins(rs: np.ndarray):
-        s = _kahan_matrix_sum(abs_b, rs, 1)
-        tails = [_geom_tail(sum_norm_a, order, r) for r in rs.tolist()]
-        lows = smallest_eigenvalue(rhs - s).tolist()
-        lhs_norms = _largest_eigenvalue(s).tolist()
-        return [(low - tail, max(1.0, rhs_norm),
-                 {"lhs_norm": lhs_norm, "rhs_norm": rhs_norm, "tail": tail})
-                for low, tail, lhs_norm in zip(lows, tails, lhs_norms)]
-
-    return _Prepared(margins=margins, stated_radius=1.0 / 3.0)
-
-
-def _prep_l2(instance, *, loewner: bool, tol=DEFAULT_TOL, **_) -> _Prepared:
-    f, g, norms_a = _subordinated(instance)
-    sum_norm_a = float(np.sum(norms_a))
-    order = g.order
-    if loewner:
-        abs_b = abs_value(g.coeffs[1:])
-    else:
-        norms_b = operator_norm(g.coeffs[1:])
-
-    def margins(rs: np.ndarray):
-        rhs_vals = _kahan_scalar_sum(norms_a, rs, 1).tolist()
-        tails = [_geom_tail(sum_norm_a, order, r) for r in rs.tolist()]
-        if loewner:
-            lhs_norms = _largest_eigenvalue(_kahan_matrix_sum(abs_b, rs, 1)).tolist()
-        else:
-            lhs_norms = _kahan_scalar_sum(norms_b, rs, 1).tolist()
-        return [(rhs_val - lhs_norm - tail, max(1.0, rhs_val),
-                 {"lhs_norm": lhs_norm, "rhs_norm": rhs_val, "tail": tail})
-                for rhs_val, lhs_norm, tail in zip(rhs_vals, lhs_norms, tails)]
-
-    return _Prepared(margins=margins, stated_radius=1.0 / 3.0)
-
-
 def _check_starlike_normalization(f: HoloSeries) -> None:
     if f.order < 1:
         raise ContractError("starlike checks need a series of order >= 1")
@@ -793,33 +735,58 @@ def _check_starlike_normalization(f: HoloSeries) -> None:
         raise ContractError("t4 checks need a normalized instance (f(0) = 0, f'(0) = I)")
 
 
-def _prep_t4a(instance, *, liminf_grid=(20, 360), boundary_eval=None,
-              tol=DEFAULT_TOL, **_) -> _Prepared:
-    f, g, norms_a = _subordinated(instance)
-    _check_starlike_normalization(f)
-    norms_b = operator_norm(g.coeffs[1:])
-    liminf = boundary_distance_liminf(boundary_eval if boundary_eval is not None else f,
-                                      0.0, grid=liminf_grid)
+def _prep_subordination(instance, *, theorem_id: str, liminf_grid=(20, 360),
+                        boundary_eval=None, **_) -> _Prepared:
+    """A majorant of the composite f(phi) = sum B_n z^n against a right side.
+
+    The left side is sum |B_n| r^n, in the Loewner order, for t3b, l2a and
+    t4b, and sum ||B_n|| r^n for t3a, l2b and t4a, both over n >= 1.  The
+    right side is the boundary liminf of ||f - A_0|| (t3a) or of ||f|| (t4a),
+    |A_1|/2 (t3b), sum ||A_n|| r^n over n >= 1 (l2a, l2b) or 1/4 (t4b).  The
+    stated radius is 1/(1 + 2 ||A_1|| ||A_1^-1||) for t3a, 3 - 2 sqrt(2) for
+    t4a and t4b, and 1/3 for the others.  The tail bounds the composite of
+    the truncated f.
+    """
+    f, w = _as_pair(instance)
+    group = theorem_id[:2]
+    if group == "t4":
+        _check_starlike_normalization(f)
+    elif group == "t3" and f.order < 1:
+        raise ContractError(f"{theorem_id} needs a series of order >= 1")
+    # M*M, |M| and ||M|| of the B_n from one eigh, prepared once per pair
+    composite = _shared(instance, "composite", lambda: GramParts(*map(
+        _read_only, gram_parts(compose_subordination(f, w, f.order).coeffs[1:]))))
+    norms_a = _shared(instance, "source_norms",
+                      lambda: _read_only(operator_norm(f.coeffs[1:])))
     sum_norm_a = float(np.sum(norms_a))
-    return _Prepared(margins=_liminf_margins(norms_b, liminf.value, sum_norm_a, g.order),
-                     stated_radius=KOEBE_RADIUS)
+    order = f.order
+    static_sides = {}
+    stated_radius = KOEBE_RADIUS if group == "t4" else 1.0 / 3.0
+    if theorem_id == "t3a":
+        stated_radius = static_sides["radius"] = thm3_radius(f.coeffs[1])
+    if theorem_id in ("t3a", "t4a"):
+        static_sides["liminf"] = boundary_distance_liminf(
+            boundary_eval if boundary_eval is not None else f,
+            f.coeffs[0] if group == "t3" else 0.0, grid=liminf_grid).value
+    if theorem_id == "t3b":
+        half_abs_a1 = 0.5 * abs_value(f.coeffs[1])
+        half_norm_a1 = operator_norm(half_abs_a1)
 
-
-def _prep_t4b(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
-    f, g, norms_a = _subordinated(instance)
-    _check_starlike_normalization(f)
-    abs_b = abs_value(g.coeffs[1:])
-    sum_norm_a = float(np.sum(norms_a))
-    order = g.order
-
-    def margins(rs: np.ndarray):
-        s = _kahan_matrix_sum(abs_b, rs, 1)
+    def sides(rs: np.ndarray) -> _Sides:
+        size = rs.size
         tails = [_geom_tail(sum_norm_a, order, r) for r in rs.tolist()]
-        lhs_norms = _largest_eigenvalue(s).tolist()
-        return [(0.25 - lhs_norm - tail, 1.0, {"lhs_norm": lhs_norm, "tail": tail})
-                for tail, lhs_norm in zip(tails, lhs_norms)]
+        if theorem_id in ("t3b", "l2a", "t4b"):
+            lhs = _kahan_matrix_sum(composite.abs, rs, 1)
+        else:
+            lhs = _kahan_scalar_sum(composite.norm, rs, 1).tolist()
+        if group == "l2":
+            return _Sides(lhs, _kahan_scalar_sum(norms_a, rs, 1).tolist(), tails)
+        if theorem_id == "t3b":
+            return _Sides(lhs, half_abs_a1, tails, rhs_norm=[half_norm_a1] * size)
+        rhs = 0.25 if theorem_id == "t4b" else static_sides["liminf"]
+        return _Sides(lhs, [rhs] * size, tails)
 
-    return _Prepared(margins=margins, stated_radius=KOEBE_RADIUS)
+    return _Prepared(sides=sides, stated_radius=stated_radius, static_sides=static_sides)
 
 
 _PREPARERS = {
@@ -830,12 +797,8 @@ _PREPARERS = {
     "e55": _prep_e55,
     "t2": _prep_t2,
     "e17": _prep_e17,
-    "t3a": _prep_t3a,
-    "t3b": _prep_t3b,
-    "l2a": lambda instance, **kw: _prep_l2(instance, loewner=True, **kw),
-    "l2b": lambda instance, **kw: _prep_l2(instance, loewner=False, **kw),
-    "t4a": _prep_t4a,
-    "t4b": _prep_t4b,
+    **{theorem_id: partial(_prep_subordination, theorem_id=theorem_id)
+       for theorem_id in ("t3a", "t3b", "l2a", "l2b", "t4a", "t4b")},
 }
 
 
@@ -866,7 +829,9 @@ def _build_report(theorem_id: str, prepared: _Prepared, rs: Sequence[float | Non
     if grid.size == 0:
         return []
     reports = []
-    for r, (margin, scale, sides) in zip(grid.tolist(), prepared.margins(grid)):
+    rows = (prepared.margins(grid) if prepared.sides is None
+            else _form_margins(prepared.sides(grid)))
+    for r, (margin, scale, sides) in zip(grid.tolist(), rows):
         side_values = dict(prepared.static_sides)
         side_values.update(sides)
         side_values["scale"] = scale

@@ -159,24 +159,38 @@ def min_operator_norm(m) -> float:
     return float(np.sqrt(np.maximum(_gram_top_eigenvalues(candidates), 0.0)).min())
 
 
-def abs_value(m):
-    """Operator absolute value |M| = (M*M)^(1/2), elementwise over a stack.
+class GramParts(NamedTuple):
+    gram: np.ndarray   # M*M as formed
+    abs: np.ndarray    # |M| = (M*M)^(1/2), Hermitian positive semidefinite
+    norm: object       # ||M||: a float for one matrix, an array for a stack
 
-    Computed from the Hermitian eigendecomposition of M*M.  Eigenvalues that
-    round off slightly negative are clamped to zero before the square root, so
-    the result is Hermitian positive semidefinite by construction.
+
+def gram_parts(m) -> GramParts:
+    """M*M, |M| and ||M||, elementwise over a stack, from one ``eigh``.
+
+    The ``eigh`` is of the Hermitian part of M*M.  Eigenvalues that round off
+    slightly negative are clamped to zero before the square root, so |M| is
+    Hermitian positive semidefinite by construction, and ||M|| is the square
+    root of the largest clamped eigenvalue.
     """
     a = as_matrix_stack(m)
-    gram = hermitize(adjoint(a) @ a)
+    gram = adjoint(a) @ a
     try:
-        w, v = np.linalg.eigh(gram)
+        w, v = np.linalg.eigh(hermitize(gram))
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"eigendecomposition of M*M failed (norm ~ {np.abs(a).max():.3e}): {exc}"
         ) from exc
     w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
-    return hermitize(root)
+    root = hermitize((v * np.sqrt(w)[..., None, :]) @ adjoint(v))
+    top = np.sqrt(w[..., -1])
+    return GramParts(gram, root, float(top) if a.ndim == 2 else top)
+
+
+def abs_value(m):
+    """Operator absolute value |M| = (M*M)^(1/2), elementwise over a stack;
+    see ``gram_parts``."""
+    return gram_parts(m).abs
 
 
 def re_im_parts(m) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from opbohr import (
     boundary_distance_liminf,
     check_theorem,
     check_theorem_grid,
+    compose_subordination,
     evaluate_grid,
     norm_majorant,
     operator_majorant,
@@ -660,10 +661,12 @@ def loewner_sides(theorem_id, instance, rs, kwargs):
         s = bohr._kahan_matrix_sum(abs_value(instance.coeffs), grid, 0)
         c = [1.0 / math.sqrt(1.0 - r * r) for r in rs]
     else:
-        f, g, norms_a = bohr._subordinated(instance)
+        f, w = instance
+        g = compose_subordination(f, w, f.order)
         s = bohr._kahan_matrix_sum(abs_value(g.coeffs[1:]), grid, 1)
         if theorem_id == "t3b":
             return s, np.broadcast_to(0.5 * abs_value(f.coeffs[1]), s.shape)
+        norms_a = operator_norm(f.coeffs[1:])
         c = 0.25 if theorem_id == "t4b" else bohr._kahan_scalar_sum(norms_a, grid, 1)
     return s, np.multiply.outer(np.broadcast_to(c, len(rs)), np.eye(s.shape[-1]))
 
@@ -681,11 +684,11 @@ def test_loewner_checks_agree_with_the_difference_eigenvalue(theorem_id, radius_
         lhs_norm = operator_norm(left)
         assert abs(rep.side_values["lhs_norm"] - lhs_norm) <= 8 * d * U * lhs_norm
         scale = rep.scale
-        if theorem_id == "l1":
+        if theorem_id in ("l1", "t3b"):
             rhs_norm = operator_norm(right)
             assert abs(rep.side_values["rhs_norm"] - rhs_norm) <= 8 * d * U * rhs_norm
             scale = max(1.0, rhs_norm)
-        margin = smallest_eigenvalue(right - left) - rep.side_values.get("tail", 0.0)
+        margin = smallest_eigenvalue(right - left) - rep.side_values["tail"]
         assert abs(rep.margin - margin) <= 1e-14 * rep.scale
         assert rep.passed == (margin >= -bohr.DEFAULT_TOL.psd_tol * scale)
 
@@ -734,6 +737,27 @@ class TestSharedPreparation:
             check_theorem_grid(b, pair, [None])
             assert len(calls) == before + 1
 
+    def test_each_subordination_pair_decomposes_its_composite_once(self, monkeypatch):
+        solved = []
+        for name in ("eigh", "eigvalsh"):
+            def recorded(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+                solved.append(np.array(a))
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        for (a, b), family_id in ((("t3a", "t3b"), "convex_diag"),
+                                  (("l2a", "l2b"), "schur_holo"),
+                                  (("t4a", "t4b"), "starlike_diag")):
+            pair, aux = self.pair(family_id, seed=9)
+            composite = compose_subordination(*pair, pair[0].order).coeffs[1:]
+            gram = adjoint(composite) @ composite
+            kwargs = {"boundary_eval": aux["eval"]} if a != "l2a" else {}
+            solved.clear()
+            check_theorem_grid(a, pair, [None], **kwargs)
+            check_theorem_grid(b, pair, [None])
+            grams = [m for m in solved if m.shape == gram.shape and np.allclose(m, gram)]
+            assert len(grams) == 1, (a, b)
+
     def test_interleaved_instances_give_cold_reports(self, monkeypatch):
         h = sample(FamilySpec(family_id="commuting_harmonic", dim=3, aux_dim=4, order=32, seed=2))
         h_copy = HarmonicSeries(analytic=h.analytic, coanalytic=h.coanalytic)
@@ -766,7 +790,8 @@ class TestSharedPreparation:
         pair, _ = self.pair("schur_holo", seed=5)
         check_theorem("l2a", pair, 0.2)
         shared = bohr._shared_slot[1]
-        assert not shared["composite"].coeffs.flags.writeable
+        for a in shared["composite"]:
+            assert not a.flags.writeable
         assert not shared["source_norms"].flags.writeable
         with pytest.raises(ValueError):
             shared["source_norms"][0] = 0.0
