@@ -438,12 +438,12 @@ def _form_margins(sides: _Sides) -> list[tuple[float, float, dict]]:
     else:
         lows = smallest_eigenvalue(rhs - lhs).tolist()
         margins = [low - tail for low, tail in zip(lows, tails)]
-    rows = []
-    for i, (margin, lhs_norm, rhs_norm, tail) in enumerate(
-            zip(margins, lhs_norms, rhs_norms, tails)):
-        values = {key: column[i] for key, column in extra.items()}
-        values.update(lhs_norm=lhs_norm, rhs_norm=rhs_norm, tail=tail)
-        rows.append((margin, max(1.0, rhs_norm), values))
+    rows = [(margin, max(1.0, rhs_norm),
+             {"lhs_norm": lhs_norm, "rhs_norm": rhs_norm, "tail": tail})
+            for margin, lhs_norm, rhs_norm, tail in zip(margins, lhs_norms, rhs_norms, tails)]
+    for key, column in extra.items():
+        for (_, _, values), value in zip(rows, column):
+            values[key] = value
     return rows
 
 

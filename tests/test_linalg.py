@@ -222,6 +222,17 @@ class TestAbsValue:
         for i in range(5):
             assert np.allclose(batched[i], abs_value(stack[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_gram_parts_of_one_eigh(self, d):
+        """The Gram matrices, |M| and ||M|| of one decomposition agree with
+        their separate routes, for a stack and for one matrix."""
+        stack = np.stack([rand_matrix(s, d, scale=10.0 ** (s - 2)) for s in range(5)])
+        gram, root, norms = linalg.gram_parts(stack)
+        assert np.array_equal(gram, adjoint(stack) @ stack)
+        assert np.array_equal(root, abs_value(stack))
+        assert np.allclose(norms, operator_norm(stack), rtol=8 * d * 2.0 ** -52, atol=0)
+        assert linalg.gram_parts(stack[3]).norm == norms[3]
+
 
 class TestReImParts:
     def test_hermitian(self):
