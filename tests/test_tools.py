@@ -8,6 +8,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
+import report_diff  # noqa: E402
 
 
 @pytest.mark.parametrize("incorrect_side, status", [(None, 0), ("parent", 1), ("change", 1)])
@@ -31,7 +32,6 @@ def test_bench_pairs_exit_status_reports_incorrect_runs(monkeypatch, capsys,
     assert out.count("runs not correct") == 2
 
 
-
 def _report(theorem_id, margin, passed=True, **sides):
     return {"theorem_id": theorem_id, "r": 0.2, "mu": None, "passed": passed, "margin": margin,
             "side_values": {"scale": 2.0, **sides}, "witness": {"seed": 1}}
@@ -45,8 +45,6 @@ def _report(theorem_id, margin, passed=True, **sides):
 ])
 def test_report_diff_fails_on_flag_changes_and_misalignment(tmp_path, capsys, edit, status,
                                                             expected):
-    import report_diff
-
     a = [_report("t3a", 0.5, tail=1.0), _report("t3b", 0.25, lhs_norm=0.5)]
     b = [_report("t3a", 0.75, tail=1.0, lhs_norm=0.1), _report("t3b", 0.25, lhs_norm=0.75)]
     edit(b)
