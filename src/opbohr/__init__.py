@@ -16,15 +16,11 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    LoewnerResult,
     ToleranceProfile,
     abs_value,
     adjoint,
-    hausdorff_distance,
     hermitize,
-    loewner_leq,
     operator_norm,
-    re_im_parts,
     spectrum,
 )
 from .funcalc import (
@@ -34,7 +30,6 @@ from .funcalc import (
     PRINCIPAL_CUT,
     auto_contour,
     colligation_log_coeff,
-    exterior_realization_eval,
     herglotz_transfer,
     log_eig_normal,
     log_riesz_dunford,
@@ -47,10 +42,8 @@ from .series import (
     SubordinationWitness,
     coeffs_via_cauchy_integral,
     compose_subordination,
-    derivative,
     evaluate,
     evaluate_grid,
-    koebe_transform,
     scalar_power_coeffs,
 )
 from .bohr import (
@@ -58,12 +51,10 @@ from .bohr import (
     BisectionResult,
     LiminfEstimate,
     RadiusScan,
-    RotatedSeries,
     THEOREM_IDS,
     TheoremReport,
     bohr_radius_bisect,
     boundary_distance_liminf,
-    check_theorem,
     check_theorem_grid,
     norm_majorant,
     operator_majorant,

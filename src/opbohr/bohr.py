@@ -11,9 +11,9 @@ A check passes when ``margin >= -psd_tol * scale``, so a reported pass is
 robust to the series being finite.  t2 (the least of three inequalities) and
 e17 (no radius) form their own margins.
 
-``check_theorem_grid`` is the check entry point: it prepares the instance once,
-validates every radius of the grid, and evaluates the margins of the whole grid
-in one pass.  ``check_theorem`` is its single-radius wrapper.  The majorant
+``check_theorem_grid`` is the one check entry point: it prepares the instance
+once, validates every radius of the grid, and evaluates the margins of the
+whole grid in one pass; a single radius is a grid of one.  The majorant
 sums are compensated: a matrix sum by a log-depth cascade of error-free
 TwoSums, within u |S| + gamma_(n-1)^2 sum |x| of the exact sum of its n formed
 terms in each real component, and a scalar sum by ``math.fsum``, correctly
@@ -187,18 +187,11 @@ def norm_majorant(coeffs, r: float, k0: int = 0) -> float:
 # rotated coefficients and metrics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RotatedSeries:
-    """Rotated coefficient family P_n = e^(i mu) A_n + e^(-i mu) B_n, n >= 1."""
-
-    mu: float
-    coeffs: np.ndarray
-
-
-def rotated_coeffs(h: HarmonicSeries, mu: float) -> RotatedSeries:
+def rotated_coeffs(h: HarmonicSeries, mu: float) -> np.ndarray:
+    """Rotated coefficient family P_n = e^(i mu) A_n + e^(-i mu) B_n, n >= 1,
+    as an (N, d, d) stack."""
     phase = complex(np.exp(1j * mu))
-    p = phase * h.analytic[1:] + np.conj(phase) * h.coanalytic
-    return RotatedSeries(mu=float(mu), coeffs=p)
+    return phase * h.analytic[1:] + np.conj(phase) * h.coanalytic
 
 
 def _isinf(z) -> bool:
@@ -240,9 +233,6 @@ class LiminfEstimate:
     value: float
     ring_radii: np.ndarray
     ring_minima: np.ndarray
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def boundary_distance_liminf(f, base, grid: tuple[int, int] = (20, 360),
@@ -537,7 +527,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 # --- per-theorem preparers --------------------------------------------------
 
-def _prep_l1(instance, *, k: int = 0, tol=DEFAULT_TOL, **_) -> _Prepared:
+def _prep_l1(instance, *, k: int = 0, **_) -> _Prepared:
     stack = _coeff_stack(instance, "H")
     if k < 0 or k > stack.shape[0]:
         raise ContractError(f"k out of range: {k}")
@@ -569,7 +559,7 @@ def _compute_rotated_parts(h: HarmonicSeries, mu: float, normal: bool):
     phase = complex(np.exp(1j * mu))
     re_a0 = hermitize(phase * h.analytic[0])
     t_mat = abs_value(re_a0)
-    p = rotated_coeffs(h, mu).coeffs
+    p = rotated_coeffs(h, mu)
     if normal:
         defect = operator_norm(p @ adjoint(p) - adjoint(p) @ p)
         scale = np.maximum(1.0, operator_norm(p) ** 2)
@@ -581,7 +571,7 @@ def _compute_rotated_parts(h: HarmonicSeries, mu: float, normal: bool):
     return re_a0, t_mat, abs_p, norms_p, residual
 
 
-def _prep_t1i(instance, *, mu=None, normal: bool = False, tol=DEFAULT_TOL, **_) -> _Prepared:
+def _prep_t1i(instance, *, mu=None, normal: bool = False, **_) -> _Prepared:
     h = _as_harmonic(instance)
     mu = _require_mu(mu)
     _, t_mat, abs_p, _, residual = _rotated_parts(h, mu, normal)
@@ -597,13 +587,12 @@ def _prep_t1i(instance, *, mu=None, normal: bool = False, tol=DEFAULT_TOL, **_) 
             x0s, peaks = map(list, zip(*(psi_peak(r) for r in radii)))
         tails = [_l2_mass_tail(residual_top, order, r) for r in radii]
         return _Sides(t_mat + _kahan_matrix_sum(abs_p, rs, 1), peaks, tails,
-                      extra={"x0": x0s, "psi_peak": peaks})
+                      extra={"x0": x0s})
 
     return _Prepared(sides=sides, static_sides={"normal": float(normal)})
 
 
-def _prep_t1ii(instance, *, mu=None, normal: bool = False, force: bool = False,
-               tol=DEFAULT_TOL, **_) -> _Prepared:
+def _prep_t1ii(instance, *, mu=None, normal: bool = False, **_) -> _Prepared:
     h = _as_harmonic(instance)
     mu = _require_mu(mu)
     re_a0, _, _, norms_p, residual = _rotated_parts(h, mu, normal)
@@ -622,7 +611,7 @@ def _prep_t1ii(instance, *, mu=None, normal: bool = False, force: bool = False,
                      static_sides={"normal": float(normal)})
 
 
-def _prep_t1iii(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
+def _prep_t1iii(instance, **_) -> _Prepared:
     h = _as_harmonic(instance)
     d = h.dim
     analytic = gram_parts(h.analytic[1:])
@@ -641,7 +630,7 @@ def _prep_t1iii(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
     return _Prepared(sides=sides, stated_radius=1.0 / 3.0)
 
 
-def _prep_e55(instance, *, tol=DEFAULT_TOL, **_) -> _Prepared:
+def _prep_e55(instance, **_) -> _Prepared:
     if not isinstance(instance, HoloSeries):
         raise ContractError("e55 needs a HoloSeries instance")
     f = instance
@@ -735,8 +724,7 @@ def _check_starlike_normalization(f: HoloSeries) -> None:
         raise ContractError("t4 checks need a normalized instance (f(0) = 0, f'(0) = I)")
 
 
-def _prep_subordination(instance, *, theorem_id: str, liminf_grid=(20, 360),
-                        boundary_eval=None, **_) -> _Prepared:
+def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -> _Prepared:
     """A majorant of the composite f(phi) = sum B_n z^n against a right side.
 
     The left side is sum |B_n| r^n, in the Loewner order, for t3b, l2a and
@@ -767,7 +755,7 @@ def _prep_subordination(instance, *, theorem_id: str, liminf_grid=(20, 360),
     if theorem_id in ("t3a", "t4a"):
         static_sides["liminf"] = boundary_distance_liminf(
             boundary_eval if boundary_eval is not None else f,
-            f.coeffs[0] if group == "t3" else 0.0, grid=liminf_grid).value
+            f.coeffs[0] if group == "t3" else 0.0).value
     if theorem_id == "t3b":
         half_abs_a1 = 0.5 * abs_value(f.coeffs[1])
         half_norm_a1 = operator_norm(half_abs_a1)
@@ -850,7 +838,6 @@ def _build_report(theorem_id: str, prepared: _Prepared, rs: Sequence[float | Non
 def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
                        mu: float | None = None, *, force: bool = False,
                        normal: bool = False, k: int = 0, order: int = 64,
-                       liminf_grid: tuple[int, int] = (20, 360),
                        boundary_eval=None, tol: ToleranceProfile = DEFAULT_TOL,
                        witness: dict | None = None) -> list[TheoremReport]:
     """Run one inequality check at every radius of rs; one report per radius.
@@ -881,13 +868,6 @@ def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
     if theorem_id not in _PREPARERS:
         raise ContractError(f"unknown theorem id: {theorem_id!r}")
     prepared = _PREPARERS[theorem_id](
-        instance, mu=mu, normal=normal, k=k, order=order,
-        liminf_grid=liminf_grid, boundary_eval=boundary_eval, tol=tol, force=force,
-    )
+        instance, mu=mu, normal=normal, k=k, order=order, boundary_eval=boundary_eval, tol=tol)
     return _build_report(theorem_id, prepared, rs, mu, tol, force, witness)
 
-
-def check_theorem(theorem_id: str, instance, r: float | None = None, mu: float | None = None,
-                  **kwargs) -> TheoremReport:
-    """check_theorem_grid at the single radius r; see there for the checks."""
-    return check_theorem_grid(theorem_id, instance, [r], mu, **kwargs)[0]

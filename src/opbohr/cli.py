@@ -29,7 +29,6 @@ from .bohr import (
     _check_r,
     _kahan_scalar_sum,
     bohr_radius_bisect,
-    check_theorem,
     check_theorem_grid,
     norm_majorant,
     operator_majorant,
@@ -412,8 +411,8 @@ def demo(name: str, tol: ToleranceProfile = DEFAULT_TOL) -> SuiteReport:
             f = mobius_series(a, d, 64)
             value = operator_norm(operator_majorant(f.coeffs, a, 0))
             rows.append((f"majorant norm at r=1/sqrt(2), d={d}", math.sqrt(2.0), value))
-            reports.append(check_theorem("e55", f, a, tol=tol,
-                                         witness={"family_id": "mobius_identity", "a": a, "dim": d}))
+            reports += check_theorem_grid(
+                "e55", f, [a], tol=tol, witness={"family_id": "mobius_identity", "a": a, "dim": d})
     elif name == "radius-t2":
         a0 = 2.0 * np.eye(2)
         rows.append(("exterior Bohr radius at A0 = 2I", 1.0 / 3.0, thm2_radius(a0, tol=tol)))
@@ -426,8 +425,8 @@ def demo(name: str, tol: ToleranceProfile = DEFAULT_TOL) -> SuiteReport:
         scan = scan_radius("koebe")
         rows.append(("Koebe Bohr radius", KOEBE_RADIUS, scan.estimated_radius))
         pair = (koebe_series(2, 256), identity_witness(256))
-        reports.append(check_theorem("t4b", pair, KOEBE_RADIUS, tol=tol,
-                                     witness={"family_id": "koebe_identity", "dim": 2}))
+        reports += check_theorem_grid("t4b", pair, [KOEBE_RADIUS], tol=tol,
+                                      witness={"family_id": "koebe_identity", "dim": 2})
     else:
         raise OpBohrError(f"unknown demo: {name!r}; choose from {DEMO_NAMES}")
 

@@ -279,11 +279,6 @@ def herglotz_transfer_grid(c: ColligationSpec, zs) -> np.ndarray:
     return 0.5 * adjoint(c.V)[None, :, :] @ inner
 
 
-def exterior_realization_eval(c: ColligationSpec, z: complex) -> np.ndarray:
-    """exp(herglotz_transfer(c, z)); at z = 0 this is exp((1/2) V*V) >= I."""
-    return matrix_exp(herglotz_transfer(c, z))
-
-
 def colligation_log_coeff(c: ColligationSpec, n: int) -> np.ndarray:
     """Taylor coefficient V* U^n V of the realized logarithm, for n >= 1.
 

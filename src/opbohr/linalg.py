@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: norms, absolute values, Loewner order, spectra.
+"""Dense complex matrix primitives: norms, absolute values, Gram parts, spectra.
 
 Matrices are plain ``numpy`` arrays of complex128.  Most operations accept a
 single ``(d, d)`` matrix or a stack ``(..., d, d)`` and act on the last two
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, InvalidInputError, NumericError
+from .errors import InvalidInputError, NumericError
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,6 @@ class ToleranceProfile:
 
 
 DEFAULT_TOL = ToleranceProfile()
-
-
-class LoewnerResult(NamedTuple):
-    holds: bool
-    margin: float
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -193,17 +188,6 @@ def abs_value(m):
     return gram_parts(m).abs
 
 
-def re_im_parts(m) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian decomposition (Re M, Im M) = ((M+M*)/2, (M-M*)/2i).
-
-    Both parts are Hermitian and Re M + i Im M reconstructs M.
-    """
-    a = as_matrix_stack(m)
-    re = 0.5 * (a + adjoint(a))
-    im = (a - adjoint(a)) / 2j
-    return re, im
-
-
 def smallest_eigenvalue(h):
     """Smallest eigenvalue of a Hermitian matrix (symmetrized defensively).
 
@@ -216,26 +200,6 @@ def smallest_eigenvalue(h):
         raise NumericError(f"eigvalsh failed: {exc}") from exc
     low = w[..., 0]
     return float(low) if a.ndim == 2 else low
-
-
-def loewner_leq(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> LoewnerResult:
-    """Test A <= B in the Loewner order, returning (holds, margin).
-
-    margin is the smallest eigenvalue of B - A; the comparison passes when
-    margin >= -psd_tol * max(1, ||A|| + ||B||).  Inputs must be Hermitian
-    within eq_tol relative to that same scale.
-    """
-    ma = as_matrix(a, "A")
-    mb = as_matrix(b, "B")
-    if ma.shape != mb.shape:
-        raise InvalidInputError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    scale = operator_norm(ma) + operator_norm(mb)
-    herm_slack = tol.eq_tol * max(1.0, scale)
-    for name, m in (("A", ma), ("B", mb)):
-        if operator_norm(m - adjoint(m)) > herm_slack:
-            raise ContractError(f"{name} is not Hermitian within tolerance")
-    margin = smallest_eigenvalue(mb - ma)
-    return LoewnerResult(margin >= -tol.psd_tol * max(1.0, scale), margin)
 
 
 def spectrum(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -261,14 +225,3 @@ def spectrum(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
             )
     return w
 
-
-def hausdorff_distance(s1, s2) -> float:
-    """Hausdorff distance between two finite nonempty sets of complex points."""
-    a = np.asarray(s1, dtype=np.complex128).ravel()
-    b = np.asarray(s2, dtype=np.complex128).ravel()
-    if a.size == 0 or b.size == 0:
-        raise InvalidInputError("Hausdorff distance requires nonempty sets")
-    if not (all_finite(a) and all_finite(b)):
-        raise InvalidInputError("point sets must be finite")
-    pair = np.abs(a[:, None] - b[None, :])
-    return float(max(pair.min(axis=1).max(), pair.min(axis=0).max()))

@@ -1,74 +1,16 @@
-"""JSON encoding of the report and series types.
+"""JSON encoding of theorem reports and family specs.
 
-Complex numbers serialize as [re, im] pairs and matrices as row-major nested
-arrays of those pairs; dictionaries are dumped with sorted keys so identical
-inputs produce identical files.
+A report's side values are floats, so a report holds no complex numbers or
+matrices; dictionaries are dumped with sorted keys so identical inputs
+produce identical files.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .bohr import TheoremReport
-from .errors import InvalidInputError
 from .generators import FamilySpec
-from .series import HarmonicSeries, HoloSeries, ScalarSeries
-
-
-def complex_to_json(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def complex_from_json(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def matrix_to_json(m) -> list:
-    a = np.asarray(m, dtype=np.complex128)
-    return [[[v.real, v.imag] for v in row] for row in a]
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    return np.array(
-        [[complex_from_json(v) for v in row] for row in rows], dtype=np.complex128
-    )
-
-
-def stack_to_json(stack) -> list:
-    return [matrix_to_json(m) for m in np.asarray(stack, dtype=np.complex128)]
-
-
-def stack_from_json(items) -> np.ndarray:
-    return np.stack([matrix_from_json(m) for m in items])
-
-
-def series_to_json(s) -> dict:
-    if isinstance(s, HoloSeries):
-        return {"kind": "holo_series", "dim": s.dim, "order": s.order,
-                "coeffs": stack_to_json(s.coeffs)}
-    if isinstance(s, HarmonicSeries):
-        return {"kind": "harmonic_series", "dim": s.dim, "order": s.order,
-                "analytic": stack_to_json(s.analytic),
-                "coanalytic": stack_to_json(s.coanalytic)}
-    if isinstance(s, ScalarSeries):
-        return {"kind": "scalar_series", "order": s.order,
-                "coeffs": [complex_to_json(c) for c in s.coeffs]}
-    raise InvalidInputError(f"cannot serialize {type(s).__name__}")
-
-
-def series_from_json(obj) -> HoloSeries | HarmonicSeries | ScalarSeries:
-    kind = obj.get("kind")
-    if kind == "holo_series":
-        return HoloSeries(stack_from_json(obj["coeffs"]))
-    if kind == "harmonic_series":
-        return HarmonicSeries(analytic=stack_from_json(obj["analytic"]),
-                              coanalytic=stack_from_json(obj["coanalytic"]))
-    if kind == "scalar_series":
-        return ScalarSeries(np.array([complex_from_json(c) for c in obj["coeffs"]]))
-    raise InvalidInputError(f"unknown series kind: {kind!r}")
 
 
 def report_to_json(report: TheoremReport) -> dict:

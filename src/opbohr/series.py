@@ -176,14 +176,6 @@ def evaluate_grid(f: HoloSeries | HarmonicSeries, zs) -> np.ndarray:
     return out
 
 
-def derivative(f: HoloSeries) -> HoloSeries:
-    """Termwise derivative; a constant series differentiates to the zero series."""
-    if f.order == 0:
-        return HoloSeries(np.zeros_like(f.coeffs))
-    n = np.arange(1, f.order + 1, dtype=np.float64)
-    return HoloSeries(f.coeffs[1:] * n[:, None, None])
-
-
 def _inner_map(coeffs: np.ndarray, order: int) -> np.ndarray:
     """Coefficients of phi cut or zero-padded to ``order``, with phi(0) set to 0."""
     phi = np.zeros(order + 1, dtype=np.complex128)
@@ -298,35 +290,3 @@ def coeffs_via_cauchy_integral(eval_fn, order: int, rho: float, nodes: int) -> H
         samples[i] = eval_fn(zs[i])
     return HoloSeries(coeffs_from_circle_samples(samples, rho, order))
 
-
-def koebe_transform(f: HoloSeries, a: complex, order: int,
-                    rho: float = 0.7, nodes: int | None = None) -> HoloSeries:
-    """Renormalized disk-automorphism composite of f centered at a.
-
-    G(z) = (1-|a|^2)^(-1) f'(a)^(-1) (f((z+a)/(1+conj(a) z)) - f(a)), computed
-    by evaluation and coefficient re-extraction rather than coefficient
-    algebra, which is unstable at high order.  The construction forces
-    G(0) = 0 and G'(0) = I up to extraction error.
-    """
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise DomainError("center must lie in the open unit disk")
-    if nodes is None:
-        nodes = max(4 * order + 4, 256)
-    if nodes <= 2 * order:
-        raise ContractError("nodes must exceed twice the requested order")
-    fprime_a = evaluate(derivative(f), a)
-    sv = np.linalg.svd(fprime_a, compute_uv=False)
-    if sv[-1] <= 1e-13 * max(1.0, sv[0]):
-        raise ContractError("f'(a) is numerically singular")
-    fa = evaluate(f, a)
-
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    zs = rho * np.exp(1j * theta)
-    ws = (zs + a) / (1.0 + np.conj(a) * zs)
-    diff = evaluate_grid(f, ws) - fa[None, :, :]
-    d = f.dim
-    flat = diff.transpose(1, 0, 2).reshape(d, nodes * d)
-    solved = np.linalg.solve(fprime_a, flat).reshape(d, nodes, d).transpose(1, 0, 2)
-    samples = solved / (1.0 - abs(a) ** 2)
-    return HoloSeries(coeffs_from_circle_samples(samples, rho, order))

@@ -69,7 +69,7 @@ def test_criterion_03_theorem1_suites():
                 reps += ob.check_theorem_grid("t1ii", inst, (0.2,), mu=mu)
                 worst = min(worst, min(r.normalized_margin for r in reps))
                 count += len(reps)
-            rep = ob.check_theorem("t1iii", inst, 1.0 / 3.0)
+            (rep,) = ob.check_theorem_grid("t1iii", inst, [1.0 / 3.0])
             worst = min(worst, rep.normalized_margin)
             count += 1
     elapsed = time.perf_counter() - start
@@ -105,7 +105,7 @@ def test_criterion_05_exterior_families():
         seed = ob.derive_seed(3003, d, trial)
         inst = ob.sample(ob.FamilySpec(family_id="exterior_diag", dim=d, aux_dim=4,
                                        order=64, seed=seed))
-        rep = ob.check_theorem("t2", inst, ob.thm2_radius(inst.coeffs[0]))
+        (rep,) = ob.check_theorem_grid("t2", inst, [ob.thm2_radius(inst.coeffs[0])])
         worst = min(worst, rep.normalized_margin)
         worst_ell_dev = max(worst_ell_dev, abs(rep.side_values["L"] - 1.0))
     worst_growth = math.inf
@@ -114,7 +114,7 @@ def test_criterion_05_exterior_families():
         c = ob.sample(ob.FamilySpec(family_id="exterior_colligation", dim=2, aux_dim=4,
                                     order=64, seed=seed))
         for r in (0.2, 1.0 / 3.0):
-            rep = ob.check_theorem("t2", c, r)
+            (rep,) = ob.check_theorem_grid("t2", c, [r])
             worst = min(worst, rep.normalized_margin)
             worst_growth = min(worst_growth, rep.side_values["growth_margin"],
                                rep.side_values["a0_sq_margin"])
@@ -133,9 +133,9 @@ def test_criterion_06_subordination_families():
         pair, aux = ob.sample(ob.FamilySpec(family_id="convex_diag", dim=d, aux_dim=4,
                                             order=128, seed=seed,
                                             params={"with_witness": True}), with_aux=True)
-        ra = ob.check_theorem("t3a", pair, ob.thm3_radius(pair[0].coeffs[1]),
-                              boundary_eval=aux["eval"])
-        rb = ob.check_theorem("t3b", pair, 1.0 / 3.0)
+        (ra,) = ob.check_theorem_grid("t3a", pair, [ob.thm3_radius(pair[0].coeffs[1])],
+                                      boundary_eval=aux["eval"])
+        (rb,) = ob.check_theorem_grid("t3b", pair, [1.0 / 3.0])
         worst = min(worst, ra.normalized_margin, rb.normalized_margin)
     for trial in range(500):
         d = (1, 2, 3, 4)[trial % 4]
@@ -152,11 +152,11 @@ def test_criterion_06_subordination_families():
         pair, aux = ob.sample(ob.FamilySpec(family_id="starlike_diag", dim=d, aux_dim=4,
                                             order=256, seed=seed,
                                             params={"with_witness": True}), with_aux=True)
-        ra = ob.check_theorem("t4a", pair, ob.KOEBE_RADIUS, boundary_eval=aux["eval"])
-        rb = ob.check_theorem("t4b", pair, ob.KOEBE_RADIUS)
+        (ra,) = ob.check_theorem_grid("t4a", pair, [ob.KOEBE_RADIUS], boundary_eval=aux["eval"])
+        (rb,) = ob.check_theorem_grid("t4b", pair, [ob.KOEBE_RADIUS])
         worst = min(worst, ra.normalized_margin, rb.normalized_margin)
-    planted = ob.check_theorem("t4b", (ob.koebe_series(2, 256), ob.identity_witness(256)),
-                               ob.KOEBE_RADIUS)
+    (planted,) = ob.check_theorem_grid("t4b", (ob.koebe_series(2, 256), ob.identity_witness(256)),
+                                       [ob.KOEBE_RADIUS])
     _report(6, worst >= NORMALIZED_FLOOR and abs(planted.margin) <= 1e-9,
             f"900 subordination checks (convex 200, generic 500, starlike 200): min "
             f"normalized margin {worst:.3e}; planted Koebe equality margin "

@@ -15,7 +15,6 @@ from opbohr import (
     HoloSeries,
     bohr_radius_bisect,
     boundary_distance_liminf,
-    check_theorem,
     check_theorem_grid,
     compose_subordination,
     evaluate_grid,
@@ -190,14 +189,14 @@ class TestRotatedCoeffs:
 
     def test_zero_angle_without_coanalytic(self):
         h = HarmonicSeries(analytic=self.a, coanalytic=np.zeros_like(self.b))
-        assert np.allclose(rotated_coeffs(h, 0.0).coeffs, self.a[1:])
+        assert np.allclose(rotated_coeffs(h, 0.0), self.a[1:])
 
     def test_pi(self):
-        out = rotated_coeffs(self.h, math.pi).coeffs
+        out = rotated_coeffs(self.h, math.pi)
         assert np.allclose(out, -(self.a[1:] + self.b), atol=1e-14)
 
     def test_half_pi(self):
-        out = rotated_coeffs(self.h, math.pi / 2).coeffs
+        out = rotated_coeffs(self.h, math.pi / 2)
         assert np.allclose(out, 1j * (self.a[1:] - self.b), atol=1e-14)
 
 
@@ -410,26 +409,26 @@ class TestCheckTheorem:
         return HarmonicSeries(analytic=analytic, coanalytic=np.zeros((1, 1, 1)))
 
     def test_t1iii_planted_margin(self):
-        rep = check_theorem("t1iii", self.scalar_z_harmonic(), 1.0 / 3.0)
+        (rep,) = check_theorem_grid("t1iii", self.scalar_z_harmonic(), [1.0 / 3.0])
         assert rep.passed
         assert rep.margin == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_t1iii_detects_violation_under_force(self):
-        rep = check_theorem("t1iii", self.scalar_z_harmonic(), 0.6, force=True)
+        (rep,) = check_theorem_grid("t1iii", self.scalar_z_harmonic(), [0.6], force=True)
         assert not rep.passed
         assert rep.margin == pytest.approx(-0.1, abs=1e-12)
 
     def test_radius_guard(self):
         with pytest.raises(DomainError):
-            check_theorem("t1iii", self.scalar_z_harmonic(), 0.6)
+            check_theorem_grid("t1iii", self.scalar_z_harmonic(), [0.6])
 
     def test_e55_planted_near_equality(self):
-        rep = check_theorem("e55", mobius_series(INV_SQRT2, 2, 64), INV_SQRT2)
+        (rep,) = check_theorem_grid("e55", mobius_series(INV_SQRT2, 2, 64), [INV_SQRT2])
         assert rep.passed and abs(rep.margin) <= 1e-6
 
     def test_t4b_planted_koebe_equality(self):
         pair = (koebe_series(2, 256), identity_witness(256))
-        rep = check_theorem("t4b", pair, KOEBE_RADIUS)
+        (rep,) = check_theorem_grid("t4b", pair, [KOEBE_RADIUS])
         assert rep.passed and abs(rep.margin) <= 1e-9
 
     def test_e17_vectorized_sweep(self):
@@ -440,14 +439,14 @@ class TestCheckTheorem:
         assert float(margins.min()) >= -1e-15
         # spot-check the checker against the vectorized formula
         for i in range(0, 100_000, 9999):
-            rep = check_theorem("e17", tuple(triples[i]))
+            (rep,) = check_theorem_grid("e17", tuple(triples[i]), [None])
             assert rep.passed
             assert rep.margin == pytest.approx(float(margins[i]), abs=1e-13)
 
     def test_l1_margin_against_direct_eigenvalue(self):
         seq = gaussian_coeff_sequence(3, 16, 5)
         r, k = 0.5, 1
-        rep = check_theorem("l1", seq, r, k=k)
+        (rep,) = check_theorem_grid("l1", seq, [r], k=k)
         from opbohr import abs_value, adjoint, hermitize
 
         s = sum(abs_value(seq[n]) * r**n for n in range(k, 17))
@@ -460,17 +459,17 @@ class TestCheckTheorem:
         spec = FamilySpec(family_id="schur_harmonic", dim=2, aux_dim=3, order=32, seed=1)
         inst = sample(spec)
         with pytest.raises(ContractError):
-            check_theorem("t1i", inst, 0.5)
+            check_theorem_grid("t1i", inst, [0.5])
 
     def test_instance_type_mismatch(self):
         with pytest.raises(ContractError):
-            check_theorem("t1i", koebe_series(2, 8), 0.5, mu=0.0)
+            check_theorem_grid("t1i", koebe_series(2, 8), [0.5], mu=0.0)
         with pytest.raises(ContractError):
-            check_theorem("t3a", koebe_series(2, 8), 0.1)
+            check_theorem_grid("t3a", koebe_series(2, 8), [0.1])
 
     def test_unknown_id(self):
         with pytest.raises(ContractError):
-            check_theorem("t9", None, 0.5)
+            check_theorem_grid("t9", None, [0.5])
 
     def test_margin_monotone_in_r_for_fixed_rhs_checks(self):
         # for checks whose right side does not move with r, the majorant can
@@ -493,15 +492,15 @@ class TestCheckTheorem:
         spec = FamilySpec(family_id="schur_harmonic", dim=2, aux_dim=4, order=64, seed=21)
         inst = sample(spec)
         for mu in (0.0, 1.0, math.pi / 3, math.pi / 7):
-            rep = check_theorem("t1i", inst, 0.9, mu=mu)
+            (rep,) = check_theorem_grid("t1i", inst, [0.9], mu=mu)
             assert rep.passed
-            rep2 = check_theorem("t1ii", inst, 0.2, mu=mu)
+            (rep2,) = check_theorem_grid("t1ii", inst, [0.2], mu=mu)
             assert rep2.passed
 
     def test_t2_sides_include_growth_bounds(self):
         spec = FamilySpec(family_id="exterior_colligation", dim=2, aux_dim=4, order=64, seed=3)
         inst = sample(spec)
-        rep = check_theorem("t2", inst, 1.0 / 3.0)
+        (rep,) = check_theorem_grid("t2", inst, [1.0 / 3.0])
         assert rep.passed
         for key in ("lambda_lhs", "lambda_rhs", "growth_bound", "a0_sq_bound", "L"):
             assert key in rep.side_values
@@ -561,7 +560,7 @@ class TestCheckTheorem:
             check_theorem_grid("t1iii", self.scalar_z_harmonic(), rs)
 
     def test_normalized_margin_and_scale(self):
-        rep = check_theorem("t1iii", self.scalar_z_harmonic(), 1.0 / 3.0)
+        (rep,) = check_theorem_grid("t1iii", self.scalar_z_harmonic(), [1.0 / 3.0])
         assert rep.scale == 1.0
         assert rep.normalized_margin == rep.margin
 
@@ -620,7 +619,7 @@ def test_none_radius_is_the_stated_radius(theorem_id, radius_cases):
     stated = STATED_RADII[theorem_id](instance)
     (rep,) = check_theorem_grid(theorem_id, instance, [None], **kwargs)
     assert rep.r == stated
-    assert rep == check_theorem(theorem_id, instance, stated, **kwargs)
+    assert [rep] == check_theorem_grid(theorem_id, instance, [stated], **kwargs)
 
 
 def test_radius_cases_cover_every_check_with_a_radius(radius_cases):
@@ -631,7 +630,8 @@ def test_radius_cases_cover_every_check_with_a_radius(radius_cases):
 def test_grid_equals_single_radius_checks(theorem_id, radius_cases):
     instance, rs, kwargs = radius_cases[theorem_id]
     grid = check_theorem_grid(theorem_id, instance, rs, force=True, **kwargs)
-    singles = [check_theorem(theorem_id, instance, r, force=True, **kwargs) for r in rs]
+    singles = [rep for r in rs
+               for rep in check_theorem_grid(theorem_id, instance, [r], force=True, **kwargs)]
     assert [rep.r for rep in grid] == list(rs)
     assert grid == singles
     assert check_theorem_grid(theorem_id, instance, (), **kwargs) == []
@@ -688,6 +688,8 @@ def test_loewner_checks_agree_with_the_difference_eigenvalue(theorem_id, radius_
             rhs_norm = operator_norm(right)
             assert abs(rep.side_values["rhs_norm"] - rhs_norm) <= 8 * d * U * rhs_norm
             scale = max(1.0, rhs_norm)
+        if theorem_id == "t1i":
+            assert rep.side_values["rhs_norm"] == psi_peak(rep.r)[1]
         margin = smallest_eigenvalue(right - left) - rep.side_values["tail"]
         assert abs(rep.margin - margin) <= 1e-14 * rep.scale
         assert rep.passed == (margin >= -bohr.DEFAULT_TOL.psd_tol * scale)
@@ -719,10 +721,10 @@ class TestSharedPreparation:
         h = sample(FamilySpec(family_id="commuting_harmonic", dim=2, aux_dim=4, order=32, seed=8))
         for mu in (0.0, 1.0):
             check_theorem_grid("t1i", h, (0.1, 0.5), mu=mu)
-            check_theorem("t1ii", h, 0.2, mu=mu)
+            check_theorem_grid("t1ii", h, [0.2], mu=mu)
         assert len(calls) == 2
-        check_theorem("t1ii", h, 0.2, mu=1.0, normal=True)
-        check_theorem("t1ii", h, 0.2, mu=-0.0)
+        check_theorem_grid("t1ii", h, [0.2], mu=1.0, normal=True)
+        check_theorem_grid("t1ii", h, [0.2], mu=-0.0)
         assert len(calls) == 4
 
     def test_each_subordination_pair_composes_once(self, monkeypatch):
@@ -782,13 +784,13 @@ class TestSharedPreparation:
 
     def test_shared_arrays_are_read_only(self):
         h = sample(FamilySpec(family_id="schur_harmonic", dim=2, aux_dim=4, order=32, seed=4))
-        check_theorem("t1ii", h, 0.2, mu=0.3)
+        check_theorem_grid("t1ii", h, [0.2], mu=0.3)
         (parts,) = bohr._shared_slot[1].values()
         assert len(parts) == 5
         for a in parts:
             assert not a.flags.writeable
         pair, _ = self.pair("schur_holo", seed=5)
-        check_theorem("l2a", pair, 0.2)
+        check_theorem_grid("l2a", pair, [0.2])
         shared = bohr._shared_slot[1]
         for a in shared["composite"]:
             assert not a.flags.writeable

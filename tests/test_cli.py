@@ -40,8 +40,6 @@ from opbohr.serialize import (
     dumps,
     report_from_json,
     report_to_json,
-    series_from_json,
-    series_to_json,
 )
 
 
@@ -64,28 +62,6 @@ class TestSerialization:
         for rep in suite.reports:
             back = report_from_json(json.loads(json.dumps(report_to_json(rep))))
             assert back == rep
-
-    def test_series_roundtrip(self):
-        from opbohr.generators import sample, FamilySpec
-
-        f = sample(FamilySpec(family_id="schur_holo", dim=2, aux_dim=3, order=8, seed=1))
-        back = series_from_json(json.loads(json.dumps(series_to_json(f))))
-        assert np.array_equal(back.coeffs, f.coeffs)
-
-    def test_harmonic_roundtrip(self):
-        from opbohr.generators import sample, FamilySpec
-
-        h = sample(FamilySpec(family_id="schur_harmonic", dim=2, aux_dim=3, order=8, seed=2))
-        back = series_from_json(json.loads(json.dumps(series_to_json(h))))
-        assert np.array_equal(back.analytic, h.analytic)
-        assert np.array_equal(back.coanalytic, h.coanalytic)
-
-    def test_scalar_series_roundtrip(self):
-        from opbohr import ScalarSeries
-
-        s = ScalarSeries(np.array([0.0, 1.5 - 2j, 3j]))
-        back = series_from_json(json.loads(json.dumps(series_to_json(s))))
-        assert np.array_equal(back.coeffs, s.coeffs)
 
     def test_family_spec_roundtrip(self):
         from opbohr.generators import FamilySpec

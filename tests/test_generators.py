@@ -10,7 +10,7 @@ from opbohr import (
     SubordinationWitness,
     abs_value,
     adjoint,
-    check_theorem,
+    check_theorem_grid,
     compose_subordination,
     operator_norm,
     thm2_radius,
@@ -105,7 +105,7 @@ class TestSchurFamilies:
         from opbohr import rotated_coeffs
 
         for mu in (0.0, 1.0, math.pi / 3):
-            p = rotated_coeffs(inst, mu).coeffs
+            p = rotated_coeffs(inst, mu)
             defect = operator_norm(p @ adjoint(p) - adjoint(p) @ p)
             assert float(np.max(defect)) <= 1e-10
 
@@ -248,7 +248,7 @@ class TestExteriorFamilies:
         inst = sample(spec)
         assert inst.coeffs[0][0, 0] == pytest.approx(2.0, abs=1e-12)
         assert float(np.abs(inst.coeffs[1:]).max()) <= 1e-12
-        rep = check_theorem("t2", inst, 1.0 / 3.0)
+        (rep,) = check_theorem_grid("t2", inst, [1.0 / 3.0])
         assert rep.passed
 
     def test_diag_radius_precondition(self):

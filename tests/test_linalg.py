@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import directed_hausdorff
 
 from opbohr import (
-    ContractError,
     InvalidInputError,
     NumericError,
     ToleranceProfile,
     abs_value,
     adjoint,
-    hausdorff_distance,
-    loewner_leq,
     operator_norm,
-    re_im_parts,
     spectrum,
 )
 from opbohr.generators import random_unitary
@@ -234,60 +229,16 @@ class TestAbsValue:
         assert linalg.gram_parts(stack[3]).norm == norms[3]
 
 
-class TestReImParts:
-    def test_hermitian(self):
-        h = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
-        re, im = re_im_parts(h)
-        assert np.allclose(re, h) and np.allclose(im, 0)
-
-    def test_formula(self):
-        m = np.array([[0, 2], [0, 0]], dtype=complex)
-        re, im = re_im_parts(m)
-        assert np.allclose(re, np.array([[0, 1], [1, 0]]))
-        assert np.allclose(im, np.array([[0, -1j], [1j, 0]]))
-
-    def test_skew(self):
-        s = np.array([[1j, 2], [-2, -3j]], dtype=complex)
-        assert np.allclose(s, -adjoint(s))
-        re, im = re_im_parts(s)
-        assert np.allclose(re, 0) and np.allclose(im, s / 1j)
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_reconstruction(self, seed):
-        m = rand_matrix(seed)
-        re, im = re_im_parts(m)
-        assert np.allclose(re, adjoint(re), atol=1e-14)
-        assert np.allclose(im, adjoint(im), atol=1e-14)
-        assert np.allclose(re + 1j * im, m, atol=1e-14 * max(1.0, operator_norm(m)))
-
-
 class TestLoewner:
-    def test_strict(self):
-        holds, margin = loewner_leq(np.diag([1.0, 1.0]), np.diag([2.0, 3.0]))
-        assert holds and margin == pytest.approx(1.0)
-
-    def test_violated(self):
-        b = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
-        holds, margin = loewner_leq(np.eye(2), b)
-        assert not holds and margin == pytest.approx(-2.0)
-
-    def test_reflexive(self):
-        a = abs_value(rand_matrix(3))
-        holds, margin = loewner_leq(a, a)
-        assert holds and abs(margin) <= 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ContractError):
-            loewner_leq(np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2))
-
     def test_abs_square_below_norm_square(self):
-        # |M|^2 <= ||M||^2 I for every matrix
+        # |M|^2 <= ||M||^2 I for every matrix: the difference has no negative
+        # eigenvalue beyond the rounding slack of the two sides
         for seed in range(25):
             m = rand_matrix(seed, d=4)
             a = abs_value(m)
-            holds, _ = loewner_leq(a @ a, operator_norm(m) ** 2 * np.eye(4))
-            assert holds
+            bound = operator_norm(m) ** 2
+            slack = 1e-9 * max(1.0, operator_norm(a @ a) + bound)
+            assert smallest_eigenvalue(bound * np.eye(4) - a @ a) >= -slack
 
 
 class TestSmallestEigenvalue:
@@ -315,45 +266,6 @@ class TestSpectrum:
         m = w @ np.diag([1.0, 3.0, 7.0]).astype(complex) @ adjoint(w)
         got = np.sort(spectrum(m).real)
         assert np.allclose(got, [1.0, 3.0, 7.0], atol=1e-10)
-
-
-class TestHausdorff:
-    def test_singletons(self):
-        assert hausdorff_distance([0.0], [1.0]) == pytest.approx(1.0)
-
-    def test_identity(self):
-        s = [0.0, 1.0 + 1j, -2.0]
-        assert hausdorff_distance(s, s) == 0.0
-
-    def test_asymmetric_sets(self):
-        # directed distances are 1 (from {0,2}) and 1 (from {1}), so max is 1
-        assert hausdorff_distance([0.0, 2.0], [1.0]) == pytest.approx(1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            hausdorff_distance([], [1.0])
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_scipy_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal(rng.integers(1, 6)) + 1j * rng.standard_normal(1)
-        b = rng.standard_normal(rng.integers(1, 6)) + 1j * rng.standard_normal(1)
-        pts = lambda s: np.stack([s.real, s.imag], axis=1)
-        expected = max(directed_hausdorff(pts(a), pts(b))[0],
-                       directed_hausdorff(pts(b), pts(a))[0])
-        assert hausdorff_distance(a, b) == pytest.approx(expected, abs=1e-12)
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=50, deadline=None)
-    def test_triangle_inequality(self, seed):
-        rng = np.random.default_rng(seed)
-        sets = [rng.standard_normal(rng.integers(1, 5)) + 1j * rng.standard_normal(rng.integers(1, 5) * 0 + 1)
-                for _ in range(3)]
-        dab = hausdorff_distance(sets[0], sets[1])
-        dbc = hausdorff_distance(sets[1], sets[2])
-        dac = hausdorff_distance(sets[0], sets[2])
-        assert dac <= dab + dbc + 1e-12
 
 
 def test_tolerance_profile_rejects_negative():

@@ -13,11 +13,8 @@ from opbohr import (
     adjoint,
     coeffs_via_cauchy_integral,
     compose_subordination,
-    derivative,
     evaluate,
     evaluate_grid,
-    koebe_transform,
-    operator_norm,
     scalar_power_coeffs,
 )
 from opbohr.generators import FamilySpec, identity_witness, koebe_series, sample
@@ -68,25 +65,6 @@ class TestEvaluate:
             direct += sum(adjoint(b[n - 1]) * np.conj(z) ** n for n in range(1, 5))
             assert np.allclose(evaluate(h, z), direct, atol=1e-13)
             assert np.allclose(evaluate_grid(h, np.array([z]))[0], direct, atol=1e-13)
-
-
-class TestDerivative:
-    def test_constant_to_zero(self):
-        f = scalar_series([3.0])
-        df = derivative(f)
-        assert df.order == 0 and np.allclose(df.coeffs, 0)
-
-    def test_linear(self):
-        f = HoloSeries(np.stack([np.zeros((2, 2)), np.eye(2)]).astype(complex))
-        df = derivative(f)
-        assert df.order == 0 and np.allclose(df.coeffs[0], np.eye(2))
-
-    def test_koebe_coefficients(self):
-        # d/dz sum n z^n has coefficient (n+1)^2 at index n
-        f = scalar_series(np.arange(8.0))
-        df = derivative(f)
-        expected = np.array([(n + 1) ** 2 for n in range(7)], dtype=float)
-        assert np.allclose(df.coeffs[:, 0, 0], expected)
 
 
 def compose_reference(f, w, order):
@@ -318,37 +296,6 @@ class TestCauchyExtraction:
     def test_node_count_contract(self):
         with pytest.raises(ContractError):
             coeffs_via_cauchy_integral(lambda z: np.eye(1), 10, 0.5, 20)
-
-
-class TestKoebeTransform:
-    def test_identity_at_zero_center(self):
-        rng = np.random.default_rng(8)
-        coeffs = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
-        coeffs[0] = 0.0
-        coeffs[1] = np.eye(2)
-        f = HoloSeries(coeffs)
-        g = koebe_transform(f, 0.0, 7)
-        assert float(np.abs(g.coeffs - f.coeffs).max()) <= 1e-11
-
-    def test_linear_map_closed_form(self):
-        # f = z I at a = 1/2 gives z/(1 + z/2), coefficients (-1/2)^(n-1)
-        f = HoloSeries(np.stack([np.zeros((2, 2)), np.eye(2)]).astype(complex))
-        g = koebe_transform(f, 0.5, 12)
-        assert float(np.abs(g.coeffs[0]).max()) <= 1e-12
-        for n in range(1, 13):
-            assert np.allclose(g.coeffs[n], (-0.5) ** (n - 1) * np.eye(2), atol=1e-12)
-
-    def test_normalization_forced(self):
-        spec = FamilySpec(family_id="convex_diag", dim=3, aux_dim=3, order=64, seed=5)
-        f = sample(spec)
-        g = koebe_transform(f, 0.3 - 0.2j, 32)
-        assert operator_norm(g.coeffs[0]) <= 1e-9
-        assert operator_norm(g.coeffs[1] - np.eye(3)) <= 1e-9
-
-    def test_singular_derivative_rejected(self):
-        f = scalar_series([0.0, 0.0, 1.0])  # z^2, derivative vanishes at 0
-        with pytest.raises(ContractError):
-            koebe_transform(f, 0.0, 4)
 
 
 class TestWitnessValidation:
