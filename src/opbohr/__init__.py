@@ -21,7 +21,6 @@ from .linalg import (
     adjoint,
     hermitize,
     operator_norm,
-    spectrum,
 )
 from .funcalc import (
     BranchCut,

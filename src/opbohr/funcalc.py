@@ -16,9 +16,19 @@ A finite spectrum can never separate 0 from infinity in the plane, so the
 only operative preconditions for a matrix logarithm are that 0 lies outside
 the spectrum and that the spectrum stays off the chosen branch ray.
 
-``scipy.linalg`` is imported on first use, inside ``matrix_exp`` and the
-eigensystem behind ``log_eig_normal``: loading it costs more than half of a
-process start, and runs that reach neither never load it.
+``matrix_exp`` exponentiates a whole stack in numpy, by scaling and squaring
+around the degree-13 Pade approximant r13 (Higham, "The scaling and squaring
+method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26,
+2005).  Each matrix M is scaled by its own 2^-s, the least s >= 0 with
+||2^-s M||_1 <= theta_13 = 5.371920351148152, where r13 is accurate to double
+precision; r13(2^-s M) is then squared s times.  Every step acts on the whole
+stack at once, and a matrix's result does not depend on the stack it arrives
+in.
+
+``scipy.linalg`` is imported on first use, only for the complex Schur form of
+a non-Hermitian normal matrix in ``log_eig_normal``: loading it costs more
+than half of a process start, and runs that never take such a logarithm
+never load it.
 """
 
 from __future__ import annotations
@@ -126,31 +136,85 @@ class ColligationSpec:
         return self.V.shape[1]
 
 
+# Numerator coefficients b_0..b_13 of the degree-13 Pade approximant to exp,
+# and the largest 1-norm at which it is accurate to double precision (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+# Relative slack under the norm cap below which sqrt(||M||_1 ||M||_inf), an
+# upper bound of ||M||, clears a matrix without its exact norm: far above the
+# rounding of either computed value (a few d * eps).
+_CAP_SLACK = 1e-8
+
+
+def _pade13_squarings(norm1: np.ndarray) -> np.ndarray:
+    """The least s >= 0 with 2^-s ||M||_1 <= theta_13, for each 1-norm given."""
+    with np.errstate(divide="ignore"):
+        s = np.maximum(np.ceil(np.log2(norm1 / _THETA13)), 0.0).astype(np.int64)
+    # log2 may round across an integer; ldexp is exact, so settle s on it
+    s += np.ldexp(norm1, -s) > _THETA13
+    s -= (s > 0) & (np.ldexp(norm1, 1 - s) <= _THETA13)
+    return s
+
+
 def matrix_exp(m, norm_cap: float = EXP_NORM_CAP) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with a Pade core via SciPy).
+    """Matrix exponential of one matrix or a stack (..., d, d).
 
-    Takes one matrix or a stack (..., d, d); every matrix of a stack must
-    satisfy the norm cap, and each is exponentiated as it would be alone.
+    Scaling and squaring around the degree-13 Pade approximant r13 (Higham
+    2005), for the whole stack at once: each matrix M is scaled by its own
+    2^-s, the least s >= 0 with ||2^-s M||_1 <= theta_13 = 5.371920351148152;
+    r13(X) = (V - U)^-1 (V + U), from X^2, X^4, X^6 and one batched solve; then
+    each result is squared its own s times.  So each matrix is exponentiated
+    as it would be alone.  A stack of 1x1 matrices is ``np.exp``.  Every
+    matrix must satisfy ||M|| <= norm_cap, or ``RangeError`` is raised.
     """
-    from scipy.linalg import expm
-
     a = as_matrix_stack(m)
-    if np.any(operator_norm(a) > norm_cap):
+    shape = a.shape
+    if a.size == 0:
+        return np.empty(shape, dtype=np.complex128)
+    a = a.reshape((-1,) + shape[-2:])
+    mags = np.abs(a)
+    norm1 = mags.sum(axis=-2).max(axis=-1)
+    # ||M|| <= sqrt(||M||_1 ||M||_inf): only matrices whose bound nears the
+    # cap need their exact norm
+    bound = np.sqrt(norm1 * mags.sum(axis=-1).max(axis=-1))
+    near = a[bound > (1.0 - _CAP_SLACK) * norm_cap]
+    if near.size and np.any(operator_norm(near) > norm_cap):
         raise RangeError(f"||M|| exceeds the exp cap {norm_cap}")
-    return np.asarray(expm(a), dtype=np.complex128)
+    if shape[-1] == 1:
+        return np.exp(a).reshape(shape)
+    s = _pade13_squarings(norm1)
+    b = _PADE13
+    eye = np.eye(shape[-1], dtype=np.complex128)
+    x = np.ldexp(1.0, -s)[:, None, None] * a
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max())):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r.reshape(shape)
 
 
 def _normal_eigensystem(m: np.ndarray, tol: ToleranceProfile):
-    """Unitary diagonalization of a normal matrix via a complex Schur form."""
-    from scipy.linalg import schur
-
+    """Unitary diagonalization of a normal matrix: ``eigh`` when it is
+    Hermitian within eq_tol * max(1, ||M||) entrywise, else a complex Schur form."""
     norm = operator_norm(m)
     defect = operator_norm(m @ adjoint(m) - adjoint(m) @ m)
     if defect > tol.eq_tol * max(1.0, norm**2):
         raise ContractError(f"matrix is not normal within tolerance (defect {defect:.3e})")
-    if np.allclose(m, adjoint(m), atol=tol.eq_tol * max(1.0, norm)):
+    if np.allclose(m, adjoint(m), rtol=0.0, atol=tol.eq_tol * max(1.0, norm)):
         w, z = np.linalg.eigh(hermitize(m))
         return w.astype(np.complex128), z
+    from scipy.linalg import schur
+
     t, z = schur(m, output="complex")
     off = t - np.diag(np.diag(t))
     if operator_norm(off) > math.sqrt(max(tol.eq_tol, 1e-300)) * max(1.0, norm):

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: norms, absolute values, Gram parts, spectra.
+"""Dense complex matrix primitives: norms, absolute values, Gram parts, eigenvalues.
 
 Matrices are plain ``numpy`` arrays of complex128.  Most operations accept a
 single ``(d, d)`` matrix or a stack ``(..., d, d)`` and act on the last two
@@ -200,28 +200,3 @@ def smallest_eigenvalue(h):
         raise NumericError(f"eigvalsh failed: {exc}") from exc
     low = w[..., 0]
     return float(low) if a.ndim == 2 else low
-
-
-def spectrum(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues with multiplicity, as a length-d complex array.
-
-    For (numerically) normal input the eigenpair residuals ||Mv - lambda v||
-    are checked against quad_tol * max(1, ||M||).
-    """
-    a = as_matrix(m)
-    try:
-        w, v = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
-    norm = operator_norm(a)
-    normal_defect = operator_norm(a @ adjoint(a) - adjoint(a) @ a)
-    if normal_defect <= tol.eq_tol * max(1.0, norm**2):
-        resid = np.linalg.norm(a @ v - v * w[None, :], axis=0)
-        vlen = np.linalg.norm(v, axis=0)
-        worst = float(np.max(resid / np.maximum(vlen, 1e-300)))
-        if worst > tol.quad_tol * max(1.0, norm):
-            raise NumericError(
-                f"eigenpair residual {worst:.3e} exceeds target for a normal matrix"
-            )
-    return w
-

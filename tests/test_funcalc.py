@@ -29,7 +29,7 @@ from opbohr import (
     matrix_exp,
     operator_norm,
 )
-from opbohr.funcalc import herglotz_transfer_grid
+from opbohr.funcalc import EXP_NORM_CAP, herglotz_transfer_grid
 from opbohr.generators import random_unitary
 from opbohr.linalg import smallest_eigenvalue
 from opbohr.series import coeffs_via_cauchy_integral
@@ -69,14 +69,81 @@ class TestMatrixExp:
 
     def test_stack_equals_per_matrix_loop(self):
         rng = np.random.default_rng(4)
+        stacks = []
         for shape in ((7, 1, 1), (5, 3, 3), (2, 4, 2, 2), (1, 4, 4)):
             stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             stack[..., 0, :] *= 3.0
+            stacks.append(stack)
+        # 1-norms from about 4e-3 to 8e2 take from 0 to 8 squarings, so the
+        # stack is squared under masks that differ from matrix to matrix
+        mixed = rng.standard_normal((12, 3, 3)) + 1j * rng.standard_normal((12, 3, 3))
+        mixed *= (np.logspace(-3, math.log10(250.0), 12) / operator_norm(mixed))[:, None, None]
+        norm1 = np.abs(mixed).sum(axis=-2).max(axis=-1)
+        assert norm1.min() < 5.37 < 2**6 * 5.37 < norm1.max()
+        stacks.append(mixed)
+        for stack in stacks:
             got = matrix_exp(stack)
             assert got.shape == stack.shape
-            flat = stack.reshape(-1, *shape[-2:])
-            loop = np.stack([matrix_exp(m) for m in flat]).reshape(shape)
+            flat = stack.reshape(-1, *stack.shape[-2:])
+            loop = np.stack([matrix_exp(m) for m in flat]).reshape(stack.shape)
             assert np.array_equal(got, loop)
+
+    @pytest.mark.parametrize("kind", ["hermitian", "normal", "nilpotent"])
+    def test_mpmath_reference(self, kind):
+        # 40-digit exponentials of stacks with ||M|| from 1e-3 to the cap
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng({"hermitian": 1, "normal": 2, "nilpotent": 3}[kind])
+        norms = np.logspace(-3, math.log10(0.999 * EXP_NORM_CAP), 8)
+        for d in (2, 3, 4):
+            g = rng.standard_normal((8, d, d)) + 1j * rng.standard_normal((8, d, d))
+            if kind == "hermitian":
+                stack = g + adjoint(g)
+            elif kind == "normal":
+                eigs = rng.standard_normal((8, d)) + 1j * rng.standard_normal((8, d))
+                stack = np.stack([planted_normal(10 * d + i, e) for i, e in enumerate(eigs)])
+            else:
+                stack = np.triu(g, 1)
+            stack *= (norms / operator_norm(stack))[:, None, None]
+            got = matrix_exp(stack)
+            with mpmath.workdps(40):
+                for m, e in zip(stack, got):
+                    ref = mpmath.expm(mpmath.matrix(m.tolist()))
+                    ref = np.array(ref.tolist(), dtype=complex)
+                    assert operator_norm(e - ref) <= 1e-13 * operator_norm(ref)
+
+    def test_agrees_with_scipy(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(6)
+        for d in (2, 3, 4):
+            stack = rng.standard_normal((40, d, d)) + 1j * rng.standard_normal((40, d, d))
+            stack *= rng.uniform(0.01, 20.0, 40)[:, None, None]
+            got, ref = matrix_exp(stack), expm(stack)
+            assert np.all(operator_norm(got - ref) <= 1e-13 * operator_norm(ref))
+
+    def test_one_by_one_is_numpy_exp(self):
+        stack = np.array([0.0, 1.5 - 2j, -40.0 + 0.3j, 299.0])[:, None, None]
+        assert np.array_equal(matrix_exp(stack), np.exp(stack))
+        assert np.array_equal(matrix_exp(stack[2]), np.exp(stack[2]))
+
+    def test_shapes_kept(self):
+        m = np.array([[0.3, 1.0], [-1.0, 0.2j]])
+        assert matrix_exp(m).shape == (2, 2)
+        assert matrix_exp(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert matrix_exp(np.zeros((2, 0, 4, 4))).shape == (2, 0, 4, 4)
+
+    def test_norm_cap(self):
+        with pytest.raises(RangeError):
+            matrix_exp(1e6 * np.eye(2))
+
+    def test_norm_cap_is_the_exact_norm(self):
+        # sqrt(||M||_1 ||M||_inf) = 400 is above the cap, but ||M|| = 282.8 is not
+        m = 200.0 * np.array([[1.0, 1.0], [1.0, -1.0]])
+        lam = 200.0 * math.sqrt(2.0)
+        assert operator_norm(m) < EXP_NORM_CAP < 400.0
+        got = matrix_exp(m)
+        ref = eig_exp_oracle(m.astype(complex))
+        assert operator_norm(got - ref) <= 1e-13 * math.exp(lam)
 
     def test_norm_cap_applies_to_every_matrix_of_a_stack(self):
         stack = np.stack([np.eye(2), 0.5 * np.eye(2), 301.0 * np.eye(2)]).astype(complex)
@@ -88,17 +155,20 @@ class TestMatrixExp:
 
 class TestScipyLoadedOnFirstUse:
     def test_only_exponentials_load_scipy_linalg(self):
-        # a fresh process: the suites without t2 never load scipy.linalg, and
-        # t2's colligation exponentials load it when they first run
+        # a fresh process: a verify run over every theorem group never loads
+        # scipy.linalg; the logarithm of a non-Hermitian normal matrix (a
+        # complex Schur form) loads it when it first runs
         script = textwrap.dedent("""
             import sys
             from opbohr.cli import main
-            assert main(["verify", "--theorems", "t1,l2,t3,t4", "--trials", "2",
-                         "--dims", "1,2", "--seed", "3"]) == 0
-            assert "scipy.linalg" not in sys.modules, "loaded without an exponential"
-            assert main(["verify", "--theorems", "t2", "--trials", "1", "--dims", "1",
-                         "--seed", "3"]) == 0
-            assert "scipy.linalg" in sys.modules, "t2 ran without scipy.linalg"
+            assert main(["verify", "--theorems", "l1,t1,e55,t2,e17,t3,l2,t4",
+                         "--dims", "1,2", "--trials", "1"]) == 0
+            assert "scipy.linalg" not in sys.modules, "verify loaded scipy.linalg"
+            from opbohr import log_eig_normal, matrix_exp, operator_norm
+            from opbohr.generators import random_unitary
+            u = random_unitary(3, 7)
+            assert operator_norm(matrix_exp(log_eig_normal(u)) - u) <= 1e-10
+            assert "scipy.linalg" in sys.modules, "a Schur form ran without scipy.linalg"
         """)
         src = str(Path(opbohr.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
@@ -141,6 +211,12 @@ class TestLogEigNormal:
             m = planted_normal(seed, np.random.default_rng(seed).uniform(1.0, 10.0, 3))
             back = matrix_exp(log_eig_normal(m))
             assert operator_norm(back - m) <= 1e-10 * operator_norm(m)
+
+    def test_small_skew_hermitian_part_kept(self):
+        # entrywise 6e-6 from Hermitian, far above eq_tol: not the eigh route
+        m = np.diag([2.0, 2.0 * np.exp(3e-6j)])
+        back = matrix_exp(log_eig_normal(m))
+        assert operator_norm(back - m) <= DEFAULT_TOL.quad_tol * operator_norm(m)
 
     def test_spectrum_on_cut_rejected(self):
         with pytest.raises(BranchCutError):

@@ -12,7 +12,6 @@ from opbohr import (
     abs_value,
     adjoint,
     operator_norm,
-    spectrum,
 )
 from opbohr.generators import random_unitary
 from opbohr import linalg
@@ -251,21 +250,6 @@ class TestSmallestEigenvalue:
         batched = smallest_eigenvalue(stack.reshape(2, 3, 3, 3))
         assert batched.shape == (2, 3)
         assert batched.ravel().tolist() == [smallest_eigenvalue(m) for m in stack]
-
-
-class TestSpectrum:
-    def test_diagonal(self):
-        assert sorted(spectrum(np.diag([2.0, 5.0])).real) == pytest.approx([2.0, 5.0])
-
-    def test_triangular(self):
-        w = spectrum(np.array([[1, 1], [0, 1]], dtype=complex))
-        assert np.allclose(sorted(w.real), [1.0, 1.0]) and np.allclose(w.imag, 0)
-
-    def test_planted_conjugation(self):
-        w = random_unitary(3, 99)
-        m = w @ np.diag([1.0, 3.0, 7.0]).astype(complex) @ adjoint(w)
-        got = np.sort(spectrum(m).real)
-        assert np.allclose(got, [1.0, 3.0, 7.0], atol=1e-10)
 
 
 def test_tolerance_profile_rejects_negative():
