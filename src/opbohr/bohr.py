@@ -32,10 +32,17 @@ before it.  ``cli.run_suite`` draws one instance per theorem group and runs
 its parts back to back, so the slot serves ``opbohr verify`` as well as
 callers of this module.
 
-The boundary liminf samples only the rings nearest the boundary that its
-value reads (the last ``tail_rings`` of its grid) and takes each ring's
-smallest operator norm from ``linalg.min_operator_norm``, which skips the
-points that cannot hold it.
+The right side of t3a and t4a, liminf ||f(z) - f(0)|| as |z| -> 1 (f(0) = 0
+for t4a), is exact for the two diagonal-frame families: their evaluator, a
+``generators.ClosedFormEval``, carries the value in closed form
+(max_j |t_j|/(1 + beta_j) for ``convex_diag``, 1/(4 sin^2(G/4)) for
+``starlike_diag``), and a check whose base f(0) is exactly zero reads it.
+Any other evaluator, a nonzero base, or a series goes to
+``boundary_distance_liminf``, an estimate that samples only the rings
+nearest the boundary that its value reads (the last ``tail_rings`` of its
+grid) and takes each ring's smallest operator norm from
+``linalg.min_operator_norm``, which skips the points that cannot hold it.
+Sampling can only overestimate a ring's infimum.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, InvalidInputError
 from .funcalc import ColligationSpec, herglotz_transfer_grid, log_eig_normal, matrix_exp
+from .generators import ClosedFormEval
 from .linalg import (
     DEFAULT_TOL,
     GramParts,
@@ -734,6 +742,14 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
     stated radius is 1/(1 + 2 ||A_1|| ||A_1^-1||) for t3a, 3 - 2 sqrt(2) for
     t4a and t4b, and 1/3 for the others.  The tail bounds the composite of
     the truncated f.
+
+    The liminf is the closed-form ``boundary_liminf`` of ``boundary_eval``
+    when that is a ``ClosedFormEval`` and the base (A_0 for t3a, 0 for t4a)
+    is exactly zero: max_j |t_j|/(1 + beta_j) for ``convex_diag``, within 4u
+    relative, and 1/(4 sin^2(G/4)) for ``starlike_diag``, within
+    (10 d + 4)u relative (u = 2^-53).  Otherwise it is the sampled
+    ``boundary_distance_liminf`` of ``boundary_eval``, or of f itself when
+    that is None.
     """
     f, w = _as_pair(instance)
     group = theorem_id[:2]
@@ -753,9 +769,12 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
     if theorem_id == "t3a":
         stated_radius = static_sides["radius"] = thm3_radius(f.coeffs[1])
     if theorem_id in ("t3a", "t4a"):
-        static_sides["liminf"] = boundary_distance_liminf(
-            boundary_eval if boundary_eval is not None else f,
-            f.coeffs[0] if group == "t3" else 0.0).value
+        base = f.coeffs[0] if group == "t3" else 0.0
+        if isinstance(boundary_eval, ClosedFormEval) and not np.any(base):
+            static_sides["liminf"] = boundary_eval.boundary_liminf
+        else:
+            static_sides["liminf"] = boundary_distance_liminf(
+                boundary_eval if boundary_eval is not None else f, base).value
     if theorem_id == "t3b":
         half_abs_a1 = 0.5 * abs_value(f.coeffs[1])
         half_norm_a1 = operator_norm(half_abs_a1)

@@ -188,7 +188,9 @@ class SuiteRun:
     over_mu        check at every angle of MU_FIXED and at one random angle
     normal_family  family drawn under ``--normal-variant``, checked with normal=True
     pair           draw a (series, subordination witness) pair
-    boundary_eval  pass the family's exact evaluator as ``boundary_eval``
+    boundary_eval  pass the family's exact evaluator as ``boundary_eval``; for
+                   ``convex_diag`` and ``starlike_diag`` it carries the exact
+                   liminf, so t3a and t4a sample no boundary
     sub_seed       draw from ``derive_seed(trial seed, sub_seed)``
     variants       check kwargs; the check runs once per entry
     """
@@ -518,6 +520,19 @@ def selftest(seed: int = 2024, verbose: bool = True) -> int:
     composed = evaluate_grid(g, zs)
     err = float(np.abs(direct - composed).max())
     record("composition matches pointwise evaluation", err <= 1e-9, f"(err {err:.2e})")
+
+    # the closed-form boundary liminf lies below every sampled norm on the
+    # circle, and the grid spacing bounds how far below
+    theta = 2.0 * math.pi * np.arange(2 ** 14) / 2 ** 14
+    gaps = []
+    for family in ("convex_diag", "starlike_diag"):
+        spec = FamilySpec(family_id=family, dim=3, aux_dim=4, order=8, seed=derive_seed(seed, 40))
+        _, aux = sample(spec, with_aux=True)
+        exact = aux["eval"].boundary_liminf
+        gaps.append(float(operator_norm(aux["eval"](np.exp(1j * theta))).min()) / exact - 1.0)
+    record("closed-form boundary liminf vs dense boundary sample",
+           all(-1e-13 <= gap <= 1e-3 for gap in gaps),
+           "(dense/exact - 1: " + ", ".join(f"{gap:.2e}" for gap in gaps) + ")")
 
     if verbose:
         print(f"selftest: {failures} failure(s)")

@@ -14,6 +14,31 @@ samples on a circle:
 
 ``exterior_colligation`` stores its colligation (U, V) only.
 
+The exact evaluator of ``convex_diag`` and ``starlike_diag`` is a
+``ClosedFormEval``: it also carries the boundary liminf of ||f(z)|| as
+|z| -> 1 in closed form, which the t3a and t4a checks read in place of a
+sampled estimate.  Every value is W diag(s_j) W* with W unitary, so its norm
+is max_j |s_j|, and the liminf is the infimum over the circle of the largest
+slice modulus:
+
+* ``convex_diag``, slices t_j z/(1 - beta_j z) with 0 <= beta_j < 1: each
+  |t_j|/|1 - beta_j e^(i theta)| decreases on [0, pi] and is even in theta,
+  so the value is max_j |t_j|/(1 + beta_j), attained at theta = pi.  It is
+  computed within 4u relative of that expression of the stored t_j and
+  beta_j (u = 2^-53: one hypot, one sum, one quotient);
+* ``starlike_diag``, slices z/(1 - zeta_j z)^2 with |zeta_j| = 1: on the
+  circle |s_j| = 1/(4 sin^2((theta - theta_j)/2)) about the pole angle
+  theta_j = -arg zeta_j, so the value is 1/(4 sin^2(G/4)), G the largest
+  cyclic gap between the pole angles, its midpoint the minimizer; G = 2 pi
+  and the value 1/4 when d = 1 or all zeta_j are equal.  Each angle is
+  within 12u and G within 28u absolute, and G >= 2 pi/d bounds
+  cot(G/4) by 2d/pi, so the value is within (10 d + 4)u relative of the
+  exact expression of the stored zeta_j.
+
+Both are exact for an exactly unitary frame; the drawn frames have
+||W*W - I|| of a few u, which moves the norm of every value, sampled or
+closed-form, by at most that much relative.
+
 The subordination witness's 720-point boundary certificate evaluates its
 realization exactly on that circle with one inverse FFT
 (``SchurRealization.transfer_circle``); the 96-point certificates of the
@@ -30,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -75,6 +100,21 @@ class FamilySpec:
             raise InvalidInputError(f"unknown family id: {self.family_id!r}")
         if self.dim < 1 or self.aux_dim < 1 or self.order < 0:
             raise InvalidInputError("dim and aux_dim must be >= 1, order >= 0")
+
+
+@dataclass(frozen=True)
+class ClosedFormEval:
+    """An exact evaluator, zs -> (len(zs), d, d) values, with its boundary liminf.
+
+    ``boundary_liminf`` is liminf ||f(z)|| as |z| -> 1 in closed form (see
+    the module docstring for each family's formula and rounding bound).
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    boundary_liminf: float
+
+    def __call__(self, zs) -> np.ndarray:
+        return self.fn(zs)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -221,6 +261,17 @@ def _exp_herglotz_coeffs(cs: np.ndarray, betas: np.ndarray, order: int) -> np.nd
     return a.astype(np.complex128)
 
 
+def _beta_range(spec: FamilySpec, default: tuple[float, float]) -> tuple[float, float]:
+    """``params["beta_range"]``, checked to lie in [0, 1): every pole 1/beta is outside the disk."""
+    try:
+        lo, hi = (float(b) for b in spec.params.get("beta_range", default))
+    except (TypeError, ValueError):
+        raise InvalidInputError("beta_range must be two numbers") from None
+    if not (0.0 <= lo <= hi < 1.0):
+        raise InvalidInputError(f"beta_range must satisfy 0 <= lo <= hi < 1, got ({lo}, {hi})")
+    return lo, hi
+
+
 def _scalar_schur_coeffs(rng: np.random.Generator, aux_dim: int, order: int):
     real = SchurRealization(random_unitary(1 + aux_dim, rng), dim=1)
     return real.coeffs(order)[:, 0, 0], real
@@ -303,7 +354,7 @@ def _build_exterior_diag(spec: FamilySpec, rng):
     d, order = spec.dim, spec.order
     w = random_unitary(d, rng)
     c_lo, c_hi = spec.params.get("c_range", (0.1, 2.0))
-    b_lo, b_hi = spec.params.get("beta_range", (0.0, 0.9))
+    b_lo, b_hi = _beta_range(spec, (0.0, 0.9))
     cs = rng.uniform(c_lo, c_hi, size=d)
     betas = rng.uniform(b_lo, b_hi, size=d)
 
@@ -347,7 +398,7 @@ def _build_exterior_colligation(spec: FamilySpec, rng):
 def _build_convex_diag(spec: FamilySpec, rng):
     d, order = spec.dim, spec.order
     w = random_unitary(d, rng)
-    b_lo, b_hi = spec.params.get("beta_range", (0.0, 0.85))
+    b_lo, b_hi = _beta_range(spec, (0.0, 0.85))
     k_lo, k_hi = spec.params.get("cond_range", (1.0, 6.0))
     betas = rng.uniform(b_lo, b_hi, size=d)
     kappa = float(rng.uniform(k_lo, k_hi))
@@ -366,7 +417,9 @@ def _build_convex_diag(spec: FamilySpec, rng):
         vals = ts[None, :] * zs[:, None] / (1.0 - betas[None, :] * zs[:, None])
         return _diag_frame_stack(w, vals)
 
-    return instance, {"eval": eval_exact, "beta": betas, "multipliers": ts, "frame": w}
+    liminf = float(np.max(np.abs(ts) / (1.0 + betas)))
+    return instance, {"eval": ClosedFormEval(eval_exact, liminf),
+                      "beta": betas, "multipliers": ts, "frame": w}
 
 
 def _build_starlike_diag(spec: FamilySpec, rng):
@@ -395,7 +448,10 @@ def _build_starlike_diag(spec: FamilySpec, rng):
         vals = zs[:, None] / (1.0 - zetas[None, :] * zs[:, None]) ** 2
         return _diag_frame_stack(w, vals)
 
-    return instance, {"eval": eval_exact, "zeta": zetas, "frame": w}
+    poles = np.sort(np.mod(-np.angle(zetas), 2.0 * math.pi))
+    gap = max(float(np.diff(poles).max(initial=0.0)), 2.0 * math.pi - float(poles[-1] - poles[0]))
+    liminf = 1.0 / (4.0 * math.sin(0.25 * gap) ** 2)
+    return instance, {"eval": ClosedFormEval(eval_exact, liminf), "zeta": zetas, "frame": w}
 
 
 def _build_subordination(spec: FamilySpec, rng):

@@ -30,6 +30,7 @@ from opbohr import (
 from opbohr import bohr
 from opbohr.linalg import abs_value, adjoint, hermitize, smallest_eigenvalue
 from opbohr.generators import (
+    ClosedFormEval,
     FamilySpec,
     gaussian_coeff_sequence,
     identity_witness,
@@ -344,6 +345,83 @@ class TestBoundaryLiminf:
                        {"grid": (20,)}, {"grid": (20, 360, 1)}, {"grid": 20}):
             with pytest.raises(InvalidInputError):
                 boundary_distance_liminf(f, 0.0, **kwargs)
+
+
+class TestClosedFormLiminf:
+    """t3a and t4a read the closed-form liminf of the diagonal-frame families
+    and sample every other boundary."""
+
+    @staticmethod
+    def count_liminf_calls(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return boundary_distance_liminf(*args, **kwargs)
+
+        monkeypatch.setattr(bohr, "boundary_distance_liminf", counted)
+        return calls
+
+    @staticmethod
+    def pair(family_id, d, seed):
+        return sample(FamilySpec(family_id=family_id, dim=d, aux_dim=4, order=128, seed=seed,
+                                 params={"with_witness": True}), with_aux=True)
+
+    @pytest.mark.parametrize("zeta, frame", [([1.0], False), ([1.0, 1.0], True)])
+    def test_planted_t4a_koebe_meets_its_bound_and_fails_just_past_it(self, zeta, frame):
+        # the Koebe slice z/(1 - z)^2 with the identity witness: sum n r^n
+        # = r/(1 - r)^2 meets the exact liminf 1/4 at 3 - 2 sqrt(2)
+        spec = FamilySpec(family_id="starlike_diag", dim=len(zeta), order=256,
+                          params={"zeta": zeta, "frame_identity": frame})
+        f, aux = sample(spec, with_aux=True)
+        assert aux["eval"].boundary_liminf == 0.25
+        pair = (f, identity_witness(256))
+        at, past = check_theorem_grid("t4a", pair, (KOEBE_RADIUS, KOEBE_RADIUS + 1e-3),
+                                      force=True, boundary_eval=aux["eval"])
+        assert at.side_values["liminf"] == 0.25
+        assert at.passed and 0.0 <= at.margin <= 1e-15
+        assert not past.passed
+        assert past.margin == pytest.approx(-2.07e-3, abs=1e-5)
+
+    @pytest.mark.parametrize("theorem_id, family_id", [
+        ("t3a", "convex_diag"), ("t3a", "starlike_diag"), ("t4a", "starlike_diag"),
+    ])
+    def test_diagonal_families_take_the_closed_form(self, monkeypatch, theorem_id, family_id):
+        calls = self.count_liminf_calls(monkeypatch)
+        for d in (1, 2, 3, 4):
+            pair, aux = self.pair(family_id, d, seed=d)
+            (rep,) = check_theorem_grid(theorem_id, pair, [None], boundary_eval=aux["eval"])
+            assert rep.side_values["liminf"] == aux["eval"].boundary_liminf
+        assert calls == []
+
+    def test_verify_samples_no_boundary(self, monkeypatch):
+        from opbohr.cli import RunConfig, parse_theorem_list, run_suite
+
+        calls = self.count_liminf_calls(monkeypatch)
+        config = RunConfig(theorems=parse_theorem_list("t3,t4"), trials=2, dims=(1, 2, 3, 4))
+        assert all(rep.passed for rep in run_suite(config).reports)
+        assert calls == []
+
+    @pytest.mark.parametrize("route", ["plain callable", "series", "nonzero base"])
+    def test_other_boundaries_are_sampled_once_per_check(self, monkeypatch, route):
+        calls = self.count_liminf_calls(monkeypatch)
+        for d in (1, 3):
+            (f, w), aux = self.pair("convex_diag", d, seed=d)
+            exact = aux["eval"]
+            boundary_eval, base = (lambda zs: exact(zs)), 0.0
+            if route == "series":
+                boundary_eval = None
+            elif route == "nonzero base":
+                # f + C, whose evaluator still carries the value of f
+                shift = np.diag(np.arange(1.0, d + 1.0)).astype(complex)
+                f = HoloSeries(np.concatenate([f.coeffs[:1] + shift, f.coeffs[1:]]))
+                boundary_eval = ClosedFormEval(lambda zs: exact(zs) + shift, exact.boundary_liminf)
+                base = shift
+            before = len(calls)
+            (rep,) = check_theorem_grid("t3a", (f, w), [None], boundary_eval=boundary_eval)
+            assert len(calls) == before + 1
+            sampled = boundary_distance_liminf(f if boundary_eval is None else boundary_eval, base)
+            assert rep.side_values["liminf"] == sampled.value
 
 
 class TestRadiusFormulas:

@@ -7,6 +7,7 @@ from opbohr import (
     ColligationSpec,
     HarmonicSeries,
     HoloSeries,
+    InvalidInputError,
     SubordinationWitness,
     abs_value,
     adjoint,
@@ -32,6 +33,7 @@ from opbohr.linalg import hermitize
 from opbohr.series import coeffs_from_circle_samples, coeffs_via_cauchy_integral
 
 BOUNDARY_GRID = 0.97 * np.exp(2j * math.pi * np.arange(720) / 720)
+U = 2.0 ** -53  # unit roundoff of float64
 
 
 def spec_of(family, **kw):
@@ -323,6 +325,85 @@ class TestSubordinatedFamilies:
         pair = sample(spec_of("convex_diag", params={"with_witness": True}))
         assert isinstance(pair[0], HoloSeries)
         assert isinstance(pair[1], SubordinationWitness)
+
+
+def dense_boundary_min(evaluator, points=2 ** 14):
+    """Smallest norm of the evaluator's values at equally spaced points of |z| = 1."""
+    theta = 2.0 * math.pi * np.arange(points) / points
+    return float(operator_norm(evaluator(np.exp(1j * theta))).min())
+
+
+class TestClosedFormLiminf:
+    """The closed-form boundary liminf of the diagonal-frame families."""
+
+    @pytest.mark.parametrize("family", ["convex_diag", "starlike_diag"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_within_stated_rounding_bound_of_a_40_digit_reference(self, family, d):
+        # 4u for convex, (10 d + 4)u for starlike, against the exact
+        # expression of the stored parameters
+        mpmath = pytest.importorskip("mpmath")
+        bound = 4 * U if family == "convex_diag" else (10 * d + 4) * U
+        for seed in range(20):
+            _, aux = sample(spec_of(family, dim=d, order=8, seed=seed), with_aux=True)
+            got = aux["eval"].boundary_liminf
+            with mpmath.workdps(40):
+                if family == "convex_diag":
+                    ref = max(abs(mpmath.mpc(complex(t))) / (1 + mpmath.mpf(float(b)))
+                              for t, b in zip(aux["multipliers"], aux["beta"]))
+                else:
+                    two_pi = 2 * mpmath.pi
+                    poles = sorted(mpmath.fmod(two_pi - mpmath.arg(mpmath.mpc(complex(z))),
+                                               two_pi) for z in aux["zeta"])
+                    gaps = [b - a for a, b in zip(poles, poles[1:])]
+                    gap = max(gaps + [two_pi - (poles[-1] - poles[0])])
+                    ref = 1 / (4 * mpmath.sin(gap / 4) ** 2)
+                assert abs(mpmath.mpf(got) / ref - 1) <= bound, seed
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_starlike_is_the_infimum_of_a_dense_boundary_sample(self, d):
+        # the value lies below every sampled norm, by no more than the grid
+        # spacing can explain, and below the sampled estimate
+        from opbohr import boundary_distance_liminf
+
+        slack = (10 * d + 4) * U + 32 * U
+        for seed in range(6):
+            _, aux = sample(spec_of("starlike_diag", dim=d, order=8, seed=seed), with_aux=True)
+            exact = aux["eval"].boundary_liminf
+            dense = dense_boundary_min(aux["eval"])
+            assert exact <= dense * (1.0 + slack)
+            assert dense <= exact * (1.0 + 1e-3)
+            assert exact <= boundary_distance_liminf(aux["eval"], 0.0).value
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_convex_is_the_norm_at_minus_one(self, d):
+        for seed in range(6):
+            _, aux = sample(spec_of("convex_diag", dim=d, order=8, seed=seed), with_aux=True)
+            exact = aux["eval"].boundary_liminf
+            at_minus_one = np.linalg.svd(aux["eval"](np.array([-1.0])), compute_uv=False)[0, 0]
+            assert abs(exact - at_minus_one) <= 32 * U * exact
+            assert exact <= dense_boundary_min(aux["eval"]) * (1.0 + 32 * U)
+
+    @pytest.mark.parametrize("zeta, expected", [
+        ([1.0], 0.25), ([1.0, 1.0], 0.25), ([1.0, -1.0], 0.5), ([1j, 1j, 1j], 0.25),
+    ])
+    def test_planted_starlike_poles(self, zeta, expected):
+        spec = spec_of("starlike_diag", dim=len(zeta), order=8,
+                       params={"zeta": zeta, "frame_identity": True})
+        _, aux = sample(spec, with_aux=True)
+        assert aux["eval"].boundary_liminf == pytest.approx(expected, rel=4 * U)
+
+    @pytest.mark.parametrize("family", ["convex_diag", "exterior_diag"])
+    @pytest.mark.parametrize("beta_range", [
+        (1.1, 1.2), (0.5, 1.0), (-0.1, 0.5), (0.6, 0.5), (0.2,), "ab", None,
+    ])
+    def test_beta_range_outside_the_unit_interval_is_rejected(self, family, beta_range):
+        with pytest.raises(InvalidInputError):
+            sample(spec_of(family, params={"beta_range": beta_range}))
+
+    def test_beta_range_at_its_ends_is_accepted(self):
+        for family in ("convex_diag", "exterior_diag"):
+            for beta_range in ((0.0, 0.0), (0.0, 0.5), (0.9, 0.9)):
+                sample(spec_of(family, order=8, params={"beta_range": beta_range}))
 
 
 class TestAdHocSources:
