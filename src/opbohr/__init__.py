@@ -15,8 +15,6 @@ from .errors import (
     RangeError,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    ToleranceProfile,
     abs_value,
     adjoint,
     hermitize,

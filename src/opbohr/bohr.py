@@ -9,7 +9,9 @@ semidefinite S against c I, one ``eigvalsh`` of S giving both the margin and
 lambda_max(S) = ||S||; and lambda_min(R - S) - tail for a matrix R against S.
 A check passes when ``margin >= -psd_tol * scale``, so a reported pass is
 robust to the series being finite.  t2 (the least of three inequalities) and
-e17 (no radius) form their own margins.
+e17 (no radius) form their own margins.  ``psd_tol`` is the one tolerance a
+caller can set (``linalg.PSD_TOL`` = 1e-9 by default); the contracts of the
+sharp-radius formulas hold within the constant ``linalg.EQ_TOL``.
 
 ``check_theorem_grid`` is the one check entry point: it prepares the instance
 once, validates every radius of the grid, and evaluates the margins of the
@@ -40,8 +42,7 @@ for t4a), is exact for the two diagonal-frame families: their evaluator, a
 Any other evaluator, a nonzero base, or a series goes to
 ``boundary_distance_liminf``, an estimate that samples only the rings
 nearest the boundary that its value reads (the last ``tail_rings`` of its
-grid) and takes each ring's smallest operator norm from
-``linalg.min_operator_norm``, which skips the points that cannot hold it.
+grid) and takes each ring's smallest operator norm over its sampled points.
 Sampling can only overestimate a ring's infimum.
 """
 
@@ -59,15 +60,14 @@ from .errors import ContractError, DomainError, InvalidInputError
 from .funcalc import ColligationSpec, herglotz_transfer_grid, log_eig_normal, matrix_exp
 from .generators import ClosedFormEval
 from .linalg import (
-    DEFAULT_TOL,
+    EQ_TOL,
+    PSD_TOL,
     GramParts,
-    ToleranceProfile,
     abs_value,
     adjoint,
     as_matrix,
     gram_parts,
     hermitize,
-    min_operator_norm,
     operator_norm,
     smallest_eigenvalue,
 )
@@ -278,7 +278,7 @@ def boundary_distance_liminf(f, base, grid: tuple[int, int] = (20, 360),
     ring_min = np.empty(radii.size)
     for j, rr in enumerate(radii):
         values = np.asarray(eval_fn(rr * np.exp(1j * theta))) - base[None, :, :]
-        ring_min[j] = min_operator_norm(values)
+        ring_min[j] = float(operator_norm(values).min())
     return LiminfEstimate(value=float(ring_min.min()), ring_radii=radii, ring_minima=ring_min)
 
 
@@ -286,31 +286,31 @@ def boundary_distance_liminf(f, base, grid: tuple[int, int] = (20, 360),
 # sharp-radius formulas
 # ---------------------------------------------------------------------------
 
-def _thm2_parts(a0, tol: ToleranceProfile) -> tuple[float, float, float]:
+def _thm2_parts(a0) -> tuple[float, float, float]:
     """||A0||, ||log A0|| and the radius (2L - 1)/(2L + 1), L = log||A0|| / ||log A0||,
     from one logarithm of A0; the contracts are those of ``thm2_radius``."""
     m = as_matrix(a0, "A0")
     norm = operator_norm(m)
-    if operator_norm(m - adjoint(m)) > tol.eq_tol * max(1.0, norm):
+    if operator_norm(m - adjoint(m)) > EQ_TOL * max(1.0, norm):
         raise ContractError("A0 must be Hermitian")
     lam_min = smallest_eigenvalue(m)
-    if lam_min < 1.0 - tol.eq_tol * max(1.0, norm):
+    if lam_min < 1.0 - EQ_TOL * max(1.0, norm):
         raise ContractError(f"A0 must have spectrum in [1, inf); smallest eigenvalue {lam_min:.6g}")
-    if norm <= 1.0 + tol.eq_tol:
+    if norm <= 1.0 + EQ_TOL:
         raise ContractError("radius is degenerate for ||A0|| <= 1 (A0 = identity)")
-    norm_log = operator_norm(log_eig_normal(hermitize(m), tol=tol))
+    norm_log = operator_norm(log_eig_normal(hermitize(m)))
     ell = math.log(norm) / norm_log
     return norm, norm_log, (2.0 * ell - 1.0) / (2.0 * ell + 1.0)
 
 
-def thm2_radius(a0, tol: ToleranceProfile = DEFAULT_TOL) -> float:
+def thm2_radius(a0) -> float:
     """(2L - 1)/(2L + 1) with L = log||A0|| / ||log A0||.
 
     Requires A0 Hermitian positive definite with spectrum in [1, inf) and
     ||A0|| > 1.  Under these preconditions L always evaluates to 1 in finite
     dimension, so the value is 1/3; the general expression is kept verbatim.
     """
-    return _thm2_parts(a0, tol)[2]
+    return _thm2_parts(a0)[2]
 
 
 def thm3_radius(a1) -> float:
@@ -664,14 +664,14 @@ def _colligation_series_norms(c: ColligationSpec, order: int, rho: float = 0.5):
     return operator_norm(coeffs)
 
 
-def _prep_t2(instance, *, order: int = 64, tol=DEFAULT_TOL, **_) -> _Prepared:
+def _prep_t2(instance, *, order: int = 64, **_) -> _Prepared:
     if isinstance(instance, ColligationSpec):
         a0 = matrix_exp(0.5 * hermitize(adjoint(instance.V) @ instance.V))
-        norm_a0, norm_log_a0, radius = _thm2_parts(a0, tol)
+        norm_a0, norm_log_a0, radius = _thm2_parts(a0)
         v_sq = operator_norm(instance.V) ** 2
         norms_a = _colligation_series_norms(instance, order)
     elif isinstance(instance, HoloSeries):
-        norm_a0, norm_log_a0, radius = _thm2_parts(instance.coeffs[0], tol)
+        norm_a0, norm_log_a0, radius = _thm2_parts(instance.coeffs[0])
         v_sq = 2.0 * norm_log_a0
         norms_a = operator_norm(instance.coeffs)
         order = instance.order
@@ -810,7 +810,7 @@ _PREPARERS = {
 
 
 def _build_report(theorem_id: str, prepared: _Prepared, rs: Sequence[float | None], mu,
-                  tol: ToleranceProfile, force: bool, witness: dict | None) -> list[TheoremReport]:
+                  psd_tol: float, force: bool, witness: dict | None) -> list[TheoremReport]:
     """Reports of a prepared check at every radius of rs (e17 takes none).
 
     A None radius is the check's stated radius.  Every radius is validated
@@ -846,7 +846,7 @@ def _build_report(theorem_id: str, prepared: _Prepared, rs: Sequence[float | Non
             theorem_id=theorem_id,
             r=r if has_radius else None,
             mu=None if mu is None else float(mu),
-            passed=margin >= -tol.psd_tol * scale,
+            passed=margin >= -psd_tol * scale,
             margin=float(margin),
             side_values=side_values,
             witness=dict(witness or {}),
@@ -857,7 +857,7 @@ def _build_report(theorem_id: str, prepared: _Prepared, rs: Sequence[float | Non
 def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
                        mu: float | None = None, *, force: bool = False,
                        normal: bool = False, k: int = 0, order: int = 64,
-                       boundary_eval=None, tol: ToleranceProfile = DEFAULT_TOL,
+                       boundary_eval=None, psd_tol: float = PSD_TOL,
                        witness: dict | None = None) -> list[TheoremReport]:
     """Run one inequality check at every radius of rs; one report per radius.
 
@@ -881,12 +881,16 @@ def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
     l2a/b  subordination majorants against the source majorant at r <= 1/3
     t4a/b  subordination to a normalized starlike instance at r <= 3 - 2 sqrt(2)
 
-    A grid with any r beyond the stated radius raises DomainError before any
-    evaluation, unless force=True.
+    A report passes when its margin is at least -psd_tol * scale; a psd_tol
+    that is not finite and nonnegative raises InvalidInputError.  A grid with
+    any r beyond the stated radius raises DomainError before any evaluation,
+    unless force=True.
     """
+    if not (math.isfinite(psd_tol) and psd_tol >= 0.0):
+        raise InvalidInputError(f"psd_tol must be finite and nonnegative, got {psd_tol!r}")
     if theorem_id not in _PREPARERS:
         raise ContractError(f"unknown theorem id: {theorem_id!r}")
     prepared = _PREPARERS[theorem_id](
-        instance, mu=mu, normal=normal, k=k, order=order, boundary_eval=boundary_eval, tol=tol)
-    return _build_report(theorem_id, prepared, rs, mu, tol, force, witness)
+        instance, mu=mu, normal=normal, k=k, order=order, boundary_eval=boundary_eval)
+    return _build_report(theorem_id, prepared, rs, mu, psd_tol, force, witness)
 

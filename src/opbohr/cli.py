@@ -58,7 +58,7 @@ from .generators import (
     random_unitary,
     sample,
 )
-from .linalg import DEFAULT_TOL, ToleranceProfile, adjoint, operator_norm
+from .linalg import PSD_TOL, adjoint, operator_norm
 from .serialize import dumps, report_to_json
 from .series import coeffs_via_cauchy_integral, compose_subordination, evaluate, evaluate_grid
 
@@ -87,7 +87,7 @@ class RunConfig:
     dims: tuple[int, ...] = (1, 2)
     order: int | None = None
     seed: int = 0
-    psd_tol: float = 1e-9
+    psd_tol: float = PSD_TOL
     r_values: tuple[float, ...] | None = None
     normal_variant: bool = False
     force: bool = False
@@ -103,15 +103,13 @@ class RunConfig:
             raise OpBohrError("r values must be a nonempty list")
         if self.seed < 0:
             raise OpBohrError("seed must be >= 0")
+        if not (math.isfinite(self.psd_tol) and self.psd_tol >= 0.0):
+            raise OpBohrError(f"psd_tol must be finite and nonnegative, got {self.psd_tol!r}")
         for t in self.theorems:
             if t not in THEOREM_IDS:
                 raise OpBohrError(f"unknown theorem id: {t!r}")
         if self.format not in ("json", "csv"):
             raise OpBohrError(f"unknown report format: {self.format!r}")
-
-    @property
-    def tol(self) -> ToleranceProfile:
-        return ToleranceProfile(psd_tol=self.psd_tol)
 
     def echo(self) -> dict:
         return {
@@ -188,9 +186,6 @@ class SuiteRun:
     over_mu        check at every angle of MU_FIXED and at one random angle
     normal_family  family drawn under ``--normal-variant``, checked with normal=True
     pair           draw a (series, subordination witness) pair
-    boundary_eval  pass the family's exact evaluator as ``boundary_eval``; for
-                   ``convex_diag`` and ``starlike_diag`` it carries the exact
-                   liminf, so t3a and t4a sample no boundary
     sub_seed       draw from ``derive_seed(trial seed, sub_seed)``
     variants       check kwargs; the check runs once per entry
     """
@@ -201,7 +196,6 @@ class SuiteRun:
     over_mu: bool = False
     normal_family: str | None = None
     pair: bool = False
-    boundary_eval: bool = False
     sub_seed: int | None = None
     variants: tuple[dict, ...] = ({},)
 
@@ -219,11 +213,11 @@ SUITE_RUNS: dict[str, tuple[SuiteRun, ...]] = {
     "t2": (SuiteRun("exterior_diag"),
            SuiteRun("exterior_colligation", radii=(1.0 / 3.0,), sub_seed=1)),
     "e17": (SuiteRun("ordered_triple", radii=None),),
-    "t3a": (SuiteRun("convex_diag", order=128, pair=True, boundary_eval=True),),
+    "t3a": (SuiteRun("convex_diag", order=128, pair=True),),
     "t3b": (SuiteRun("convex_diag", order=128, pair=True),),
     "l2a": (SuiteRun("schur_holo", radii=(0.1, 0.2, 1.0 / 3.0), pair=True),),
     "l2b": (SuiteRun("schur_holo", radii=(0.1, 0.2, 1.0 / 3.0), pair=True),),
-    "t4a": (SuiteRun("starlike_diag", order=256, pair=True, boundary_eval=True),),
+    "t4a": (SuiteRun("starlike_diag", order=256, pair=True),),
     "t4b": (SuiteRun("starlike_diag", order=256, pair=True),),
 }
 
@@ -261,8 +255,8 @@ def _run_one_trial(theorem: str, dim: int, trial: int, config: RunConfig,
         for mu, kwargs in itertools.product(mus, run.variants):
             reports.extend(check_theorem_grid(
                 theorem, instance, rs, mu, normal=normal, order=order,
-                boundary_eval=aux["eval"] if run.boundary_eval else None,
-                tol=config.tol, force=config.force, witness=witness, **kwargs))
+                boundary_eval=aux.get("eval"), psd_tol=config.psd_tol,
+                force=config.force, witness=witness, **kwargs))
     return reports
 
 
@@ -401,7 +395,7 @@ def write_scan_csv(scan: RadiusScan, path: str) -> None:
 DEMO_NAMES = ("sharpness-e55", "radius-t2", "radius-t3", "koebe-t4")
 
 
-def demo(name: str, tol: ToleranceProfile = DEFAULT_TOL) -> SuiteReport:
+def demo(name: str) -> SuiteReport:
     """Run a planted extremal instance and print target vs computed values."""
     start = time.perf_counter()
     rows: list[tuple[str, float, float]] = []
@@ -414,10 +408,10 @@ def demo(name: str, tol: ToleranceProfile = DEFAULT_TOL) -> SuiteReport:
             value = operator_norm(operator_majorant(f.coeffs, a, 0))
             rows.append((f"majorant norm at r=1/sqrt(2), d={d}", math.sqrt(2.0), value))
             reports += check_theorem_grid(
-                "e55", f, [a], tol=tol, witness={"family_id": "mobius_identity", "a": a, "dim": d})
+                "e55", f, [a], witness={"family_id": "mobius_identity", "a": a, "dim": d})
     elif name == "radius-t2":
         a0 = 2.0 * np.eye(2)
-        rows.append(("exterior Bohr radius at A0 = 2I", 1.0 / 3.0, thm2_radius(a0, tol=tol)))
+        rows.append(("exterior Bohr radius at A0 = 2I", 1.0 / 3.0, thm2_radius(a0)))
     elif name == "radius-t3":
         rows.append(("convex subordination radius at A1 = I", 1.0 / 3.0, thm3_radius(np.eye(2))))
     elif name == "koebe-t4":
@@ -427,7 +421,7 @@ def demo(name: str, tol: ToleranceProfile = DEFAULT_TOL) -> SuiteReport:
         scan = scan_radius("koebe")
         rows.append(("Koebe Bohr radius", KOEBE_RADIUS, scan.estimated_radius))
         pair = (koebe_series(2, 256), identity_witness(256))
-        reports += check_theorem_grid("t4b", pair, [KOEBE_RADIUS], tol=tol,
+        reports += check_theorem_grid("t4b", pair, [KOEBE_RADIUS],
                                       witness={"family_id": "koebe_identity", "dim": 2})
     else:
         raise OpBohrError(f"unknown demo: {name!r}; choose from {DEMO_NAMES}")
@@ -594,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of matrix dimensions")
     pv.add_argument("--order", type=int, default=None, help="series truncation override")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--tol", type=float, default=1e-9, help="relative PSD slack")
+    pv.add_argument("--tol", type=float, default=PSD_TOL, help="relative PSD slack")
     pv.add_argument("--r", type=_comma_list(float, "numbers"), default=None,
                     help="comma list of radii; replaces every theorem's default grid")
     pv.add_argument("--normal-variant", action="store_true",

@@ -23,7 +23,12 @@ method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26,
 ||2^-s M||_1 <= theta_13 = 5.371920351148152, where r13 is accurate to double
 precision; r13(2^-s M) is then squared s times.  Every step acts on the whole
 stack at once, and a matrix's result does not depend on the stack it arrives
-in.
+in.  A matrix with ||M|| > ``EXP_NORM_CAP`` = 300 raises ``RangeError``.
+
+The contracts (a unitary U, a normal or Hermitian matrix, a spectrum off the
+branch ray) hold within ``linalg.EQ_TOL``, and the contour quadrature stops
+when two successive results agree within ``linalg.QUAD_TOL``; neither is a
+parameter.
 
 ``scipy.linalg`` is imported on first use, only for the complex Schur form of
 a non-Hermitian normal matrix in ``log_eig_normal``: loading it costs more
@@ -48,8 +53,8 @@ from .errors import (
     RangeError,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    ToleranceProfile,
+    EQ_TOL,
+    QUAD_TOL,
     adjoint,
     all_finite,
     as_matrix,
@@ -115,7 +120,6 @@ class ColligationSpec:
     k: int
     U: np.ndarray
     V: np.ndarray
-    tol: ToleranceProfile = DEFAULT_TOL
 
     def __post_init__(self):
         u = as_matrix(self.U, "U")
@@ -126,7 +130,7 @@ class ColligationSpec:
             raise InvalidInputError("V must map the d-dimensional space into the k-dimensional one")
         if not all_finite(v):
             raise InvalidInputError("V has non-finite entries")
-        if operator_norm(adjoint(u) @ u - np.eye(self.k)) > self.tol.eq_tol:
+        if operator_norm(adjoint(u) @ u - np.eye(self.k)) > EQ_TOL:
             raise InvalidInputError("U is not unitary within tolerance")
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "V", v)
@@ -159,7 +163,7 @@ def _pade13_squarings(norm1: np.ndarray) -> np.ndarray:
     return s
 
 
-def matrix_exp(m, norm_cap: float = EXP_NORM_CAP) -> np.ndarray:
+def matrix_exp(m) -> np.ndarray:
     """Matrix exponential of one matrix or a stack (..., d, d).
 
     Scaling and squaring around the degree-13 Pade approximant r13 (Higham
@@ -168,7 +172,7 @@ def matrix_exp(m, norm_cap: float = EXP_NORM_CAP) -> np.ndarray:
     r13(X) = (V - U)^-1 (V + U), from X^2, X^4, X^6 and one batched solve; then
     each result is squared its own s times.  So each matrix is exponentiated
     as it would be alone.  A stack of 1x1 matrices is ``np.exp``.  Every
-    matrix must satisfy ||M|| <= norm_cap, or ``RangeError`` is raised.
+    matrix must satisfy ||M|| <= EXP_NORM_CAP, or ``RangeError`` is raised.
     """
     a = as_matrix_stack(m)
     shape = a.shape
@@ -180,9 +184,9 @@ def matrix_exp(m, norm_cap: float = EXP_NORM_CAP) -> np.ndarray:
     # ||M|| <= sqrt(||M||_1 ||M||_inf): only matrices whose bound nears the
     # cap need their exact norm
     bound = np.sqrt(norm1 * mags.sum(axis=-1).max(axis=-1))
-    near = a[bound > (1.0 - _CAP_SLACK) * norm_cap]
-    if near.size and np.any(operator_norm(near) > norm_cap):
-        raise RangeError(f"||M|| exceeds the exp cap {norm_cap}")
+    near = a[bound > (1.0 - _CAP_SLACK) * EXP_NORM_CAP]
+    if near.size and np.any(operator_norm(near) > EXP_NORM_CAP):
+        raise RangeError(f"||M|| exceeds the exp cap {EXP_NORM_CAP}")
     if shape[-1] == 1:
         return np.exp(a).reshape(shape)
     s = _pade13_squarings(norm1)
@@ -203,37 +207,36 @@ def matrix_exp(m, norm_cap: float = EXP_NORM_CAP) -> np.ndarray:
     return r.reshape(shape)
 
 
-def _normal_eigensystem(m: np.ndarray, tol: ToleranceProfile):
+def _normal_eigensystem(m: np.ndarray):
     """Unitary diagonalization of a normal matrix: ``eigh`` when it is
-    Hermitian within eq_tol * max(1, ||M||) entrywise, else a complex Schur form."""
+    Hermitian within EQ_TOL * max(1, ||M||) entrywise, else a complex Schur form."""
     norm = operator_norm(m)
     defect = operator_norm(m @ adjoint(m) - adjoint(m) @ m)
-    if defect > tol.eq_tol * max(1.0, norm**2):
+    if defect > EQ_TOL * max(1.0, norm**2):
         raise ContractError(f"matrix is not normal within tolerance (defect {defect:.3e})")
-    if np.allclose(m, adjoint(m), rtol=0.0, atol=tol.eq_tol * max(1.0, norm)):
+    if np.allclose(m, adjoint(m), rtol=0.0, atol=EQ_TOL * max(1.0, norm)):
         w, z = np.linalg.eigh(hermitize(m))
         return w.astype(np.complex128), z
     from scipy.linalg import schur
 
     t, z = schur(m, output="complex")
     off = t - np.diag(np.diag(t))
-    if operator_norm(off) > math.sqrt(max(tol.eq_tol, 1e-300)) * max(1.0, norm):
+    if operator_norm(off) > math.sqrt(EQ_TOL) * max(1.0, norm):
         raise NumericError("Schur form of a nominally normal matrix is far from diagonal")
     return np.diag(t), z
 
 
-def log_eig_normal(m, cut: BranchCut = PRINCIPAL_CUT,
-                   tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def log_eig_normal(m, cut: BranchCut = PRINCIPAL_CUT) -> np.ndarray:
     """Logarithm of a normal matrix through its eigenvalues.
 
     The spectrum must exclude 0 and stay off the branch ray; exp of the result
-    reconstructs the input within quad_tol * ||M||.
+    reconstructs the input within QUAD_TOL * ||M||.
     """
     a = as_matrix(m)
-    w, z = _normal_eigensystem(a, tol)
+    w, z = _normal_eigensystem(a)
     scale = max(1.0, float(np.abs(w).max()))
     for lam in w:
-        if cut.ray_distance(complex(lam)) <= tol.eq_tol * scale:
+        if cut.ray_distance(complex(lam)) <= EQ_TOL * scale:
             raise BranchCutError(
                 f"eigenvalue {complex(lam):.6g} touches the branch ray at angle {cut.angle:.6g}"
             )
@@ -292,12 +295,11 @@ def _trapezoid_log(m: np.ndarray, contour: ContourSpec, cut: BranchCut, nodes: i
 
 def log_riesz_dunford(m, contour: ContourSpec | None = None,
                       cut: BranchCut = PRINCIPAL_CUT,
-                      tol: ToleranceProfile = DEFAULT_TOL,
                       max_nodes: int = 65536) -> np.ndarray:
     """Contour-integral logarithm over a circle enclosing the spectrum.
 
     Starts at ``contour.nodes`` quadrature points and doubles the count until
-    two successive results agree within quad_tol * max(1, ||result||).
+    two successive results agree within QUAD_TOL * max(1, ||result||).
     """
     a = as_matrix(m)
     if contour is None:
@@ -311,7 +313,7 @@ def log_riesz_dunford(m, contour: ContourSpec | None = None,
             raise NumericError(f"quadrature did not converge within {max_nodes} nodes")
         nodes *= 2
         refined = _trapezoid_log(a, contour, cut, nodes)
-        if operator_norm(refined - current) <= tol.quad_tol * max(1.0, operator_norm(refined)):
+        if operator_norm(refined - current) <= QUAD_TOL * max(1.0, operator_norm(refined)):
             return refined
         current = refined
 

@@ -82,6 +82,7 @@ FAMILY_IDS = (
 
 CERT_SLACK = 1e-9
 CERT_RADIUS = 0.97
+CERT_POINTS = 96
 
 
 @dataclass(frozen=True)
@@ -228,9 +229,8 @@ def _circle(nodes: int, rho: float) -> np.ndarray:
     return rho * np.exp(2j * math.pi * np.arange(nodes) / nodes)
 
 
-def _cert_grid(spec: FamilySpec, radius: float = CERT_RADIUS) -> np.ndarray:
-    points = int(spec.params.get("cert_points", 96))
-    return _circle(points, radius)
+def _cert_grid(radius: float = CERT_RADIUS) -> np.ndarray:
+    return _circle(CERT_POINTS, radius)
 
 
 def _diag_frame_stack(w: np.ndarray, diag_vals: np.ndarray) -> np.ndarray:
@@ -284,7 +284,7 @@ def _scalar_schur_coeffs(rng: np.random.Generator, aux_dim: int, order: int):
 def _build_schur_holo(spec: FamilySpec, rng):
     real = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
     instance = HoloSeries(real.coeffs(spec.order))
-    grid = _cert_grid(spec)
+    grid = _cert_grid()
     sup = float(operator_norm(real.transfer_grid(grid)).max())
     if sup > 1.0 + CERT_SLACK:
         raise GenerationError(f"schur_holo sample exceeds the unit ball: sup {sup:.12f}")
@@ -306,7 +306,7 @@ def _build_schur_harmonic(spec: FamilySpec, rng):
     def eval_exact(zs):
         return t * g.transfer_grid(zs) + (1.0 - t) * adjoint(h.transfer_grid(zs))
 
-    grid = _cert_grid(spec)
+    grid = _cert_grid()
     sup = float(operator_norm(eval_exact(grid)).max())
     if sup > 1.0 + CERT_SLACK:
         raise GenerationError(f"schur_harmonic sample exceeds the unit ball: sup {sup:.12f}")
@@ -343,7 +343,7 @@ def _build_commuting_harmonic(spec: FamilySpec, rng):
             slices[:, i] = ts[i] * gv + (1.0 - ts[i]) * np.conj(hv)
         return _diag_frame_stack(w, slices)
 
-    grid = _cert_grid(spec)
+    grid = _cert_grid()
     sup = float(operator_norm(eval_exact(grid)).max())
     if sup > 1.0 + CERT_SLACK:
         raise GenerationError(f"commuting_harmonic sample exceeds the unit ball: sup {sup:.12f}")
@@ -368,7 +368,7 @@ def _build_exterior_diag(spec: FamilySpec, rng):
 
     instance = HoloSeries(_diag_frame_stack(w, _exp_herglotz_coeffs(cs, betas, order)))
 
-    grid = _cert_grid(spec)
+    grid = _cert_grid()
     low = float(np.abs(slice_values(grid)).min())
     if low < 1.0 - CERT_SLACK:
         raise GenerationError(f"exterior_diag sample dips inside the unit ball: min {low:.12f}")
@@ -384,7 +384,7 @@ def _build_exterior_colligation(spec: FamilySpec, rng):
     v *= math.sqrt(target) / operator_norm(v)
     instance = ColligationSpec(k=k, U=u, V=v)
 
-    grid = _cert_grid(spec, radius=0.95)
+    grid = _cert_grid(radius=0.95)
     logs = herglotz_transfer_grid(instance, grid)
     re_min = float(np.linalg.eigvalsh(hermitize(logs))[:, 0].min())
     if re_min < -CERT_SLACK:

@@ -3,12 +3,16 @@
 Matrices are plain ``numpy`` arrays of complex128.  Most operations accept a
 single ``(d, d)`` matrix or a stack ``(..., d, d)`` and act on the last two
 axes, which keeps the inequality checkers fully vectorized.
+
+The package's tolerances are constants here: ``PSD_TOL``, the default slack
+of a Loewner comparison and the one tolerance a caller can set
+(``bohr.check_theorem_grid(psd_tol=...)``, ``opbohr verify --tol``);
+``EQ_TOL`` for equalities and the Hermitian, unitary and normal contracts;
+and ``QUAD_TOL``, the convergence target of quadrature.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,26 +20,12 @@ import numpy as np
 from .errors import InvalidInputError, NumericError
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Numerical slack used throughout the package.
-
-    psd_tol   relative slack for Loewner (positive semidefinite) comparisons
-    eq_tol    slack for scalar equalities and Hermitian-ness contracts
-    quad_tol  convergence target for quadrature and decomposition residuals
-    """
-
-    psd_tol: float = 1e-9
-    eq_tol: float = 1e-9
-    quad_tol: float = 1e-10
-
-    def __post_init__(self):
-        tols = (self.psd_tol, self.eq_tol, self.quad_tol)
-        if not all(math.isfinite(t) and t >= 0 for t in tols):
-            raise InvalidInputError("tolerances must be finite and nonnegative")
-
-
-DEFAULT_TOL = ToleranceProfile()
+# Relative slack of a Loewner (positive semidefinite) comparison.
+PSD_TOL = 1e-9
+# Slack of scalar equalities and of the Hermitian, unitary and normal contracts.
+EQ_TOL = 1e-9
+# Convergence target of quadrature and decomposition residuals.
+QUAD_TOL = 1e-10
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -72,35 +62,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + adjoint(m))
 
 
-def _norm_input(m) -> np.ndarray:
-    """A validated matrix or stack, C-contiguous, so that a matrix's Gram
-    product does not depend on the layout or the stack it comes in."""
-    a = np.ascontiguousarray(m, dtype=np.complex128)
-    if a.ndim < 2:
-        raise InvalidInputError(f"operator norm needs a matrix, got shape {a.shape}")
-    if not all_finite(a):
-        raise InvalidInputError("matrix has non-finite entries")
-    return a
-
-
-def _is_tall(a: np.ndarray) -> bool:
-    return a.shape[-2] >= a.shape[-1]
-
-
-def _gram_top_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of the smaller Gram matrix of each matrix of a
-    (M*M for tall or square input, MM* for wide input)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = adjoint(a) @ a if _is_tall(a) else a @ adjoint(a)
-    if not all_finite(gram):
-        raise NumericError(f"Gram matrix overflows (entries up to {np.abs(a).max():.3e})")
-    try:
-        w = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"eigvalsh of the Gram matrix failed: {exc}") from exc
-    return w[..., -1]
-
-
 def operator_norm(m):
     """Largest singular value (rectangular input allowed).
 
@@ -112,46 +73,23 @@ def operator_norm(m):
     ``NumericError``.  For a stack over leading axes, returns an array of
     norms.
     """
-    a = _norm_input(m)
-    top = np.sqrt(np.maximum(_gram_top_eigenvalues(a), 0.0))
-    return float(top) if a.ndim == 2 else top
-
-
-# Relative slack of the pruning in min_operator_norm: far above the relative
-# error of the Gram diagonal and of eigvalsh (small multiples of d * eps).
-# The absolute floor covers the subnormal range, where errors are absolute.
-_PRUNE_SLACK = 1e-8
-_PRUNE_FLOOR = 1e-290
-
-
-def min_operator_norm(m) -> float:
-    """Smallest operator norm over a stack: ``operator_norm(m).min()``, bit for bit.
-
-    The top eigenvalue of a Gram matrix G is at least max_k G_kk, the largest
-    squared column norm (row norm for wide input).  One matrix, the one with
-    the smallest such bound, goes through ``eigvalsh`` first; a matrix whose
-    bound exceeds that eigenvalue by more than the slack cannot hold the
-    minimum and is skipped.  Only the others have their Gram matrices formed
-    and go through ``eigvalsh``.  A stack of 1x1 matrices needs no
-    ``eigvalsh`` at all: each Gram matrix is its own eigenvalue.  Non-finite
-    input anywhere raises ``InvalidInputError``, and a Gram diagonal that
-    overflows anywhere raises ``NumericError``, as in ``operator_norm``.
-    """
-    a = _norm_input(m)
-    a = a.reshape((-1,) + a.shape[-2:])
-    if a.shape[0] == 0:
-        raise InvalidInputError("minimum operator norm of an empty stack")
-    with np.errstate(over="ignore"):
-        diag = (a.real ** 2 + a.imag ** 2).sum(axis=-2 if _is_tall(a) else -1)
-    if not all_finite(diag):
+    # C-contiguous, so that a matrix's Gram product does not depend on the
+    # layout or the stack it comes in
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    if a.ndim < 2:
+        raise InvalidInputError(f"operator norm needs a matrix, got shape {a.shape}")
+    if not all_finite(a):
+        raise InvalidInputError("matrix has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = adjoint(a) @ a if a.shape[-2] >= a.shape[-1] else a @ adjoint(a)
+    if not all_finite(gram):
         raise NumericError(f"Gram matrix overflows (entries up to {np.abs(a).max():.3e})")
-    lower = diag.max(axis=-1)
-    if a.shape[-2:] == (1, 1):
-        # a 1x1 Gram matrix is its own eigenvalue, re^2 + im^2
-        return float(np.sqrt(lower.min()))
-    probe_top = max(float(_gram_top_eigenvalues(a[np.argmin(lower)])), 0.0)
-    candidates = a[lower <= (1.0 + _PRUNE_SLACK) * probe_top + _PRUNE_FLOOR]
-    return float(np.sqrt(np.maximum(_gram_top_eigenvalues(candidates), 0.0)).min())
+    try:
+        w = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericError(f"eigvalsh of the Gram matrix failed: {exc}") from exc
+    top = np.sqrt(np.maximum(w[..., -1], 0.0))
+    return float(top) if a.ndim == 2 else top
 
 
 class GramParts(NamedTuple):

@@ -14,13 +14,13 @@ coefficient (``_power_table``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DomainError, InvalidInputError
-from .linalg import DEFAULT_TOL, ToleranceProfile, adjoint, all_finite, as_matrix
+from .linalg import EQ_TOL, adjoint, all_finite, as_matrix
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -124,12 +124,11 @@ class SubordinationWitness:
 
     phi: ScalarSeries
     certified_bound: float
-    tol: ToleranceProfile = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
         if self.phi.coeffs[0] != 0:
             raise InvalidInputError("subordination witness requires phi(0) = 0")
-        if not (0.0 <= self.certified_bound <= 1.0 + self.tol.eq_tol):
+        if not (0.0 <= self.certified_bound <= 1.0 + EQ_TOL):
             raise InvalidInputError(
                 f"certified bound {self.certified_bound} is not a sub-unit sup estimate"
             )

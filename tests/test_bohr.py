@@ -549,6 +549,12 @@ class TestCheckTheorem:
         with pytest.raises(ContractError):
             check_theorem_grid("t9", None, [0.5])
 
+    def test_psd_tol_must_be_finite_and_nonnegative(self):
+        f = mobius_series(0.5, 2, 16)
+        for psd_tol in (math.nan, math.inf, -1.0):
+            with pytest.raises(InvalidInputError):
+                check_theorem_grid("e55", f, [0.5], psd_tol=psd_tol)
+
     def test_margin_monotone_in_r_for_fixed_rhs_checks(self):
         # for checks whose right side does not move with r, the majorant can
         # only grow, so margins are nonincreasing (forced violations included)
@@ -749,12 +755,17 @@ def loewner_sides(theorem_id, instance, rs, kwargs):
     return s, np.multiply.outer(np.broadcast_to(c, len(rs)), np.eye(s.shape[-1]))
 
 
+@pytest.mark.parametrize("psd_tol", [None, 0.0])
 @pytest.mark.parametrize("theorem_id", ["l1", "t1i", "t1iii", "e55", "l2a", "t3b", "t4b"])
-def test_loewner_checks_agree_with_the_difference_eigenvalue(theorem_id, radius_cases):
+def test_loewner_checks_agree_with_the_difference_eigenvalue(theorem_id, psd_tol, radius_cases):
     """A check against c I reads its margin and its norm off one eigvalsh of
     the PSD side S; both agree with the two-solve route, lambda_min(c I - S)
-    and the Gram norm of S, and so does the pass flag."""
+    and the Gram norm of S, and so does the pass flag, at the default slack
+    (psd_tol None: not passed) and at a slack passed in."""
     instance, rs, kwargs = radius_cases[theorem_id]
+    slack = bohr.PSD_TOL if psd_tol is None else psd_tol
+    if psd_tol is not None:
+        kwargs = {**kwargs, "psd_tol": psd_tol}
     reports = check_theorem_grid(theorem_id, instance, rs, force=True, **kwargs)
     lhs, rhs = loewner_sides(theorem_id, instance, rs, kwargs)
     d = lhs.shape[-1]
@@ -770,7 +781,7 @@ def test_loewner_checks_agree_with_the_difference_eigenvalue(theorem_id, radius_
             assert rep.side_values["rhs_norm"] == psi_peak(rep.r)[1]
         margin = smallest_eigenvalue(right - left) - rep.side_values["tail"]
         assert abs(rep.margin - margin) <= 1e-14 * rep.scale
-        assert rep.passed == (margin >= -bohr.DEFAULT_TOL.psd_tol * scale)
+        assert rep.passed == (margin >= -slack * scale)
 
 
 class TestSharedPreparation:

@@ -150,7 +150,7 @@ class TestExitCodes:
         assert main(["verify", "--seed", "-1", "--trials", "1", "--dims", "1"]) == 2
         assert main(["selftest", "--seed", "-1"]) == 2
         assert main(["verify", "--r", "abc"]) == 2
-        for tol in ("nan", "inf"):
+        for tol in ("nan", "inf", "-1"):
             assert main(["verify", "--tol", tol, "--trials", "1", "--dims", "1"]) == 2
         assert main(["verify", "--theorems", "t3a", "--order", "0",
                      "--trials", "1", "--dims", "1"]) == 2

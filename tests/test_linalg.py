@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from opbohr import (
     InvalidInputError,
     NumericError,
-    ToleranceProfile,
     abs_value,
     adjoint,
     operator_norm,
 )
 from opbohr.generators import random_unitary
 from opbohr import linalg
-from opbohr.linalg import min_operator_norm, smallest_eigenvalue
+from opbohr.linalg import smallest_eigenvalue
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -84,101 +83,53 @@ class TestOperatorNorm:
                 operator_norm(m)
         assert operator_norm(1e150 * np.eye(2)) == pytest.approx(1e150, rel=1e-15)
 
+    def test_gram_overflow_in_a_stack_raises(self):
+        # one overflowing matrix fails the stack; the wide one overflows in its
+        # row norm (its Gram is MM*) but not in its column norms
+        wide = np.array([[[1.0, 0.0, 0.0]], [[1e154, 1e154, 1e154]]])
+        for stack in (np.stack([np.eye(2), 1e200 * np.eye(2)]), wide):
+            with pytest.raises(NumericError):
+                operator_norm(stack)
 
-class TestMinOperatorNorm:
-    @given(st.integers(0, 10**6), st.lists(st.integers(1, 40), min_size=1, max_size=2),
-           st.integers(1, 4), st.integers(1, 4), st.floats(-170.0, 148.0), st.booleans())
-    @settings(max_examples=120, deadline=None)
-    def test_is_the_unpruned_minimum_bit_for_bit(self, seed, lead, rows, cols, log_scale,
-                                                 spread):
-        rng = np.random.default_rng(seed)
-        shape = (*lead, rows, cols)
-        m = 10.0**log_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        if spread:
-            m = m * 10.0 ** rng.uniform(-2.0, 2.0, size=(*lead, 1, 1))
-        # scales reach Gram matrices in the subnormal range and near overflow
-        assert min_operator_norm(m) == operator_norm(m).min()
-
-    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 60), st.floats(-3.0, 3.0))
-    @settings(max_examples=60, deadline=None)
-    def test_tied_stacks(self, seed, d, count, log_scale):
-        # multiples of unitaries by one constant: every norm ties, nothing prunes
-        c = 10.0**log_scale
-        stack = np.stack([c * random_unitary(d, seed + i) for i in range(count)])
-        assert min_operator_norm(stack) == operator_norm(stack).min()
-        scalars = np.full((count, 1, 1), c * np.exp(0.3j))
-        assert min_operator_norm(scalars) == operator_norm(scalars).min()
-
-    @given(st.integers(0, 10**6), st.lists(st.integers(1, 360), min_size=1, max_size=2),
-           st.floats(-150.0, 150.0), st.booleans())
-    @settings(max_examples=120, deadline=None)
-    def test_scalar_stacks_bit_for_bit(self, seed, lead, log_scale, real):
-        rng = np.random.default_rng(seed)
-        shape = (*lead, 1, 1)
-        m = 10.0**log_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        if real:
-            m = m.real.astype(complex)
-        m = m * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
-        assert min_operator_norm(m) == operator_norm(m).min()
-
-    def test_scalar_stacks_skip_eigvalsh(self, monkeypatch):
-        m = np.array([3.0 + 4.0j, -0.5j, 2.0, 1e-200, 7e150]).reshape(-1, 1, 1)
-        expected = operator_norm(m).min()
-
-        def fail(a):
-            raise AssertionError("eigvalsh reached on a 1x1 stack")
-
-        monkeypatch.setattr(linalg, "_gram_top_eigenvalues", fail)
-        assert min_operator_norm(m) == expected
-        assert min_operator_norm(np.zeros((3, 1, 1))) == 0.0
-        with pytest.raises(InvalidInputError):
-            min_operator_norm(np.array([[[1.0]], [[np.nan]]]))
-        with pytest.raises(NumericError):
-            min_operator_norm(np.array([[[1.0]], [[1e200]]]))
-
-    def test_single_matrix_and_zero_matrices(self):
-        m = rand_matrix(3)
-        assert min_operator_norm(m) == operator_norm(m)
-        stack = np.stack([rand_matrix(4), np.zeros((3, 3)), rand_matrix(5)])
-        assert min_operator_norm(stack) == 0.0
-
-    def test_prunes_matrices_that_cannot_hold_the_minimum(self, monkeypatch):
-        stack = np.stack([(1.0 + k) * rand_matrix(k, d=4) for k in range(50)])
-        expected = operator_norm(stack).min()
-        solved = []
-
-        def spy(a):
-            solved.append(a.reshape(-1, 4, 4).shape[0])
-            return top_eigenvalues(a)
-
-        top_eigenvalues = linalg._gram_top_eigenvalues
-        monkeypatch.setattr(linalg, "_gram_top_eigenvalues", spy)
-        assert min_operator_norm(stack) == expected
-        first, rest = solved
-        assert first == 1 and rest < stack.shape[0]
-
-    def test_non_finite_entry_at_a_pruned_matrix_raises(self):
+    def test_non_finite_entry_in_a_stack_raises(self):
         stack = np.stack([np.eye(3, dtype=complex), 100.0 * np.eye(3, dtype=complex)])
         for bad in (np.nan, np.inf):
             with_bad = stack.copy()
             with_bad[1, 0, 2] = bad
             with pytest.raises(InvalidInputError):
-                min_operator_norm(with_bad)
+                operator_norm(with_bad)
 
-    def test_gram_overflow_raises(self):
-        # the overflowing matrices are ones the bounds would skip; the wide one
-        # overflows in its row norm (its Gram is MM*) but not in its column norms
-        wide = np.array([[[1.0, 0.0, 0.0]], [[1e154, 1e154, 1e154]]])
-        for stack in (np.stack([np.eye(2), 1e200 * np.eye(2)]), wide):
-            with pytest.raises(NumericError):
-                operator_norm(stack)
-            with pytest.raises(NumericError):
-                min_operator_norm(stack)
-
-    def test_rejects_empty_stacks_and_vectors(self):
-        for bad in (np.zeros((0, 2, 2)), np.ones(3)):
+    def test_rejects_vectors_and_scalars(self):
+        for bad in (np.ones(3), np.float64(2.0), 1.0 + 1.0j):
             with pytest.raises(InvalidInputError):
-                min_operator_norm(bad)
+                operator_norm(bad)
+
+    @given(st.integers(0, 10**6), st.lists(st.integers(1, 360), min_size=1, max_size=2),
+           st.floats(-140.0, 140.0), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_scalar_stacks(self, seed, lead, log_scale, real):
+        # the norm of a 1x1 matrix is the modulus of its entry
+        rng = np.random.default_rng(seed)
+        shape = (*lead, 1, 1)
+        m = 10.0**log_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        if real:
+            m = m.real.astype(complex)
+        ref = np.abs(m[..., 0, 0])
+        got = operator_norm(m)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 2.0 * np.finfo(float).eps * ref)
+
+    def test_stack_equals_per_matrix_bit_for_bit(self):
+        # a matrix's norm depends neither on its stack nor on the memory layout
+        for rows, cols in ((4, 4), (5, 2), (2, 5), (1, 1)):
+            stack = np.stack([rand_matrix(k, d=max(rows, cols))[:rows, :cols]
+                              for k in range(30)])
+            got = operator_norm(stack)
+            assert got.tolist() == [operator_norm(m) for m in stack]
+            strided = np.empty((30, rows, 2 * cols), dtype=complex)
+            strided[..., ::2] = stack
+            assert operator_norm(strided[..., ::2]).tolist() == got.tolist()
+            assert operator_norm(np.asfortranarray(stack)).tolist() == got.tolist()
 
 
 class TestAbsValue:
@@ -251,7 +202,3 @@ class TestSmallestEigenvalue:
         assert batched.shape == (2, 3)
         assert batched.ravel().tolist() == [smallest_eigenvalue(m) for m in stack]
 
-
-def test_tolerance_profile_rejects_negative():
-    with pytest.raises(InvalidInputError):
-        ToleranceProfile(psd_tol=-1.0)
