@@ -41,11 +41,14 @@ from .funcalc import (
     auto_contour,
     colligation_log_coeff,
     herglotz_transfer,
+    herglotz_transfer_grid,
     log_eig_normal,
     log_riesz_dunford,
     matrix_exp,
 )
 from .generators import (
+    CERT_SLACK,
+    UNIT_ROUNDOFF,
     FamilySpec,
     derive_seed,
     gaussian_coeff_sequence,
@@ -450,6 +453,36 @@ def demo(name: str) -> SuiteReport:
 # self-test: the oracle cross-checks
 # ---------------------------------------------------------------------------
 
+_CERTIFIED_FAMILIES = ("schur_holo", "schur_harmonic", "commuting_harmonic", "subordination",
+                       "exterior_diag", "exterior_colligation")
+
+
+def _certificate_gap(family: str, seed: int) -> float:
+    """A family's algebraic certificate against a 2^12-point sample near the circle.
+
+    Returns bound - sampled sup for an upper bound on ||f|| (on |phi(z)|/|z|
+    for the witness), and sampled inf - bound for a lower bound on the
+    smallest singular value, so a sound certificate gives a gap >= 0 up to
+    the sample's rounding (for a computed singular value, a few u times the
+    largest).  The colligation is sampled on |z| = 0.97, where its logarithm
+    stays within ``matrix_exp``'s range, the others on |z| = 1 - 2^-10.
+    """
+    dim = 1 if family == "subordination" else 3
+    instance, aux = sample(FamilySpec(family_id=family, dim=dim, order=8, seed=seed),
+                           with_aux=True)
+    rho = 0.97 if family == "exterior_colligation" else 1.0 - 2.0 ** -10
+    zs = rho * np.exp(2j * math.pi * np.arange(2 ** 12) / 2 ** 12)
+    if family == "subordination":
+        return aux["sup_cert"] - float(np.abs(aux["eval_phi"](zs)).max()) / rho
+    if family == "exterior_colligation":
+        inverse = matrix_exp(-herglotz_transfer_grid(instance, zs))
+        return 1.0 / float(operator_norm(inverse).max()) - aux["min_cert"]
+    if family == "exterior_diag":
+        sv = np.linalg.svd(aux["eval"](zs), compute_uv=False)
+        return float((sv[:, -1] + 16 * dim * UNIT_ROUNDOFF * sv[:, 0]).min()) - aux["min_cert"]
+    return aux["sup_cert"] - float(operator_norm(aux["eval"](zs)).max())
+
+
 def selftest(seed: int = 2024, verbose: bool = True) -> int:
     """Cross-validate the independent numerical routes; returns failure count."""
     if seed < 0:
@@ -527,6 +560,11 @@ def selftest(seed: int = 2024, verbose: bool = True) -> int:
     record("closed-form boundary liminf vs dense boundary sample",
            all(-1e-13 <= gap <= 1e-3 for gap in gaps),
            "(dense/exact - 1: " + ", ".join(f"{gap:.2e}" for gap in gaps) + ")")
+
+    for family in _CERTIFIED_FAMILIES:
+        gap = _certificate_gap(family, derive_seed(seed, 50))
+        record(f"{family} certificate vs dense boundary sample", gap >= -CERT_SLACK,
+               f"(gap {gap:.2e})")
 
     if verbose:
         print(f"selftest: {failures} failure(s)")

@@ -39,16 +39,37 @@ Both are exact for an exactly unitary frame; the drawn frames have
 ||W*W - I|| of a few u, which moves the norm of every value, sampled or
 closed-form, by at most that much relative.
 
-The subordination witness's 720-point boundary certificate evaluates its
-realization exactly on that circle with one inverse FFT
-(``SchurRealization.transfer_circle``); the 96-point certificates of the
-other families, and every evaluation callback, solve at each point
-(``transfer_grid``).
+Every family certifies its draw at generation time from its parameters,
+with no sample and no random number, and raises ``GenerationError`` if the
+certificate fails, which would indicate a bug rather than bad luck:
 
-Every family re-verifies its certified properties at generation time (norm
-grids, positivity, coefficient bounds) and raises ``GenerationError`` if a
-check fails, which would indicate a bug rather than bad luck.  Identical
-``FamilySpec`` values produce bit-identical instances.
+* Schur realizations: with delta = ||U*U - I|| for the realization's
+  unitary U, v = [x; z y] and y = (I - z D)^(-1) C x, U v = [f(z) x; y], so
+  ||f(z) x||^2 + ||y||^2 = ||U v||^2 <= (1 + delta)(||x||^2 + |z|^2 ||y||^2),
+  and ||f(z)|| <= sqrt(1 + delta) <= 1 + delta/2 on |z|^2 <= 1/(1 + delta)
+  (for delta = 0 this is Agler's I - f*f = (1 - |z|^2) g*g).  The harmonic
+  mix t g + (1 - t) h* takes the larger of its two bounds;
+  ``commuting_harmonic`` multiplies the largest slice bound by
+  ||W||^2 <= 1 + ||W*W - I|| for its frame W.  The witness phi = z b has
+  |phi(z)| <= |z| (1 + delta/2), the constant witness |phi(z)| = |b_0| |z|;
+* ``exterior_diag``: Re (1 + beta z)/(1 - beta z) = (1 - beta^2 |z|^2)/
+  |1 - beta z|^2 is least on the closed disk at z = -1, so the smallest
+  slice modulus is min_j exp(c_j (1 - beta_j)/(1 + beta_j)) >= 1 (c_j >= 0,
+  0 <= beta_j < 1), and the smallest singular value is at least that times
+  1 - ||W*W - I||;
+* ``exterior_colligation``: with W = (I - z U)^(-1) V the realized
+  logarithm H has Re H = (1/2) W*(I - |z|^2 U*U) W >= 0 on
+  |z|^2 <= 1/(1 + delta), so ||exp(H)^(-1)|| = ||exp(-H)|| <= 1
+  (Lumer-Phillips) and the smallest singular value of exp(H) is >= 1.
+
+delta is bounded from above by ``_unitarity_defect``.  A realization
+certificate fails when delta/2 > ``CERT_SLACK``: then its bound exceeds
+1 + ``CERT_SLACK``, and the disk it holds on no longer contains
+|z| <= 1 - ``CERT_SLACK``, which it does otherwise.  The aux mapping of each
+family carries its bound: ``sup_cert`` (an upper bound on ||f||, or on
+|phi(z)|/|z| for the witness) or ``min_cert`` (a lower bound on the
+smallest singular value).  Identical ``FamilySpec`` values produce
+bit-identical instances.
 """
 
 from __future__ import annotations
@@ -60,7 +81,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ContractError, GenerationError, InvalidInputError
-from .funcalc import ColligationSpec, herglotz_transfer_grid, matrix_exp
+from .funcalc import ColligationSpec
 from .linalg import adjoint, hermitize, operator_norm
 from .series import (
     HarmonicSeries,
@@ -81,8 +102,7 @@ FAMILY_IDS = (
 )
 
 CERT_SLACK = 1e-9
-CERT_RADIUS = 0.97
-CERT_POINTS = 96
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -166,10 +186,9 @@ class SchurRealization:
     """Block colligation of a (d+k) x (d+k) unitary.
 
     The transfer function z -> A + z B (I - z D)^(-1) C maps the disk into
-    the norm-one ball.  ``transfer_grid`` evaluates it at any points, one
-    batched solve per point; ``transfer_circle`` evaluates it exactly on an
-    equispaced circle with one inverse FFT, the route of the subordination
-    witness's 720-point certificate.
+    the norm-one ball; ``sup_bound`` bounds it from the unitarity defect of
+    the block matrix (module docstring).  ``transfer_grid`` evaluates it at
+    any points, one batched solve per point.
     """
 
     unitary: np.ndarray
@@ -206,31 +225,36 @@ class SchurRealization:
         x = np.linalg.solve(lhs, np.broadcast_to(c, (z.size, *c.shape)))
         return a[None, :, :] + z[:, None, None] * (b[None, :, :] @ x)
 
-    def transfer_circle(self, nodes: int, rho: float) -> np.ndarray:
-        """The transfer function at z_j = rho exp(2 pi i j / nodes), j < nodes.
-
-        Since z_j^nodes = rho^nodes, (I - z_j D)^(-1) C = sum over r < nodes
-        of z_j^r D^r E with E = (I - rho^nodes D^nodes)^(-1) C, with no
-        truncation, and z_j^r = rho^r exp(2 pi i j r / nodes).  So the value
-        is A + nodes z_j ifft(t)_j for the terms t_r = B (rho D)^r E, built
-        by doubling (``_power_terms``).
-        """
-        a, b, c, dd = self.blocks()
-        d = self.dim
-        scaled = rho * dd
-        eye = np.eye(self.aux_dim, dtype=np.complex128)
-        e = np.linalg.solve(eye - np.linalg.matrix_power(scaled, nodes), c)
-        terms = (b @ _power_terms(scaled, e, nodes)).reshape(d, nodes, d).transpose(1, 0, 2)
-        z = _circle(nodes, rho)
-        return a[None, :, :] + (nodes * z)[:, None, None] * np.fft.ifft(terms, axis=0)
+    def sup_bound(self) -> float:
+        """1 + delta/2 >= sup ||f(z)|| over |z|^2 <= 1/(1 + delta), delta >= ||U*U - I||."""
+        return 1.0 + 0.5 * float(_unitarity_defect(self.unitary))
 
 
-def _circle(nodes: int, rho: float) -> np.ndarray:
-    return rho * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+def _unitarity_defect(u: np.ndarray) -> np.ndarray:
+    """An upper bound on ||U*U - I|| for each matrix of a (..., n, n) stack.
+
+    The Frobenius norm of the computed U*U - I bounds the spectral norm of
+    the exact one up to rounding: the computed product is within
+    gamma_n |U|*|U| of U*U (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 3.5), whose Frobenius norm is at most ||U||_F^2, and
+    subtracting I is exact where the diagonal lies in [1/2, 2].  Adding
+    2 n u ||U||_F^2 covers that error and the norm's own rounding, about
+    (n^2 + 3) u times a defect below 1/4.
+    """
+    n = u.shape[-1]
+    gram = np.swapaxes(u.conj(), -1, -2) @ u
+    idx = np.arange(n)
+    gram[..., idx, idx] -= 1.0
+    frob_sq = (u.real ** 2 + u.imag ** 2).sum(axis=(-2, -1))
+    return np.linalg.norm(gram, axis=(-2, -1)) + 2.0 * n * UNIT_ROUNDOFF * frob_sq
 
 
-def _cert_grid(radius: float = CERT_RADIUS) -> np.ndarray:
-    return _circle(CERT_POINTS, radius)
+def _check_realization(family: str, bound: float) -> float:
+    """``bound`` if it is within 1 + ``CERT_SLACK``; raises ``GenerationError`` otherwise."""
+    if not bound <= 1.0 + CERT_SLACK:
+        raise GenerationError(f"{family} realization is not unitary enough to certify: "
+                              f"bound {bound:.12f}")
+    return bound
 
 
 def _diag_frame_stack(w: np.ndarray, diag_vals: np.ndarray) -> np.ndarray:
@@ -272,6 +296,17 @@ def _beta_range(spec: FamilySpec, default: tuple[float, float]) -> tuple[float, 
     return lo, hi
 
 
+def _c_range(spec: FamilySpec) -> tuple[float, float]:
+    """``params["c_range"]``, checked finite with 0 <= lo <= hi: every slice has modulus >= 1."""
+    try:
+        lo, hi = (float(c) for c in spec.params.get("c_range", (0.1, 2.0)))
+    except (TypeError, ValueError):
+        raise InvalidInputError("c_range must be two numbers") from None
+    if not (0.0 <= lo <= hi < math.inf):
+        raise InvalidInputError(f"c_range must be finite with 0 <= lo <= hi, got ({lo}, {hi})")
+    return lo, hi
+
+
 def _scalar_schur_coeffs(rng: np.random.Generator, aux_dim: int, order: int):
     real = SchurRealization(random_unitary(1 + aux_dim, rng), dim=1)
     return real.coeffs(order)[:, 0, 0], real
@@ -284,12 +319,8 @@ def _scalar_schur_coeffs(rng: np.random.Generator, aux_dim: int, order: int):
 def _build_schur_holo(spec: FamilySpec, rng):
     real = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
     instance = HoloSeries(real.coeffs(spec.order))
-    grid = _cert_grid()
-    sup = float(operator_norm(real.transfer_grid(grid)).max())
-    if sup > 1.0 + CERT_SLACK:
-        raise GenerationError(f"schur_holo sample exceeds the unit ball: sup {sup:.12f}")
-    aux = {"eval": real.transfer_grid, "realization": real, "sup_cert": sup}
-    return instance, aux
+    sup = _check_realization("schur_holo", real.sup_bound())
+    return instance, {"eval": real.transfer_grid, "realization": real, "sup_cert": sup}
 
 
 def _build_schur_harmonic(spec: FamilySpec, rng):
@@ -306,10 +337,7 @@ def _build_schur_harmonic(spec: FamilySpec, rng):
     def eval_exact(zs):
         return t * g.transfer_grid(zs) + (1.0 - t) * adjoint(h.transfer_grid(zs))
 
-    grid = _cert_grid()
-    sup = float(operator_norm(eval_exact(grid)).max())
-    if sup > 1.0 + CERT_SLACK:
-        raise GenerationError(f"schur_harmonic sample exceeds the unit ball: sup {sup:.12f}")
+    sup = _check_realization("schur_harmonic", max(g.sup_bound(), h.sup_bound()))
     return instance, {"eval": eval_exact, "t": t, "sup_cert": sup}
 
 
@@ -343,17 +371,17 @@ def _build_commuting_harmonic(spec: FamilySpec, rng):
             slices[:, i] = ts[i] * gv + (1.0 - ts[i]) * np.conj(hv)
         return _diag_frame_stack(w, slices)
 
-    grid = _cert_grid()
-    sup = float(operator_norm(eval_exact(grid)).max())
-    if sup > 1.0 + CERT_SLACK:
-        raise GenerationError(f"commuting_harmonic sample exceeds the unit ball: sup {sup:.12f}")
+    unitaries = np.stack([r.unitary for r in g_reals + h_reals])
+    slice_sup = 1.0 + 0.5 * float(_unitarity_defect(unitaries).max())
+    sup = _check_realization("commuting_harmonic",
+                             (1.0 + float(_unitarity_defect(w))) * slice_sup)
     return instance, {"eval": eval_exact, "t": ts, "frame": w, "sup_cert": sup}
 
 
 def _build_exterior_diag(spec: FamilySpec, rng):
     d, order = spec.dim, spec.order
     w = random_unitary(d, rng)
-    c_lo, c_hi = spec.params.get("c_range", (0.1, 2.0))
+    c_lo, c_hi = _c_range(spec)
     b_lo, b_hi = _beta_range(spec, (0.0, 0.9))
     cs = rng.uniform(c_lo, c_hi, size=d)
     betas = rng.uniform(b_lo, b_hi, size=d)
@@ -368,9 +396,9 @@ def _build_exterior_diag(spec: FamilySpec, rng):
 
     instance = HoloSeries(_diag_frame_stack(w, _exp_herglotz_coeffs(cs, betas, order)))
 
-    grid = _cert_grid()
-    low = float(np.abs(slice_values(grid)).min())
-    if low < 1.0 - CERT_SLACK:
+    slice_min = float(np.exp(cs * (1.0 - betas) / (1.0 + betas)).min())
+    low = (1.0 - float(_unitarity_defect(w))) * slice_min
+    if not low >= 1.0 - CERT_SLACK:
         raise GenerationError(f"exterior_diag sample dips inside the unit ball: min {low:.12f}")
     return instance, {"eval": eval_exact, "c": cs, "beta": betas, "frame": w, "min_cert": low}
 
@@ -382,17 +410,10 @@ def _build_exterior_colligation(spec: FamilySpec, rng):
     lo, hi = spec.params.get("v_norm_sq_range", (0.2, 2.0))
     target = float(rng.uniform(lo, hi))
     v *= math.sqrt(target) / operator_norm(v)
+    # Re H >= 0 on |z|^2 <= 1/(1 + delta): the same disk as a Schur bound of 1 + delta/2
+    _check_realization("exterior_colligation", 1.0 + 0.5 * float(_unitarity_defect(u)))
     instance = ColligationSpec(k=k, U=u, V=v)
-
-    grid = _cert_grid(radius=0.95)
-    logs = herglotz_transfer_grid(instance, grid)
-    re_min = float(np.linalg.eigvalsh(hermitize(logs))[:, 0].min())
-    if re_min < -CERT_SLACK:
-        raise GenerationError(f"colligation sample has Re(log f) dipping below 0: {re_min:.3e}")
-    sv_min = float(np.linalg.svd(matrix_exp(logs), compute_uv=False)[:, -1].min())
-    if sv_min < 1.0 - CERT_SLACK:
-        raise GenerationError(f"colligation sample dips inside the unit ball: {sv_min:.12f}")
-    return instance, {"re_log_min": re_min, "abs_min": sv_min, "v_norm_sq": target}
+    return instance, {"min_cert": 1.0, "v_norm_sq": target}
 
 
 def _build_convex_diag(spec: FamilySpec, rng):
@@ -456,30 +477,25 @@ def _build_starlike_diag(spec: FamilySpec, rng):
 
 def _build_subordination(spec: FamilySpec, rng):
     order = spec.order
-    nodes, rho = 720, 0.999
-    boundary = _circle(nodes, rho)
+    phi = np.zeros(order + 1, dtype=np.complex128)
     if "constant" in spec.params:
         s = float(spec.params["constant"])
         if not (0.0 <= s < 1.0):
             raise InvalidInputError("constant contraction factor must lie in [0, 1)")
         b0 = s * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        phi = np.zeros(order + 1, dtype=np.complex128)
         if order >= 1:
             phi[1] = b0
         eval_b = lambda zs: np.full(np.asarray(zs).size, b0, dtype=np.complex128)
-        boundary_b = eval_b(boundary)
+        sup = float(abs(b0))
     else:
         aux_k = max(2, min(spec.aux_dim, 6))
         b_coeffs, real = _scalar_schur_coeffs(rng, aux_k, max(order - 1, 0))
-        phi = np.zeros(order + 1, dtype=np.complex128)
         phi[1 : 1 + min(order, b_coeffs.size)] = b_coeffs[: max(order, 0)]
         eval_b = lambda zs: real.transfer_grid(zs)[:, 0, 0]
-        boundary_b = real.transfer_circle(nodes, rho)[:, 0, 0]
-    bound = float(np.abs(boundary * boundary_b).max())
-    if bound > 1.0 + CERT_SLACK:
-        raise GenerationError(f"subordination witness exceeds the unit ball: {bound:.12f}")
-    witness = SubordinationWitness(phi=ScalarSeries(phi), certified_bound=min(bound, 1.0))
-    return witness, {"eval_phi": lambda zs: np.asarray(zs).ravel() * eval_b(np.asarray(zs).ravel())}
+        sup = _check_realization("subordination witness", real.sup_bound())
+    witness = SubordinationWitness(phi=ScalarSeries(phi))
+    return witness, {"eval_phi": lambda zs: np.asarray(zs).ravel() * eval_b(np.asarray(zs).ravel()),
+                     "sup_cert": sup}
 
 
 _BUILDERS = {
@@ -577,4 +593,4 @@ def identity_witness(order: int) -> SubordinationWitness:
     phi = np.zeros(order + 1, dtype=np.complex128)
     if order >= 1:
         phi[1] = 1.0
-    return SubordinationWitness(phi=ScalarSeries(phi), certified_bound=0.999)
+    return SubordinationWitness(phi=ScalarSeries(phi))

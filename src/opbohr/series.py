@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DomainError, InvalidInputError
-from .linalg import EQ_TOL, adjoint, all_finite, as_matrix
+from .linalg import adjoint, all_finite, as_matrix
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -115,23 +115,17 @@ class ScalarSeries:
 
 @dataclass(frozen=True)
 class SubordinationWitness:
-    """A disk self-map phi with phi(0) = 0, plus its certified sup bound.
+    """A disk self-map phi with phi(0) = 0.
 
-    ``certified_bound`` is the sampled supremum of |phi| near the boundary of
-    the disk; generators keep it <= 1 by construction and the constructor
-    enforces it as a safety net.
+    Generators certify |phi(z)| <= |z| from phi's parameters when they draw
+    it (``generators``); the constructor checks phi(0) = 0 only.
     """
 
     phi: ScalarSeries
-    certified_bound: float
 
     def __post_init__(self):
         if self.phi.coeffs[0] != 0:
             raise InvalidInputError("subordination witness requires phi(0) = 0")
-        if not (0.0 <= self.certified_bound <= 1.0 + EQ_TOL):
-            raise InvalidInputError(
-                f"certified bound {self.certified_bound} is not a sub-unit sup estimate"
-            )
 
 
 def evaluate(f: HoloSeries | HarmonicSeries, z: complex) -> np.ndarray:

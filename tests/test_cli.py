@@ -28,6 +28,7 @@ from opbohr.cli import (
     write_scan_csv,
     write_suite_report,
 )
+from opbohr import generators
 from opbohr.errors import OpBohrError
 from opbohr.generators import (
     FamilySpec,
@@ -286,6 +287,15 @@ class TestSelftest:
 
     def test_selftest_cli(self):
         assert main(["selftest"]) == 0
+
+    def test_selftest_catches_an_unsound_certificate(self, monkeypatch, capsys):
+        # a Schur bound below 1 is contradicted by the dense sample of every
+        # family that reads it
+        monkeypatch.setattr(generators.SchurRealization, "sup_bound", lambda self: 0.9)
+        assert selftest(seed=2024, verbose=True) == 3
+        failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+        assert [line.split()[1] for line in failed] == [
+            "schur_holo", "schur_harmonic", "subordination"]
 
 
 def _stated_radius(witness: dict) -> float:

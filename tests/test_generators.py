@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opbohr import (
     ColligationSpec,
+    GenerationError,
     HarmonicSeries,
     HoloSeries,
     InvalidInputError,
@@ -19,6 +22,7 @@ from opbohr import (
 from opbohr import bohr, generators
 from opbohr.funcalc import herglotz_transfer_grid, matrix_exp
 from opbohr.generators import (
+    CERT_SLACK,
     FamilySpec,
     SchurRealization,
     derive_seed,
@@ -63,8 +67,10 @@ class TestDeterminism:
         "exterior_colligation", "convex_diag", "starlike_diag", "subordination",
     ])
     def test_bit_identical_resample(self, family):
-        a = sample(spec_of(family))
-        b = sample(spec_of(family))
+        a, a_aux = sample(spec_of(family), with_aux=True)
+        b, b_aux = sample(spec_of(family), with_aux=True)
+        for key in ("sup_cert", "min_cert"):
+            assert a_aux.get(key) == b_aux.get(key)
         if isinstance(a, HoloSeries):
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
         elif isinstance(a, HarmonicSeries):
@@ -74,7 +80,6 @@ class TestDeterminism:
             assert a.U.tobytes() == b.U.tobytes() and a.V.tobytes() == b.V.tobytes()
         elif isinstance(a, SubordinationWitness):
             assert a.phi.coeffs.tobytes() == b.phi.coeffs.tobytes()
-            assert a.certified_bound == b.certified_bound
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
@@ -131,35 +136,6 @@ def cauchy_coeffs(fn, order, rho=0.95, nodes=1024):
     return coeffs_via_cauchy_integral(lambda z: fn(np.array([z]))[0], order, rho, nodes).coeffs
 
 
-class TestTransferCircle:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_matches_transfer_grid(self, d):
-        for k in range(2, 7):
-            real = SchurRealization(random_unitary(d + k, 10 * d + k), d)
-            for nodes in (96, 720):
-                for rho in (0.97, 0.999):
-                    zs = rho * np.exp(2j * math.pi * np.arange(nodes) / nodes)
-                    got = real.transfer_circle(nodes, rho)
-                    assert got.shape == (nodes, d, d)
-                    assert float(np.abs(got - real.transfer_grid(zs)).max()) <= 1e-12
-
-    def test_witness_bound_matches_transfer_grid_route(self):
-        boundary = 0.999 * np.exp(2j * math.pi * np.arange(720) / 720)
-        for seed in range(8):
-            for aux_dim, order in ((2, 8), (4, 64), (6, 256)):
-                w, waux = sample(spec_of("subordination", dim=1, aux_dim=aux_dim, order=order,
-                                         seed=seed), with_aux=True)
-                # eval_phi is z times the realization's transfer_grid
-                bound = float(np.abs(waux["eval_phi"](boundary)).max())
-                assert abs(w.certified_bound - min(bound, 1.0)) <= 1e-12
-
-    def test_constant_witness_bound_unchanged(self):
-        boundary = 0.999 * np.exp(2j * math.pi * np.arange(720) / 720)
-        for s in (0.0, 0.3, 0.9):
-            w = sample(spec_of("subordination", order=16, seed=3, params={"constant": s}))
-            assert w.certified_bound == float(np.abs(boundary * w.phi.coeffs[1]).max())
-
-
 class TestExactCoefficients:
     # a Schur realization's coefficients have norm at most 1, so the bound is
     # absolute: about 4.5 eps (the largest error seen is 1.3e-16)
@@ -213,13 +189,7 @@ class TestExactCoefficients:
 
     def test_colligation_path_matches_per_node_reference(self):
         for d, seed in ((1, 2), (2, 7), (3, 8), (4, 9)):
-            inst, aux = sample(spec_of("exterior_colligation", dim=d, seed=seed), with_aux=True)
-            logs = herglotz_transfer_grid(inst, 0.95 * np.exp(2j * math.pi * np.arange(96) / 96))
-            re_min = float(min(np.linalg.eigvalsh(hermitize(lg))[0] for lg in logs))
-            sv_min = float(min(np.linalg.svd(matrix_exp(lg), compute_uv=False)[-1]
-                               for lg in logs))
-            assert aux["re_log_min"] == re_min
-            assert aux["abs_min"] == sv_min
+            inst = sample(spec_of("exterior_colligation", dim=d, seed=seed))
             # the t2 series norms: radius-0.5 samples of exp(log f), one node at a time
             nodes = 4 * 64 + 4
             theta = 2.0 * math.pi * np.arange(nodes) / nodes
@@ -262,6 +232,108 @@ class TestExteriorFamilies:
                        params={"v_norm_sq_range": (0.5, 0.6)})
         inst = sample(spec)
         assert 0.5 - 1e-9 <= operator_norm(inst.V) ** 2 <= 0.6 + 1e-9
+
+
+DENSE_ANGLES = 2 ** 12
+DENSE_RADII = (0.97, 1.0 - 2.0 ** -10, 1.0 - 2.0 ** -20)
+
+
+def dense_circle(rho):
+    return rho * np.exp(2j * math.pi * np.arange(DENSE_ANGLES) / DENSE_ANGLES)
+
+
+def certified_spec(family, seed, d):
+    # the witness is scalar, so d sizes its realization instead
+    if family == "subordination":
+        return spec_of(family, dim=1, aux_dim=d + 1, order=8, seed=seed)
+    return spec_of(family, dim=d, order=8, seed=seed)
+
+
+class TestAlgebraicCertificates:
+    """Each family's bound from its parameters, against a dense sample taken here only.
+
+    CERT_SLACK also covers the sample's own rounding: a solve at
+    |z| = 1 - 2^-20 can lose about 2^20 u = 1.2e-10.
+    """
+
+    @pytest.mark.parametrize("family", [
+        "schur_holo", "schur_harmonic", "commuting_harmonic", "subordination",
+    ])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31), d=st.integers(1, 4))
+    def test_sup_bound_dominates_dense_sample(self, family, seed, d):
+        _, aux = sample(certified_spec(family, seed, d), with_aux=True)
+        for rho in DENSE_RADII:
+            zs = dense_circle(rho)
+            if family == "subordination":
+                sampled = float(np.abs(aux["eval_phi"](zs)).max()) / rho
+            else:
+                sampled = float(operator_norm(aux["eval"](zs)).max())
+            assert sampled <= aux["sup_cert"] + CERT_SLACK, rho
+        if family in ("schur_holo", "subordination"):
+            # a unitary realization is inner: its norm tends to 1 at the circle
+            assert sampled >= aux["sup_cert"] - 1e-4
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31), d=st.integers(1, 4))
+    def test_exterior_diag_min_bound_is_the_dense_infimum(self, seed, d):
+        _, aux = sample(spec_of("exterior_diag", dim=d, order=8, seed=seed), with_aux=True)
+        bound = aux["min_cert"]
+        for rho in DENSE_RADII:
+            sv = np.linalg.svd(aux["eval"](dense_circle(rho)), compute_uv=False)
+            # a computed singular value is within a few u ||f(z)|| of the exact one
+            slack = CERT_SLACK * bound + 16 * d * U * sv[:, 0]
+            assert np.all(sv[:, -1] >= bound - slack), rho
+        # the infimum is reached at z = -1, one of the sampled points
+        assert float(sv[:, -1].min()) <= bound * (1.0 + 1e-5)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31), d=st.integers(1, 4))
+    def test_colligation_log_has_nonnegative_real_part(self, seed, d):
+        inst, aux = sample(spec_of("exterior_colligation", dim=d, order=8, seed=seed),
+                           with_aux=True)
+        for rho in DENSE_RADII:
+            logs = herglotz_transfer_grid(inst, dense_circle(rho))
+            re = np.linalg.eigvalsh(hermitize(logs))
+            assert np.all(re[:, 0] >= -CERT_SLACK * np.maximum(1.0, np.abs(re).max(axis=1))), rho
+        # ||H|| <= ||V||^2 (1 + rho)/(2 (1 - rho)) < 66 at rho = 0.97, in matrix_exp's range
+        logs = herglotz_transfer_grid(inst, dense_circle(0.97))
+        inverse_norm = float(operator_norm(matrix_exp(-logs)).max())
+        assert 1.0 / inverse_norm >= aux["min_cert"] - CERT_SLACK
+
+    def test_unitarity_defect_bounds_a_40_digit_reference(self):
+        # an upper bound on ||U*U - I||, and at most the Frobenius norm's
+        # sqrt(n) above it plus its stated 2 n u ||U||_F^2
+        mpmath = pytest.importorskip("mpmath")
+        for n, seed in ((2, 1), (5, 2), (9, 3)):
+            for scale in (1.0, 1.0 + 1e-12):
+                u = scale * random_unitary(n, seed)
+                with mpmath.workdps(40):
+                    m = mpmath.matrix(u.tolist())
+                    exact = float(max(mpmath.svd(m.H * m - mpmath.eye(n), compute_uv=False)))
+                bound = float(generators._unitarity_defect(u))
+                assert exact <= bound <= math.sqrt(n) * exact + 3 * n * n * U
+
+    @pytest.mark.parametrize("family, params", [
+        ("schur_holo", {}), ("schur_harmonic", {}), ("commuting_harmonic", {}),
+        ("subordination", {}), ("exterior_colligation", {}),
+        ("exterior_diag", {"c_range": (0.0, 0.0)}),
+        ("convex_diag", {"with_witness": True}),
+    ])
+    def test_unitary_perturbed_by_1e_6_raises(self, monkeypatch, family, params):
+        draw = generators.random_unitary
+        monkeypatch.setattr(generators, "random_unitary",
+                            lambda n, seed: (1.0 + 1e-6) * draw(n, seed))
+        with pytest.raises(GenerationError):
+            sample(spec_of(family, params=params))
+
+    @pytest.mark.parametrize("c_range", [
+        (-0.1, 1.0), (-1.0, -0.5), (0.5, 0.2), (0.0, math.inf), (math.nan, 1.0), (0.2,), "ab",
+        None,
+    ])
+    def test_c_range_outside_the_nonnegative_reals_is_rejected(self, c_range):
+        with pytest.raises(InvalidInputError):
+            sample(spec_of("exterior_diag", params={"c_range": c_range}))
 
 
 class TestSubordinatedFamilies:
@@ -307,13 +379,15 @@ class TestSubordinatedFamilies:
             assert np.linalg.eigvalsh(0.5 * (diff + adjoint(diff)))[0] >= -1e-9
 
     def test_witness_structure(self):
-        w = sample(spec_of("subordination", order=32, seed=14))
+        w, aux = sample(spec_of("subordination", order=32, seed=14), with_aux=True)
         assert w.phi.coeffs[0] == 0
-        assert w.certified_bound <= 1.0
+        assert aux["sup_cert"] <= 1.0 + CERT_SLACK
 
     def test_witness_constant_contraction(self):
-        w = sample(spec_of("subordination", order=8, seed=2, params={"constant": 0.6}))
+        w, aux = sample(spec_of("subordination", order=8, seed=2, params={"constant": 0.6}),
+                        with_aux=True)
         assert abs(w.phi.coeffs[1]) == pytest.approx(0.6, abs=1e-12)
+        assert aux["sup_cert"] == abs(w.phi.coeffs[1])
         assert float(np.abs(w.phi.coeffs[2:]).max()) == 0.0
         f = koebe_series(1, 8)
         g = compose_subordination(f, w, 8)

@@ -90,7 +90,7 @@ def random_pair(seed, f_order, phi_order, dim):
     phi = np.zeros(phi_order + 1, dtype=complex)
     decay = 0.6 ** np.arange(1, phi_order + 1)
     phi[1:] = decay * (rng.standard_normal(phi_order) + 1j * rng.standard_normal(phi_order))
-    return f, SubordinationWitness(phi=ScalarSeries(phi), certified_bound=0.99)
+    return f, SubordinationWitness(phi=ScalarSeries(phi))
 
 
 class TestScalarPowerCoeffs:
@@ -244,7 +244,7 @@ class TestComposeSubordination:
         f = koebe_series(2, 12)
         phi = np.zeros(13)
         phi[2] = 1.0
-        w = SubordinationWitness(phi=ScalarSeries(phi), certified_bound=0.999)
+        w = SubordinationWitness(phi=ScalarSeries(phi))
         g = compose_subordination(f, w, 12)
         for k in range(1, 7):
             assert np.allclose(g.coeffs[2 * k], k * np.eye(2), atol=1e-12)
@@ -268,7 +268,7 @@ class TestComposeSubordination:
         s = 0.6
         phi = np.zeros(11)
         phi[1] = s
-        w = SubordinationWitness(phi=ScalarSeries(phi), certified_bound=s)
+        w = SubordinationWitness(phi=ScalarSeries(phi))
         g = compose_subordination(f, w, 10)
         for n in range(11):
             assert g.coeffs[n][0, 0] == pytest.approx(n * s**n, abs=1e-12)
@@ -301,8 +301,4 @@ class TestCauchyExtraction:
 class TestWitnessValidation:
     def test_requires_vanishing_constant(self):
         with pytest.raises(Exception):
-            SubordinationWitness(phi=ScalarSeries([0.5, 1.0]), certified_bound=0.9)
-
-    def test_requires_subunit_bound(self):
-        with pytest.raises(Exception):
-            SubordinationWitness(phi=ScalarSeries([0.0, 1.0]), certified_bound=1.5)
+            SubordinationWitness(phi=ScalarSeries([0.5, 1.0]))

@@ -7,6 +7,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
+import bench_ab  # noqa: E402
 import bench_pairs  # noqa: E402
 import report_diff  # noqa: E402
 
@@ -30,6 +31,45 @@ def test_bench_pairs_exit_status_reports_incorrect_runs(monkeypatch, capsys,
     assert sorted(calls) == ["change", "change", "parent", "parent"]
     out = capsys.readouterr().out
     assert out.count("runs not correct") == 2
+
+
+@pytest.mark.parametrize("failed_side, status", [(None, 0), ("change", 1)])
+def test_bench_ab_interleaves_sides_and_reports_best_time_ratio(monkeypatch, capsys,
+                                                               failed_side, status):
+    calls = []
+
+    class FakeWorker:
+        def __init__(self, checkout, workload, seed):
+            self.side = "parent" if checkout == ROOT / "src" else "change"
+            self.instances = 3
+
+        def run(self, index, cpu):
+            calls.append((self.side, index, cpu))
+            # the change takes half the time; every round after the first is slower
+            seconds = (1.0 if self.side == "parent" else 0.5) * (index + 1) * (1 + len(calls))
+            failed = int(self.side == failed_side and index == 2)
+            return {"seconds": seconds, "failed": failed, "digest": f"d{index}"}
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(bench_ab, "Worker", FakeWorker)
+    monkeypatch.setattr(bench_ab, "probe_setup",
+                        lambda checkout, workload, seed: 2.0 if checkout == ROOT / "src" else 1.0)
+    argv = [str(ROOT / "src"), str(ROOT), "--workload", "subordination", "--seed", "1",
+            "--rounds", "2"]
+    assert bench_ab.main(argv) == status
+    assert len(calls) == 12
+    # each instance runs on both sides back to back, on one CPU; the leading side alternates
+    pairs = [calls[k:k + 2] for k in range(0, 12, 2)]
+    assert all(a[1:] == b[1:] and a[0] != b[0] for a, b in pairs)
+    assert [pair[0][0] for pair in pairs] == ["parent"] * 3 + ["change"] * 3
+    out = capsys.readouterr().out
+    assert "0.500x" in out
+    assert "change faster on 3/3" in out
+    assert "change lower in 2/2 rounds" in out
+    assert "setup [s]: parent 2 [2-2] -> change 1 [1-1], 0.500x" in out
+    assert "report digests equal between sides: yes" in out
 
 
 def _report(theorem_id, margin, passed=True, **sides):
