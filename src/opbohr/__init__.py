@@ -27,7 +27,7 @@ from .funcalc import (
     PRINCIPAL_CUT,
     auto_contour,
     colligation_log_coeff,
-    herglotz_transfer,
+    herglotz_transfer_grid,
     log_eig_normal,
     log_riesz_dunford,
     matrix_exp,
@@ -46,7 +46,6 @@ from .series import (
 from .bohr import (
     KOEBE_RADIUS,
     BisectionResult,
-    LiminfEstimate,
     RadiusScan,
     THEOREM_IDS,
     TheoremReport,

@@ -35,21 +35,18 @@ its parts back to back, so the slot serves ``opbohr verify`` as well as
 callers of this module.
 
 The right side of t3a and t4a, liminf ||f(z) - f(0)|| as |z| -> 1 (f(0) = 0
-for t4a), is exact for the two diagonal-frame families: their evaluator, a
-``generators.ClosedFormEval``, carries the value in closed form
-(max_j |t_j|/(1 + beta_j) for ``convex_diag``, 1/(4 sin^2(G/4)) for
-``starlike_diag``), and a check whose base f(0) is exactly zero reads it.
-Any other evaluator, a nonzero base, or a series goes to
-``boundary_distance_liminf``, an estimate that samples only the rings
-nearest the boundary that its value reads (the last ``tail_rings`` of its
-grid) and takes each ring's smallest operator norm over its sampled points.
-Sampling can only overestimate a ring's infimum.
+for t4a), has one source, ``boundary_distance_liminf``: the closed-form
+value carried by a ``generators.ClosedFormEval``, exact for the two
+diagonal-frame families (max_j |t_j|/(1 + beta_j) for ``convex_diag``,
+1/(4 sin^2(G/4)) for ``starlike_diag``), read when the base f(0) is exactly
+zero.  Any other evaluator or a nonzero base raises ``ContractError``: a
+liminf sampled on rings near the boundary can only overestimate it, which is
+the lenient side of both checks.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -75,9 +72,8 @@ from .series import (
     HarmonicSeries,
     HoloSeries,
     SubordinationWitness,
-    coeffs_from_circle_samples,
+    coeffs_via_cauchy_integral,
     compose_subordination,
-    evaluate_grid,
 )
 
 THEOREM_IDS = (
@@ -227,59 +223,17 @@ def psi_peak(r: float) -> tuple[float, float]:
     return x0, peak
 
 
-@dataclass(frozen=True)
-class LiminfEstimate:
-    """Boundary-approach estimate of liminf ||f(z) - base|| as |z| -> 1.
+def boundary_distance_liminf(boundary_eval, base) -> float:
+    """liminf ||f(z) - base|| as |z| -> 1, read from the evaluator's closed form.
 
-    ``ring_radii`` are the sampled radii, the rings nearest the boundary, in
-    increasing order; ``ring_minima[j]`` is the minimum over the sampled
-    angles at ``ring_radii[j]``, and ``value`` is the minimum over them (the
-    liminf proxy).  Finite sampling can only overestimate each ring's true
-    infimum.
+    ``boundary_eval`` must be a ``generators.ClosedFormEval`` and ``base``
+    exactly zero; its ``boundary_liminf`` is then the value.  Anything else,
+    a plain callable, None or a nonzero base, raises ``ContractError``.
     """
-
-    value: float
-    ring_radii: np.ndarray
-    ring_minima: np.ndarray
-
-
-def boundary_distance_liminf(f, base, grid: tuple[int, int] = (20, 360),
-                             tail_rings: int = 5) -> LiminfEstimate:
-    """Estimate liminf of ||f(z) - base|| over rings r_j = 1 - 2^-j.
-
-    ``f`` is a HoloSeries or a callable mapping an array of points to a
-    (len, d, d) array of values.  Prefer a callable backed by the exact
-    instance whenever the coefficients do not decay: a truncated polynomial
-    is a different function near |z| = 1 (its partial sums can vanish there)
-    and its ring minima say nothing about the generating function.
-
-    ``grid`` is (ring count J, angle count): of the rings j = 1..J, only the
-    last ``tail_rings``, the ones nearest the boundary, are sampled, each at
-    the given number of equally spaced angles, and the value is the minimum
-    over their ring minima.  Counts that are not integers raise
-    ``InvalidInputError``.
-    """
-    try:
-        j_count, m_count = (operator.index(n) for n in grid)
-        tail_rings = operator.index(tail_rings)
-    except (TypeError, ValueError):
-        raise InvalidInputError("grid must be two integers and tail_rings an integer") from None
-    if j_count < 1 or m_count < 4:
-        raise InvalidInputError("grid must request at least one ring and four angles")
-    if tail_rings < 1:
-        raise InvalidInputError("tail_rings must be at least 1")
-    eval_fn = f if callable(f) else (lambda zs: evaluate_grid(f, zs))
-    probe = np.asarray(eval_fn(np.zeros(1, dtype=np.complex128)))
-    dim = probe.shape[-1]
-    base = as_matrix(base, "base") if np.ndim(base) >= 2 else complex(base) * np.eye(dim)
-    radii = 1.0 - 2.0 ** -np.arange(max(1, j_count - tail_rings + 1), j_count + 1,
-                                    dtype=np.float64)
-    theta = 2.0 * math.pi * np.arange(m_count) / m_count
-    ring_min = np.empty(radii.size)
-    for j, rr in enumerate(radii):
-        values = np.asarray(eval_fn(rr * np.exp(1j * theta))) - base[None, :, :]
-        ring_min[j] = float(operator_norm(values).min())
-    return LiminfEstimate(value=float(ring_min.min()), ring_radii=radii, ring_minima=ring_min)
+    if not isinstance(boundary_eval, ClosedFormEval) or np.any(base):
+        raise ContractError("the boundary liminf needs a ClosedFormEval boundary_eval and a "
+                            f"base of exactly zero; got {type(boundary_eval).__name__}")
+    return boundary_eval.boundary_liminf
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +612,9 @@ def _prep_e55(instance, **_) -> _Prepared:
 
 def _colligation_series_norms(c: ColligationSpec, order: int, rho: float = 0.5):
     nodes = max(4 * order + 4, 256)
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    logs = herglotz_transfer_grid(c, rho * np.exp(1j * theta))
-    coeffs = coeffs_from_circle_samples(matrix_exp(logs), rho, order)
-    return operator_norm(coeffs)
+    series = coeffs_via_cauchy_integral(
+        lambda zs: matrix_exp(herglotz_transfer_grid(c, zs)), order, rho, nodes)
+    return operator_norm(series.coeffs)
 
 
 def _prep_t2(instance, *, order: int = 64, **_) -> _Prepared:
@@ -743,13 +696,12 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
     t4a and t4b, and 1/3 for the others.  The tail bounds the composite of
     the truncated f.
 
-    The liminf is the closed-form ``boundary_liminf`` of ``boundary_eval``
-    when that is a ``ClosedFormEval`` and the base (A_0 for t3a, 0 for t4a)
-    is exactly zero: max_j |t_j|/(1 + beta_j) for ``convex_diag``, within 4u
-    relative, and 1/(4 sin^2(G/4)) for ``starlike_diag``, within
-    (10 d + 4)u relative (u = 2^-53).  Otherwise it is the sampled
-    ``boundary_distance_liminf`` of ``boundary_eval``, or of f itself when
-    that is None.
+    The liminf is ``boundary_distance_liminf`` of ``boundary_eval`` with base
+    A_0 (t3a) or 0 (t4a), the closed form of a ``ClosedFormEval`` when that
+    base is exactly zero: max_j |t_j|/(1 + beta_j) for ``convex_diag``,
+    within 4u relative, and 1/(4 sin^2(G/4)) for ``starlike_diag``, within
+    (10 d + 4)u relative (u = 2^-53).  Any other ``boundary_eval``, None
+    included, or a nonzero A_0 for t3a raises ``ContractError``.
     """
     f, w = _as_pair(instance)
     group = theorem_id[:2]
@@ -769,12 +721,8 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
     if theorem_id == "t3a":
         stated_radius = static_sides["radius"] = thm3_radius(f.coeffs[1])
     if theorem_id in ("t3a", "t4a"):
-        base = f.coeffs[0] if group == "t3" else 0.0
-        if isinstance(boundary_eval, ClosedFormEval) and not np.any(base):
-            static_sides["liminf"] = boundary_eval.boundary_liminf
-        else:
-            static_sides["liminf"] = boundary_distance_liminf(
-                boundary_eval if boundary_eval is not None else f, base).value
+        static_sides["liminf"] = boundary_distance_liminf(
+            boundary_eval, f.coeffs[0] if group == "t3" else 0.0)
     if theorem_id == "t3b":
         half_abs_a1 = 0.5 * abs_value(f.coeffs[1])
         half_norm_a1 = operator_norm(half_abs_a1)
@@ -880,6 +828,10 @@ def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
            liminf at the condition-number radius; absolute sum against |A1|/2
     l2a/b  subordination majorants against the source majorant at r <= 1/3
     t4a/b  subordination to a normalized starlike instance at r <= 3 - 2 sqrt(2)
+
+    t3a and t4a read their right side from ``boundary_eval``, which must be a
+    ``generators.ClosedFormEval`` (``boundary_distance_liminf``); the other
+    checks ignore it.
 
     A report passes when its margin is at least -psd_tol * scale; a psd_tol
     that is not finite and nonnegative raises InvalidInputError.  A grid with

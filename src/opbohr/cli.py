@@ -38,9 +38,8 @@ from .bohr import (
 from .errors import InvalidInputError, OpBohrError
 from .funcalc import (
     ColligationSpec,
-    auto_contour,
+    ContourSpec,
     colligation_log_coeff,
-    herglotz_transfer,
     herglotz_transfer_grid,
     log_eig_normal,
     log_riesz_dunford,
@@ -63,7 +62,7 @@ from .generators import (
 )
 from .linalg import PSD_TOL, adjoint, operator_norm
 from .serialize import dumps, report_to_json
-from .series import coeffs_via_cauchy_integral, compose_subordination, evaluate, evaluate_grid
+from .series import HoloSeries, coeffs_via_cauchy_integral, compose_subordination, evaluate_grid
 
 OUT_DIR_ENV = "OPBOHR_OUT_DIR"
 
@@ -275,6 +274,18 @@ def _aggregate(reports: list[TheoremReport]) -> dict:
     return agg
 
 
+def _meta(start: float) -> dict:
+    """A report's meta block: the package version, and the time of writing and
+    the wall time since ``start`` (a ``time.perf_counter`` reading)."""
+    return {
+        "artifact_version": __version__,
+        "timestamp": {
+            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "wall_time_s": time.perf_counter() - start,
+        },
+    }
+
+
 def run_suite(config: RunConfig) -> SuiteReport:
     """Execute trials x dims x theorem checks and assemble the suite report.
 
@@ -293,16 +304,8 @@ def run_suite(config: RunConfig) -> SuiteReport:
             for theorem in grouped:
                 by_id[theorem].extend(_run_one_trial(theorem, dim, trial, config, draws))
     reports = [rep for t in config.theorems for rep in by_id[t]]
-    wall = time.perf_counter() - start
-    meta = {
-        "artifact_version": __version__,
-        "timestamp": {
-            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "wall_time_s": wall,
-        },
-    }
     return SuiteReport(config=config.echo(), reports=reports,
-                       aggregate=_aggregate(reports), meta=meta)
+                       aggregate=_aggregate(reports), meta=_meta(start))
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +439,10 @@ def demo(name: str) -> SuiteReport:
     for rep in reports:
         print(f"check {rep.theorem_id}: passed={rep.passed} margin={rep.margin:.3e}")
 
-    meta = {
-        "artifact_version": __version__,
-        "timestamp": {
-            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "wall_time_s": time.perf_counter() - start,
-        },
-    }
     agg = _aggregate(reports)
     agg["demo_rows"] = [{"label": lb, "target": t, "computed": v} for lb, t, v in rows]
     return SuiteReport(config={"command": "demo", "name": name}, reports=reports,
-                       aggregate=agg, meta=meta)
+                       aggregate=agg, meta=_meta(start))
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +460,12 @@ def _certificate_gap(family: str, seed: int) -> float:
     for the witness), and sampled inf - bound for a lower bound on the
     smallest singular value, so a sound certificate gives a gap >= 0 up to
     the sample's rounding (for a computed singular value, a few u times the
-    largest).  The colligation is sampled on |z| = 0.97, where its logarithm
-    stays within ``matrix_exp``'s range, the others on |z| = 1 - 2^-10.
+    largest).  Every family is sampled on |z| = 1 - 2^-10.
     """
     dim = 1 if family == "subordination" else 3
     instance, aux = sample(FamilySpec(family_id=family, dim=dim, order=8, seed=seed),
                            with_aux=True)
-    rho = 0.97 if family == "exterior_colligation" else 1.0 - 2.0 ** -10
+    rho = 1.0 - 2.0 ** -10
     zs = rho * np.exp(2j * math.pi * np.arange(2 ** 12) / 2 ** 12)
     if family == "subordination":
         return aux["sup_cert"] - float(np.abs(aux["eval_phi"](zs)).max()) / rho
@@ -502,14 +497,10 @@ def selftest(seed: int = 2024, verbose: bool = True) -> int:
         w = random_unitary(d, derive_seed(seed, 10, i))
         eigs = rng.uniform(1.0, 10.0, size=d)
         m = w @ np.diag(eigs).astype(complex) @ adjoint(w)
-        contour = auto_contour(m)
-        try:
-            via_contour = log_riesz_dunford(m, contour)
-        except OpBohrError:
-            center = complex(0.5 * (eigs.min() + eigs.max()))
-            radius = 0.5 * (eigs.max() - eigs.min()) + min(0.45 * eigs.min(), 1.0)
-            from .funcalc import ContourSpec
-            via_contour = log_riesz_dunford(m, ContourSpec(center, radius))
+        # a circle around [min, max] of the spectrum that keeps 0.55 min from 0
+        center = complex(0.5 * (eigs.min() + eigs.max()))
+        radius = 0.5 * (eigs.max() - eigs.min()) + min(0.45 * eigs.min(), 1.0)
+        via_contour = log_riesz_dunford(m, ContourSpec(center, radius))
         via_eig = log_eig_normal(m)
         err = operator_norm(via_contour - via_eig)
         record(f"contour log vs eigen log #{i}", err <= 1e-8, f"(err {err:.2e})")
@@ -523,7 +514,8 @@ def selftest(seed: int = 2024, verbose: bool = True) -> int:
         v = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
         v *= 1.0 / operator_norm(v)
         c = ColligationSpec(k=k, U=u, V=v)
-        extracted = coeffs_via_cauchy_integral(lambda z: herglotz_transfer(c, z), 8, 0.5, 128)
+        extracted = coeffs_via_cauchy_integral(lambda zs: herglotz_transfer_grid(c, zs),
+                                               8, 0.5, 128)
         err0 = operator_norm(extracted.coeffs[0] - 0.5 * adjoint(v) @ v)
         errs = [operator_norm(extracted.coeffs[n] - colligation_log_coeff(c, n))
                 for n in range(1, 9)]
@@ -531,9 +523,8 @@ def selftest(seed: int = 2024, verbose: bool = True) -> int:
                f"(err {max(err0, max(errs)):.2e})")
 
     poly = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
-    from .series import HoloSeries
     ps = HoloSeries(poly)
-    extracted = coeffs_via_cauchy_integral(lambda z: evaluate(ps, z), 5, 0.5, 64)
+    extracted = coeffs_via_cauchy_integral(lambda zs: evaluate_grid(ps, zs), 5, 0.5, 64)
     err = float(np.abs(extracted.coeffs - poly).max())
     record("coefficient extraction exact on polynomials", err <= 1e-12, f"(err {err:.2e})")
 

@@ -23,7 +23,8 @@ method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26,
 ||2^-s M||_1 <= theta_13 = 5.371920351148152, where r13 is accurate to double
 precision; r13(2^-s M) is then squared s times.  Every step acts on the whole
 stack at once, and a matrix's result does not depend on the stack it arrives
-in.  A matrix with ||M|| > ``EXP_NORM_CAP`` = 300 raises ``RangeError``.
+in.  A matrix with lambda_max(Re M) > ``EXP_NORM_CAP`` = 300, which bounds
+log ||exp(M)||, raises ``RangeError``.
 
 The contracts (a unitary U, a normal or Hermitian matrix, a spectrum off the
 branch ray) hold within ``linalg.EQ_TOL``, and the contour quadrature stops
@@ -63,7 +64,8 @@ from .linalg import (
     operator_norm,
 )
 
-# exp(x) overflows double precision near 709; stay far below it.
+# exp(x) overflows double precision near 709; ||exp(M)|| <= exp(lambda_max(Re M))
+# stays far below it.
 EXP_NORM_CAP = 300.0
 
 
@@ -147,9 +149,9 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
 
-# Relative slack under the norm cap below which sqrt(||M||_1 ||M||_inf), an
-# upper bound of ||M||, clears a matrix without its exact norm: far above the
-# rounding of either computed value (a few d * eps).
+# Relative slack under the cap below which sqrt(||M||_1 ||M||_inf), an upper
+# bound of ||M|| and so of lambda_max(Re M), clears a matrix without an
+# eigenvalue: far above the rounding of either computed value (a few d * eps).
 _CAP_SLACK = 1e-8
 
 
@@ -172,7 +174,11 @@ def matrix_exp(m) -> np.ndarray:
     r13(X) = (V - U)^-1 (V + U), from X^2, X^4, X^6 and one batched solve; then
     each result is squared its own s times.  So each matrix is exponentiated
     as it would be alone.  A stack of 1x1 matrices is ``np.exp``.  Every
-    matrix must satisfy ||M|| <= EXP_NORM_CAP, or ``RangeError`` is raised.
+    matrix must satisfy lambda_max(Re M) <= EXP_NORM_CAP, with
+    Re M = (M + M*)/2, or ``RangeError`` is raised: ||exp(M)|| <=
+    exp(lambda_max(Re M)) bounds the result and every squaring, so exp(-H)
+    with Re H >= 0 is taken at any norm.  The Pade step's backward error is
+    at most u ||M|| (u = 2^-53), so accuracy falls as ||M|| grows.
     """
     a = as_matrix_stack(m)
     shape = a.shape
@@ -181,12 +187,14 @@ def matrix_exp(m) -> np.ndarray:
     a = a.reshape((-1,) + shape[-2:])
     mags = np.abs(a)
     norm1 = mags.sum(axis=-2).max(axis=-1)
-    # ||M|| <= sqrt(||M||_1 ||M||_inf): only matrices whose bound nears the
-    # cap need their exact norm
+    if not np.isfinite(norm1).all():
+        raise RangeError("the 1-norm of a matrix overflows")
+    # lambda_max(Re M) <= ||M|| <= sqrt(||M||_1 ||M||_inf): only matrices whose
+    # bound nears the cap need their exact lambda_max(Re M)
     bound = np.sqrt(norm1 * mags.sum(axis=-1).max(axis=-1))
     near = a[bound > (1.0 - _CAP_SLACK) * EXP_NORM_CAP]
-    if near.size and np.any(operator_norm(near) > EXP_NORM_CAP):
-        raise RangeError(f"||M|| exceeds the exp cap {EXP_NORM_CAP}")
+    if near.size and not np.all(np.linalg.eigvalsh(hermitize(near))[:, -1] <= EXP_NORM_CAP):
+        raise RangeError(f"lambda_max(Re M) exceeds the exp cap {EXP_NORM_CAP}")
     if shape[-1] == 1:
         return np.exp(a).reshape(shape)
     s = _pade13_squarings(norm1)
@@ -318,23 +326,12 @@ def log_riesz_dunford(m, contour: ContourSpec | None = None,
         current = refined
 
 
-def herglotz_transfer(c: ColligationSpec, z: complex) -> np.ndarray:
-    """(1/2) V*(I+zU)(I-zU)^(-1) V, the logarithm of the realized function.
+def herglotz_transfer_grid(c: ColligationSpec, zs) -> np.ndarray:
+    """(1/2) V*(I+zU)(I-zU)^(-1) V, the logarithm of the realized function, at
+    every point of a 1-D array of points of the open disk: a (len, d, d) stack.
 
     Its real part is positive semidefinite for every |z| < 1.
     """
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| must be < 1, got {abs(z):.6g}")
-    eye = np.eye(c.k, dtype=np.complex128)
-    try:
-        w = np.linalg.solve(eye - z * c.U, c.V)
-    except np.linalg.LinAlgError as exc:  # unreachable for |z| < 1 and unitary U
-        raise NumericError(f"(I - zU) solve failed: {exc}") from exc
-    return 0.5 * adjoint(c.V) @ (w + z * (c.U @ w))
-
-
-def herglotz_transfer_grid(c: ColligationSpec, zs) -> np.ndarray:
-    """Vectorized ``herglotz_transfer`` over a 1-D array of points."""
     z = np.asarray(zs, dtype=np.complex128).ravel()
     if np.any(np.abs(z) >= 1.0):
         raise DomainError("all evaluation points must satisfy |z| < 1")

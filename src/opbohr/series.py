@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DomainError, InvalidInputError
-from .linalg import adjoint, all_finite, as_matrix
+from .linalg import adjoint, all_finite, as_matrix_stack
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -263,23 +263,23 @@ def coeffs_from_circle_samples(samples: np.ndarray, rho: float, order: int) -> n
     return spec * scale.reshape((-1,) + (1,) * (samples.ndim - 1))
 
 
-def coeffs_via_cauchy_integral(eval_fn, order: int, rho: float, nodes: int) -> HoloSeries:
+def coeffs_via_cauchy_integral(eval_grid, order: int, rho: float, nodes: int) -> HoloSeries:
     """Extract A_0..A_N of an analytic matrix function by a Cauchy integral.
 
-    The trapezoid rule on the circle |z| = rho aliases coefficient n by at most
-    sup-norm * rho^(M-n) / (1 - rho^M), so nodes must exceed 2N.
+    ``eval_grid`` maps a 1-D array of points to the (len, d, d) stack of the
+    function's values; it is called once, on the ``nodes`` points
+    z_m = rho * exp(2*pi*i*m/nodes), and ``coeffs_from_circle_samples`` takes
+    the coefficients from its stack.  The trapezoid rule on |z| = rho aliases
+    coefficient n by at most sup-norm * rho^(M-n) / (1 - rho^M), so nodes
+    must exceed 2N.
     """
     if not (0.0 < rho < 1.0):
         raise DomainError("extraction radius must lie in (0, 1)")
     if nodes <= 2 * order:
         raise ContractError("nodes must exceed twice the requested order")
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    zs = rho * np.exp(1j * theta)
-    first = np.asarray(eval_fn(zs[0]), dtype=np.complex128)
-    first = as_matrix(first, "eval_fn output")
-    samples = np.empty((nodes, *first.shape), dtype=np.complex128)
-    samples[0] = first
-    for i in range(1, nodes):
-        samples[i] = eval_fn(zs[i])
+    samples = as_matrix_stack(eval_grid(rho * np.exp(1j * theta)), "eval_grid output")
+    if samples.ndim != 3 or samples.shape[0] != nodes:
+        raise InvalidInputError(f"eval_grid must return a ({nodes}, d, d) stack, "
+                                f"got shape {samples.shape}")
     return HoloSeries(coeffs_from_circle_samples(samples, rho, order))
-

@@ -182,7 +182,8 @@ def test_criterion_07_functional_calculus_oracles():
         v = rng2.standard_normal((k, d)) + 1j * rng2.standard_normal((k, d))
         v *= float(rng2.uniform(0.4, 1.3)) / ob.operator_norm(v)
         c = ob.ColligationSpec(k=k, U=ob.random_unitary(k, ob.derive_seed(3010, trial)), V=v)
-        got = ob.coeffs_via_cauchy_integral(lambda z: ob.herglotz_transfer(c, z), 8, 0.5, 128)
+        got = ob.coeffs_via_cauchy_integral(lambda zs: ob.herglotz_transfer_grid(c, zs),
+                                            8, 0.5, 128)
         worst_coeff = max(worst_coeff,
                           ob.operator_norm(got.coeffs[0] - 0.5 * ob.adjoint(v) @ v))
         for n in range(1, 9):

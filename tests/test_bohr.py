@@ -17,7 +17,6 @@ from opbohr import (
     boundary_distance_liminf,
     check_theorem_grid,
     compose_subordination,
-    evaluate_grid,
     norm_majorant,
     operator_majorant,
     operator_norm,
@@ -243,124 +242,18 @@ class TestPsiPeak:
             assert max(psi(x) for x in xs) <= peak + 1e-12
 
 
-class TestBoundaryLiminf:
-    def test_half_plane_map(self):
-        est = boundary_distance_liminf(lambda zs: (zs / (1.0 - zs))[:, None, None], 0.0)
-        assert est.value == pytest.approx(0.5, abs=1e-4)
-        # ring minima increase toward the liminf
-        assert np.all(np.diff(est.ring_minima) >= -1e-12)
-
-    def test_koebe(self):
-        est = boundary_distance_liminf(lambda zs: (zs / (1.0 - zs) ** 2)[:, None, None], 0.0)
-        assert est.value == pytest.approx(0.25, abs=1e-4)
-
-    def test_linear_series(self):
-        # the polynomial path is exact here because the series terminates
-        f = HoloSeries(np.stack([np.zeros((2, 2)), np.eye(2)]).astype(complex))
-        est = boundary_distance_liminf(f, 0.0)
-        assert est.value == pytest.approx(1.0, abs=1e-4)
-
-    def test_truncation_is_not_the_function_near_the_boundary(self):
-        # the partial sums of z/(1-z) have roots on the unit circle, so the
-        # series path collapses; the callable path is required for liminfs
-        coeffs = np.ones(257)
-        coeffs[0] = 0.0
-        est = boundary_distance_liminf(HoloSeries.from_scalar(coeffs, 1), 0.0)
-        assert est.value < 0.01
-
-    @staticmethod
-    def _inputs():
-        """(f, base) for a starlike and a convex callable and a plain series,
-        each with the evaluator and base matrix a reference loop needs."""
-        spec = FamilySpec(family_id="starlike_diag", dim=3, aux_dim=4, order=64, seed=5,
-                          params={"with_witness": True})
-        _, aux = sample(spec, with_aux=True)
-        convex_spec = FamilySpec(family_id="convex_diag", dim=4, aux_dim=4, order=64, seed=6,
-                                 params={"with_witness": True})
-        (convex, _), convex_aux = sample(convex_spec, with_aux=True)
-        rng = np.random.default_rng(12)
-        series = HoloSeries(rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2)))
-        base = np.array([[1.0, 0.5j], [0.0, -1.0]])
-        out = []
-        for f, b in ((aux["eval"], 0.0), (convex_aux["eval"], convex.coeffs[0]), (series, base)):
-            eval_fn = f if callable(f) else (lambda zs: evaluate_grid(series, zs))
-            dim = np.asarray(eval_fn(np.zeros(1, dtype=complex))).shape[-1]
-            b_mat = np.asarray(b) if np.ndim(b) == 2 else b * np.eye(dim)
-            out.append((f, b, eval_fn, b_mat))
-        return out
-
-    def test_ring_minima_match_svd_reference(self):
-        # the pruned ring minimum is also the unpruned one, bit for bit
-        grid = (12, 90)
-        theta = 2.0 * math.pi * np.arange(grid[1]) / grid[1]
-        for f, b, eval_fn, b_mat in self._inputs():
-            est = boundary_distance_liminf(f, b, grid=grid)
-            assert est.ring_radii.size == est.ring_minima.size == 5
-            for j, rr in enumerate(est.ring_radii):
-                values = eval_fn(rr * np.exp(1j * theta)) - b_mat
-                ref = np.linalg.svd(values, compute_uv=False)[:, 0].min()
-                assert abs(est.ring_minima[j] - ref) <= 1e-12 * ref
-                assert est.ring_minima[j] == operator_norm(values).min()
-
-    def test_value_is_the_tail_of_the_full_ring_loop(self):
-        # sampling only the tail rings gives the value every ring would
-        theta = 2.0 * math.pi * np.arange(360) / 360
-        for f, b, eval_fn, b_mat in self._inputs():
-            ring_min = [operator_norm(eval_fn(rr * np.exp(1j * theta)) - b_mat).min()
-                        for rr in 1.0 - 2.0 ** -np.arange(1, 21)]
-            est = boundary_distance_liminf(f, b)
-            assert est.value == min(ring_min[-5:])
-            assert est.ring_minima.tolist() == ring_min[-5:]
-
-    def test_ring_radii_are_the_tail_rings(self):
-        f = lambda zs: (zs / (1.0 - zs))[:, None, None]
-        for j_count, tail in ((20, 5), (20, 1), (12, 3), (6, 6), (3, 5)):
-            est = boundary_distance_liminf(f, 0.0, grid=(j_count, 8), tail_rings=tail)
-            expected = (1.0 - 2.0 ** -np.arange(1, j_count + 1))[-tail:]
-            assert est.ring_radii.tolist() == expected.tolist()
-            assert est.ring_minima.size == min(tail, j_count)
-
-    def test_evaluates_only_the_probe_and_the_tail_rings(self):
-        sizes = []
-
-        def counting(zs):
-            sizes.append(zs.size)
-            return (zs / (1.0 - zs))[:, None, None]
-
-        for tail in (5, 2):
-            sizes.clear()
-            boundary_distance_liminf(counting, 0.0, tail_rings=tail)
-            assert sizes[0] == 1
-            assert sum(sizes) == 1 + tail * 360
-
-    def test_tail_rings_below_one_raise(self):
-        f = lambda zs: zs[:, None, None]
-        for tail in (0, -1, -5):
-            with pytest.raises(InvalidInputError):
-                boundary_distance_liminf(f, 0.0, tail_rings=tail)
-
-    def test_non_integer_counts_raise(self):
-        f = lambda zs: zs[:, None, None]
-        for kwargs in ({"tail_rings": 2.5}, {"grid": (20.5, 360)}, {"grid": (20, 360.0)},
-                       {"grid": (20,)}, {"grid": (20, 360, 1)}, {"grid": 20}):
-            with pytest.raises(InvalidInputError):
-                boundary_distance_liminf(f, 0.0, **kwargs)
-
-
 class TestClosedFormLiminf:
     """t3a and t4a read the closed-form liminf of the diagonal-frame families
-    and sample every other boundary."""
+    and accept no other boundary."""
 
     @staticmethod
-    def count_liminf_calls(monkeypatch):
-        calls = []
+    def counted(closed_form: ClosedFormEval, sizes: list) -> ClosedFormEval:
+        """The same closed form, with an evaluator that logs each call's point count."""
+        def fn(zs):
+            sizes.append(np.size(zs))
+            return closed_form(zs)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return boundary_distance_liminf(*args, **kwargs)
-
-        monkeypatch.setattr(bohr, "boundary_distance_liminf", counted)
-        return calls
+        return ClosedFormEval(fn, closed_form.boundary_liminf)
 
     @staticmethod
     def pair(family_id, d, seed):
@@ -386,25 +279,40 @@ class TestClosedFormLiminf:
     @pytest.mark.parametrize("theorem_id, family_id", [
         ("t3a", "convex_diag"), ("t3a", "starlike_diag"), ("t4a", "starlike_diag"),
     ])
-    def test_diagonal_families_take_the_closed_form(self, monkeypatch, theorem_id, family_id):
-        calls = self.count_liminf_calls(monkeypatch)
+    def test_diagonal_families_take_the_closed_form(self, theorem_id, family_id):
+        sizes = []
         for d in (1, 2, 3, 4):
             pair, aux = self.pair(family_id, d, seed=d)
-            (rep,) = check_theorem_grid(theorem_id, pair, [None], boundary_eval=aux["eval"])
+            boundary_eval = self.counted(aux["eval"], sizes)
+            (rep,) = check_theorem_grid(theorem_id, pair, [None], boundary_eval=boundary_eval)
             assert rep.side_values["liminf"] == aux["eval"].boundary_liminf
-        assert calls == []
+            assert boundary_distance_liminf(boundary_eval, 0.0) == aux["eval"].boundary_liminf
+        assert sizes == []
+        boundary_eval(np.zeros(3))
+        assert sizes == [3]
 
     def test_verify_samples_no_boundary(self, monkeypatch):
+        from opbohr import cli
         from opbohr.cli import RunConfig, parse_theorem_list, run_suite
 
-        calls = self.count_liminf_calls(monkeypatch)
+        sizes = []
+        draw = cli._draw
+
+        def draw_counted(*args):
+            instance, aux, fields = draw(*args)
+            if "eval" in aux:
+                aux = {**aux, "eval": self.counted(aux["eval"], sizes)}
+            return instance, aux, fields
+
+        monkeypatch.setattr(cli, "_draw", draw_counted)
         config = RunConfig(theorems=parse_theorem_list("t3,t4"), trials=2, dims=(1, 2, 3, 4))
-        assert all(rep.passed for rep in run_suite(config).reports)
-        assert calls == []
+        reports = run_suite(config).reports
+        assert all(rep.passed for rep in reports)
+        assert {rep.theorem_id for rep in reports} == {"t3a", "t3b", "t4a", "t4b"}
+        assert sizes == []
 
     @pytest.mark.parametrize("route", ["plain callable", "series", "nonzero base"])
-    def test_other_boundaries_are_sampled_once_per_check(self, monkeypatch, route):
-        calls = self.count_liminf_calls(monkeypatch)
+    def test_other_boundaries_raise(self, route):
         for d in (1, 3):
             (f, w), aux = self.pair("convex_diag", d, seed=d)
             exact = aux["eval"]
@@ -417,11 +325,17 @@ class TestClosedFormLiminf:
                 f = HoloSeries(np.concatenate([f.coeffs[:1] + shift, f.coeffs[1:]]))
                 boundary_eval = ClosedFormEval(lambda zs: exact(zs) + shift, exact.boundary_liminf)
                 base = shift
-            before = len(calls)
-            (rep,) = check_theorem_grid("t3a", (f, w), [None], boundary_eval=boundary_eval)
-            assert len(calls) == before + 1
-            sampled = boundary_distance_liminf(f if boundary_eval is None else boundary_eval, base)
-            assert rep.side_values["liminf"] == sampled.value
+            with pytest.raises(ContractError):
+                check_theorem_grid("t3a", (f, w), [None], boundary_eval=boundary_eval)
+            with pytest.raises(ContractError):
+                boundary_distance_liminf(boundary_eval, base)
+        if route != "nonzero base":
+            # t4a measures ||f||: its base is 0, so only the evaluator can be wrong
+            pair, aux = self.pair("starlike_diag", 2, seed=2)
+            exact = aux["eval"]
+            boundary_eval = None if route == "series" else (lambda zs: exact(zs))
+            with pytest.raises(ContractError):
+                check_theorem_grid("t4a", pair, [None], boundary_eval=boundary_eval)
 
 
 class TestRadiusFormulas:

@@ -28,7 +28,7 @@ from opbohr.cli import (
     write_scan_csv,
     write_suite_report,
 )
-from opbohr import generators
+from opbohr import cli, generators
 from opbohr.errors import OpBohrError
 from opbohr.generators import (
     FamilySpec,
@@ -278,6 +278,14 @@ class TestDemo:
     def test_demo_cli(self):
         assert main(["demo", "radius-t3"]) == 0
 
+    def test_demo_and_verify_write_the_same_meta(self, capsys):
+        metas = [demo("radius-t3").meta, run_suite(RunConfig(trials=1, dims=(1,))).meta]
+        capsys.readouterr()
+        for meta in metas:
+            assert list(meta) == ["artifact_version", "timestamp"]
+            assert list(meta["timestamp"]) == ["generated_at", "wall_time_s"]
+            assert meta["timestamp"]["wall_time_s"] >= 0.0
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):
@@ -287,6 +295,11 @@ class TestSelftest:
 
     def test_selftest_cli(self):
         assert main(["selftest"]) == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_colligation_certificate_holds_where_the_others_are_sampled(self, seed):
+        # exp(-H) is sampled on |z| = 1 - 2^-10, where ||H|| passes 300
+        assert cli._certificate_gap("exterior_colligation", seed) >= -generators.CERT_SLACK
 
     def test_selftest_catches_an_unsound_certificate(self, monkeypatch, capsys):
         # a Schur bound below 1 is contradicted by the dense sample of every

@@ -22,13 +22,13 @@ from opbohr import (
     adjoint,
     auto_contour,
     colligation_log_coeff,
-    herglotz_transfer,
+    herglotz_transfer_grid,
     log_eig_normal,
     log_riesz_dunford,
     matrix_exp,
     operator_norm,
 )
-from opbohr.funcalc import EXP_NORM_CAP, herglotz_transfer_grid
+from opbohr.funcalc import EXP_NORM_CAP
 from opbohr.generators import random_unitary
 from opbohr.linalg import PSD_TOL, QUAD_TOL, smallest_eigenvalue
 from opbohr.series import coeffs_via_cauchy_integral
@@ -139,6 +139,26 @@ class TestMatrixExp:
         got = matrix_exp(m)
         ref = eig_exp_oracle(m.astype(complex))
         assert operator_norm(got - ref) <= 1e-13 * math.exp(lam)
+
+    def test_cap_is_on_the_hermitian_part(self):
+        # exp(-H) with Re H >= 0 has norm at most 1 at any ||H||, and a large
+        # skew-Hermitian part is no bar either: only lambda_max(Re M) is capped
+        rng = np.random.default_rng(0)
+        for seed, eigs in enumerate((-rng.uniform(0.0, 1e3, 3) + 1j * rng.uniform(-1e3, 1e3, 3),
+                                     [299.0 + 1e3j, -5e3 + 200j, 10.0 - 800j])):
+            eigs = np.asarray(eigs)
+            m = planted_normal(seed, eigs)
+            assert operator_norm(m) > EXP_NORM_CAP
+            got = matrix_exp(m)
+            ref = planted_normal(seed, np.exp(eigs))
+            assert operator_norm(got - ref) <= 1e-11 * math.exp(eigs.real.max())
+        with pytest.raises(RangeError):
+            matrix_exp(planted_normal(3, [301.0 + 1e3j, -1e3, 0.0]))
+
+    def test_overflowing_norm_raises(self):
+        # Re M = 0, but the 1-norm that sets the squarings overflows
+        with np.errstate(over="ignore"), pytest.raises(RangeError):
+            matrix_exp(1e308j * np.ones((2, 2)))
 
     def test_norm_cap_applies_to_every_matrix_of_a_stack(self):
         stack = np.stack([np.eye(2), 0.5 * np.eye(2), 301.0 * np.eye(2)]).astype(complex)
@@ -299,25 +319,26 @@ def random_colligation(seed, k=4, d=2, v_norm=1.0):
 class TestHerglotzTransfer:
     def test_zero_v(self):
         c = ColligationSpec(k=2, U=np.eye(2), V=np.zeros((2, 2)))
-        for z in (0.0, 0.3 + 0.2j, -0.9):
-            assert operator_norm(herglotz_transfer(c, z)) == 0.0
+        logs = herglotz_transfer_grid(c, [0.0, 0.3 + 0.2j, -0.9])
+        assert logs.shape == (3, 2, 2)
+        assert np.all(operator_norm(logs) == 0.0)
 
     def test_scalar_closed_form(self):
         cval = 0.7
         c = scalar_colligation(1.0, math.sqrt(2 * cval))
-        for z in (0.0, 0.5, 0.3 - 0.4j):
-            expected = cval * (1 + z) / (1 - z)
-            assert herglotz_transfer(c, z)[0, 0] == pytest.approx(expected, abs=1e-13)
+        zs = np.array([0.0, 0.5, 0.3 - 0.4j])
+        expected = cval * (1 + zs) / (1 - zs)
+        assert np.abs(herglotz_transfer_grid(c, zs)[:, 0, 0] - expected).max() <= 1e-13
 
     def test_origin_value(self):
         c = random_colligation(7)
-        at0 = herglotz_transfer(c, 0.0)
+        (at0,) = herglotz_transfer_grid(c, [0.0])
         assert np.allclose(at0, 0.5 * adjoint(c.V) @ c.V, atol=1e-14)
         assert np.linalg.eigvalsh(at0)[0] >= -1e-13
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            herglotz_transfer(random_colligation(1), 1.0)
+            herglotz_transfer_grid(random_colligation(1), [0.5, 1.0])
 
     def test_positivity_on_grid(self):
         # real part of the realized log is PSD throughout the disk
@@ -332,23 +353,23 @@ class TestHerglotzTransfer:
 class TestExteriorRealization:
     def test_zero_v(self):
         c = ColligationSpec(k=2, U=np.eye(2), V=np.zeros((2, 1)))
-        assert np.allclose(matrix_exp(herglotz_transfer(c, 0.4j)), np.eye(1))
+        assert np.allclose(matrix_exp(herglotz_transfer_grid(c, [0.4j])), np.eye(1))
 
     def test_scalar_value_two(self):
         c = scalar_colligation(1.0, math.sqrt(2 * math.log(2)))
-        assert matrix_exp(herglotz_transfer(c, 0.0))[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert matrix_exp(herglotz_transfer_grid(c, [0.0]))[0, 0, 0] == pytest.approx(
+            2.0, abs=1e-12)
 
     def test_origin_exp_psd(self):
         c = random_colligation(3)
-        f0 = matrix_exp(herglotz_transfer(c, 0.0))
+        (f0,) = matrix_exp(herglotz_transfer_grid(c, [0.0]))
         assert np.linalg.eigvalsh(f0)[0] >= 1.0 - 1e-12
 
     def test_exterior_property_on_grid(self):
         c = random_colligation(19, v_norm=1.2)
         rng = np.random.default_rng(1)
         zs = rng.uniform(0, 0.95, 100) * np.exp(2j * math.pi * rng.uniform(size=100))
-        for z in zs:
-            f = matrix_exp(herglotz_transfer(c, complex(z)))
+        for f in matrix_exp(herglotz_transfer_grid(c, zs)):
             sv_min = np.linalg.svd(f, compute_uv=False)[-1]
             assert sv_min >= 1.0 - 1e-10
             # I <= |f| in the Loewner order
@@ -387,7 +408,7 @@ class TestColligationLogCoeff:
 def test_taylor_consistency_with_cauchy_extraction():
     # series coefficients of the realized log match (1/2)V*V and V* U^n V
     c = random_colligation(31, v_norm=1.1)
-    got = coeffs_via_cauchy_integral(lambda z: herglotz_transfer(c, z), 10, 0.5, 256)
+    got = coeffs_via_cauchy_integral(lambda zs: herglotz_transfer_grid(c, zs), 10, 0.5, 256)
     assert operator_norm(got.coeffs[0] - 0.5 * adjoint(c.V) @ c.V) <= 1e-9
     for n in range(1, 11):
         assert operator_norm(got.coeffs[n] - colligation_log_coeff(c, n)) <= 1e-9

@@ -8,6 +8,7 @@ from opbohr import (
     DomainError,
     HarmonicSeries,
     HoloSeries,
+    InvalidInputError,
     ScalarSeries,
     SubordinationWitness,
     adjoint,
@@ -277,25 +278,43 @@ class TestComposeSubordination:
 class TestCauchyExtraction:
     def test_exponential_coefficients(self):
         got = coeffs_via_cauchy_integral(
-            lambda z: np.array([[np.exp(z)]]), 10, 0.5, 256)
+            lambda zs: np.exp(zs)[:, None, None], 10, 0.5, 256)
         for n in range(11):
             assert got.coeffs[n][0, 0] == pytest.approx(1.0 / math.factorial(n), abs=1e-12)
 
     def test_constant(self):
         a0 = np.array([[2.0, 1j], [0.0, -1.0]])
-        got = coeffs_via_cauchy_integral(lambda z: a0, 5, 0.5, 64)
+        got = coeffs_via_cauchy_integral(lambda zs: np.broadcast_to(a0, (zs.size, 2, 2)),
+                                         5, 0.5, 64)
         assert np.allclose(got.coeffs[0], a0, atol=1e-14)
         assert float(np.abs(got.coeffs[1:]).max()) <= 1e-13
 
     def test_exact_on_polynomials(self):
         rng = np.random.default_rng(3)
         poly = HoloSeries(rng.standard_normal((7, 2, 2)) + 1j * rng.standard_normal((7, 2, 2)))
-        got = coeffs_via_cauchy_integral(lambda z: evaluate(poly, z), 6, 0.5, 64)
+        got = coeffs_via_cauchy_integral(lambda zs: evaluate_grid(poly, zs), 6, 0.5, 64)
         assert float(np.abs(got.coeffs - poly.coeffs).max()) <= 1e-12
+
+    def test_evaluates_the_circle_once(self):
+        calls = []
+
+        def eval_grid(zs):
+            calls.append(zs)
+            return zs[:, None, None] ** 2
+
+        coeffs_via_cauchy_integral(eval_grid, 3, 0.5, 16)
+        (zs,) = calls
+        theta = 2.0 * math.pi * np.arange(16) / 16
+        assert np.array_equal(zs, 0.5 * np.exp(1j * theta))
 
     def test_node_count_contract(self):
         with pytest.raises(ContractError):
-            coeffs_via_cauchy_integral(lambda z: np.eye(1), 10, 0.5, 20)
+            coeffs_via_cauchy_integral(lambda zs: np.ones((zs.size, 1, 1)), 10, 0.5, 20)
+
+    @pytest.mark.parametrize("shape", [(63, 2, 2), (64, 2, 3), (64, 2), (2, 2), (64, 1, 2, 2)])
+    def test_output_shape_contract(self, shape):
+        with pytest.raises(InvalidInputError):
+            coeffs_via_cauchy_integral(lambda zs: np.zeros(shape), 5, 0.5, 64)
 
 
 class TestWitnessValidation:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -101,3 +102,41 @@ def test_report_diff_fails_on_flag_changes_and_misalignment(tmp_path, capsys, ed
             "t3b: 1 reports, 0 flag changes, max |dmargin|/scale 0; changed lhs_norm 0.25; "
             "added -; removed -",
         ]
+
+
+def _load_tracer():
+    """perfbench/tracer.py as a module, loaded from its file without changing it."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_traced_layer_is_still_in_the_package():
+    # the tracer skips a layer whose function is gone, and the traced run then
+    # lacks that layer's metrics: a rename must rename the layer too
+    from opbohr import bohr
+
+    tracer = _load_tracer()
+    missing = [f"{layer.name}: {module}.{fname}"
+               for layer in tracer.LAYERS
+               for module in [layer.name.split(".")[0]]
+               for fname in layer.functions
+               if not callable(getattr(tracer.MODULES[module], fname, None))]
+    assert missing == []
+    assert isinstance(bohr._PREPARERS, dict)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        measured, exact = traced.layer_metrics(0, 0)
+    finally:
+        traced.uninstall()
+    # perfbench/run.py adds the overhead ratio to the tracer's layer metrics
+    emitted = measured.keys() | exact.keys() | {"trace.overhead_ratio"}
+    per_layer = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert sorted(set(per_layer) - emitted) == []
