@@ -4,7 +4,6 @@ holomorphic and harmonic functions on the unit disk."""
 __version__ = "0.1.0"
 
 from .errors import (
-    BranchCutError,
     ContourError,
     ContractError,
     DomainError,
@@ -21,14 +20,10 @@ from .linalg import (
     operator_norm,
 )
 from .funcalc import (
-    BranchCut,
     ColligationSpec,
-    ContourSpec,
-    PRINCIPAL_CUT,
-    auto_contour,
     colligation_log_coeff,
     herglotz_transfer_grid,
-    log_eig_normal,
+    log_hermitian,
     log_riesz_dunford,
     matrix_exp,
 )

@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractError, DomainError, InvalidInputError
-from .funcalc import ColligationSpec, herglotz_transfer_grid, log_eig_normal, matrix_exp
+from .funcalc import ColligationSpec, herglotz_transfer_grid, log_hermitian, matrix_exp
 from .generators import ClosedFormEval
 from .linalg import (
     EQ_TOL,
@@ -215,11 +215,17 @@ def spherical_distance(z1, z2) -> float:
     return abs(z1 - z2) / (math.sqrt(1.0 + abs(z1) ** 2) * math.sqrt(1.0 + abs(z2) ** 2))
 
 
-def psi_peak(r: float) -> tuple[float, float]:
-    """Maximizer and maximum of psi(x) = x + (2r/sqrt(1-r^2)) sqrt(1-x^2) on [0, 1]."""
+def psi_peak(r: float, normal: bool = False) -> tuple[float, float]:
+    """Maximizer and maximum of psi(x) = x + (2r/sqrt(1-r^2)) sqrt(1-x^2) on [0, 1],
+    or of psi(x) = x + (sqrt(2) r/sqrt(1-r^2)) sqrt(1-x^2) when normal.
+
+    x + a sqrt(1-x^2) peaks at sqrt(1 + a^2) = sqrt(1 + k r^2)/sqrt(1 - r^2),
+    with k = 3, or 1 when normal, at x0 = 1/sqrt(1 + a^2).
+    """
     r = _check_r(r)
-    x0 = math.sqrt(1.0 - r * r) / math.sqrt(1.0 + 3.0 * r * r)
-    peak = math.sqrt(1.0 + 3.0 * r * r) / math.sqrt(1.0 - r * r)
+    k = 1.0 if normal else 3.0
+    x0 = math.sqrt(1.0 - r * r) / math.sqrt(1.0 + k * r * r)
+    peak = math.sqrt(1.0 + k * r * r) / math.sqrt(1.0 - r * r)
     return x0, peak
 
 
@@ -252,7 +258,7 @@ def _thm2_parts(a0) -> tuple[float, float, float]:
         raise ContractError(f"A0 must have spectrum in [1, inf); smallest eigenvalue {lam_min:.6g}")
     if norm <= 1.0 + EQ_TOL:
         raise ContractError("radius is degenerate for ||A0|| <= 1 (A0 = identity)")
-    norm_log = operator_norm(log_eig_normal(hermitize(m)))
+    norm_log = operator_norm(log_hermitian(m))
     ell = math.log(norm) / norm_log
     return norm, norm_log, (2.0 * ell - 1.0) / (2.0 * ell + 1.0)
 
@@ -542,11 +548,7 @@ def _prep_t1i(instance, *, mu=None, normal: bool = False, **_) -> _Prepared:
 
     def sides(rs: np.ndarray) -> _Sides:
         radii = rs.tolist()
-        if normal:
-            x0s = [math.sqrt(1.0 - r * r) / math.sqrt(1.0 + r * r) for r in radii]
-            peaks = [math.sqrt(1.0 + r * r) / math.sqrt(1.0 - r * r) for r in radii]
-        else:
-            x0s, peaks = map(list, zip(*(psi_peak(r) for r in radii)))
+        x0s, peaks = map(list, zip(*(psi_peak(r, normal) for r in radii)))
         tails = [_l2_mass_tail(residual_top, order, r) for r in radii]
         return _Sides(t_mat + _kahan_matrix_sum(abs_p, rs, 1), peaks, tails,
                       extra={"x0": x0s})

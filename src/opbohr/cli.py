@@ -38,10 +38,9 @@ from .bohr import (
 from .errors import InvalidInputError, OpBohrError
 from .funcalc import (
     ColligationSpec,
-    ContourSpec,
     colligation_log_coeff,
     herglotz_transfer_grid,
-    log_eig_normal,
+    log_hermitian,
     log_riesz_dunford,
     matrix_exp,
 )
@@ -500,8 +499,8 @@ def selftest(seed: int = 2024, verbose: bool = True) -> int:
         # a circle around [min, max] of the spectrum that keeps 0.55 min from 0
         center = complex(0.5 * (eigs.min() + eigs.max()))
         radius = 0.5 * (eigs.max() - eigs.min()) + min(0.45 * eigs.min(), 1.0)
-        via_contour = log_riesz_dunford(m, ContourSpec(center, radius))
-        via_eig = log_eig_normal(m)
+        via_contour = log_riesz_dunford(m, center, radius)
+        via_eig = log_hermitian(m)
         err = operator_norm(via_contour - via_eig)
         record(f"contour log vs eigen log #{i}", err <= 1e-8, f"(err {err:.2e})")
         roundtrip = operator_norm(matrix_exp(via_contour) - m)

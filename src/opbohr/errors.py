@@ -21,10 +21,6 @@ class NumericError(OpBohrError):
     """A numerical procedure failed or did not converge to its target."""
 
 
-class BranchCutError(OpBohrError):
-    """Spectrum touches the excluded ray of the requested logarithm branch."""
-
-
 class ContourError(OpBohrError):
     """Integration contour violates its geometric preconditions."""
 

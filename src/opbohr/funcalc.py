@@ -1,20 +1,17 @@
 """Matrix exponential/logarithm, contour-integral logarithm, and unitary
 colligation evaluation.
 
-The logarithm comes in two routes that cross-check each other:
+The package takes one logarithm, log A_0 of a Hermitian A_0 with spectrum in
+[1, inf) (the exterior-valued theorem t2), on the principal branch.  It
+comes in two routes that cross-check each other:
 
-* ``log_eig_normal`` diagonalizes a normal matrix and applies a scalar branch
-  logarithm to the eigenvalues (the oracle path);
+* ``log_hermitian`` applies the real logarithm to the eigenvalues of a
+  Hermitian positive definite matrix from ``eigh`` (the route t2 takes);
 * ``log_riesz_dunford`` evaluates the resolvent integral
-  (1/2*pi*i) * integral of log(xi) (xi I - M)^(-1) d(xi) over a circle by
-  trapezoidal quadrature, which converges geometrically for analytic
-  integrands on circles.
-
-A branch is described by the direction of the ray excluded from the plane;
-the angle pi reproduces the principal branch on the slit plane C \\ (-inf, 0].
-A finite spectrum can never separate 0 from infinity in the plane, so the
-only operative preconditions for a matrix logarithm are that 0 lies outside
-the spectrum and that the spectrum stays off the chosen branch ray.
+  (1/2*pi*i) * integral of log(xi) (xi I - M)^(-1) d(xi) over a circle whose
+  closed disk misses (-inf, 0] by trapezoidal quadrature, which converges
+  geometrically for analytic integrands on circles.  It takes any square
+  matrix, so it is an oracle independent of ``eigh``.
 
 ``matrix_exp`` exponentiates a whole stack in numpy, by scaling and squaring
 around the degree-13 Pade approximant r13 (Higham, "The scaling and squaring
@@ -26,15 +23,9 @@ stack at once, and a matrix's result does not depend on the stack it arrives
 in.  A matrix with lambda_max(Re M) > ``EXP_NORM_CAP`` = 300, which bounds
 log ||exp(M)||, raises ``RangeError``.
 
-The contracts (a unitary U, a normal or Hermitian matrix, a spectrum off the
-branch ray) hold within ``linalg.EQ_TOL``, and the contour quadrature stops
-when two successive results agree within ``linalg.QUAD_TOL``; neither is a
-parameter.
-
-``scipy.linalg`` is imported on first use, only for the complex Schur form of
-a non-Hermitian normal matrix in ``log_eig_normal``: loading it costs more
-than half of a process start, and runs that never take such a logarithm
-never load it.
+The contracts (a unitary U, a Hermitian matrix) hold within
+``linalg.EQ_TOL``, and the contour quadrature stops when two successive
+results agree within ``linalg.QUAD_TOL``; neither is a parameter.
 """
 
 from __future__ import annotations
@@ -45,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BranchCutError,
     ContourError,
     ContractError,
     DomainError,
@@ -68,47 +58,10 @@ from .linalg import (
 # stays far below it.
 EXP_NORM_CAP = 300.0
 
-
-@dataclass(frozen=True)
-class BranchCut:
-    """Logarithm branch determined by the excluded ray {t e^(i angle) : t >= 0}."""
-
-    angle: float = math.pi
-
-    def __post_init__(self):
-        if not (-math.pi < self.angle <= math.pi):
-            raise InvalidInputError("branch angle must lie in (-pi, pi]")
-
-    def ray_distance(self, z: complex) -> float:
-        """Euclidean distance from z to the excluded ray."""
-        w = complex(z) * np.exp(-1j * self.angle)
-        if w.real >= 0.0:
-            return abs(w.imag)
-        return abs(w)
-
-    def log(self, values):
-        """Scalar branch logarithm with argument in (angle - 2*pi, angle]."""
-        v = np.asarray(values, dtype=np.complex128)
-        arg = self.angle - np.mod(self.angle - np.angle(v), 2.0 * math.pi)
-        return np.log(np.abs(v)) + 1j * arg
-
-
-PRINCIPAL_CUT = BranchCut(math.pi)
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """A single positively oriented circle with a trapezoidal node count."""
-
-    center: complex
-    radius: float
-    nodes: int = 512
-
-    def __post_init__(self):
-        if not (self.radius > 0):
-            raise InvalidInputError("contour radius must be positive")
-        if self.nodes < 16:
-            raise InvalidInputError("contour needs at least 16 nodes")
+# Trapezoidal nodes of the first contour quadrature, and the count at which
+# doubling stops without convergence.
+CONTOUR_NODES = 512
+CONTOUR_MAX_NODES = 65536
 
 
 @dataclass(frozen=True)
@@ -215,75 +168,44 @@ def matrix_exp(m) -> np.ndarray:
     return r.reshape(shape)
 
 
-def _normal_eigensystem(m: np.ndarray):
-    """Unitary diagonalization of a normal matrix: ``eigh`` when it is
-    Hermitian within EQ_TOL * max(1, ||M||) entrywise, else a complex Schur form."""
-    norm = operator_norm(m)
-    defect = operator_norm(m @ adjoint(m) - adjoint(m) @ m)
-    if defect > EQ_TOL * max(1.0, norm**2):
-        raise ContractError(f"matrix is not normal within tolerance (defect {defect:.3e})")
-    if np.allclose(m, adjoint(m), rtol=0.0, atol=EQ_TOL * max(1.0, norm)):
-        w, z = np.linalg.eigh(hermitize(m))
-        return w.astype(np.complex128), z
-    from scipy.linalg import schur
+def log_hermitian(m) -> np.ndarray:
+    """Logarithm of a Hermitian positive definite matrix through ``eigh``.
 
-    t, z = schur(m, output="complex")
-    off = t - np.diag(np.diag(t))
-    if operator_norm(off) > math.sqrt(EQ_TOL) * max(1.0, norm):
-        raise NumericError("Schur form of a nominally normal matrix is far from diagonal")
-    return np.diag(t), z
-
-
-def log_eig_normal(m, cut: BranchCut = PRINCIPAL_CUT) -> np.ndarray:
-    """Logarithm of a normal matrix through its eigenvalues.
-
-    The spectrum must exclude 0 and stay off the branch ray; exp of the result
-    reconstructs the input within QUAD_TOL * ||M||.
+    M must be Hermitian within EQ_TOL * max(1, ||M||) entrywise, or
+    ``ContractError`` is raised; its smallest eigenvalue must exceed
+    EQ_TOL * max(1, max |lambda|), or ``DomainError`` is raised.  The result
+    is Z diag(log lambda) Z* from ``eigh`` of the Hermitian part of M.
     """
     a = as_matrix(m)
-    w, z = _normal_eigensystem(a)
-    scale = max(1.0, float(np.abs(w).max()))
-    for lam in w:
-        if cut.ray_distance(complex(lam)) <= EQ_TOL * scale:
-            raise BranchCutError(
-                f"eigenvalue {complex(lam):.6g} touches the branch ray at angle {cut.angle:.6g}"
-            )
-    return z @ np.diag(cut.log(w)) @ adjoint(z)
+    if not np.allclose(a, adjoint(a), rtol=0.0, atol=EQ_TOL * max(1.0, operator_norm(a))):
+        raise ContractError("matrix is not Hermitian within tolerance")
+    w, z = np.linalg.eigh(hermitize(a))
+    if w[0] <= EQ_TOL * max(1.0, float(np.abs(w).max())):
+        raise DomainError(f"smallest eigenvalue {w[0]:.6g} is not positive")
+    return z @ np.diag(np.log(w).astype(complex)) @ adjoint(z)
 
 
-def auto_contour(m, nodes: int = 512, factor: float = 1.25) -> ContourSpec:
-    """Circle centered at the spectral centroid with radius factor * spread.
-
-    Deterministic; the result may still violate ``log_riesz_dunford``'s
-    geometric preconditions, in which case that call rejects it.
-    """
-    a = as_matrix(m)
-    eigs = np.linalg.eigvals(a)
-    center = complex(eigs.mean())
-    spread = float(np.abs(eigs - center).max())
-    radius = factor * spread if spread > 0 else 0.25 * max(1.0, abs(center))
-    return ContourSpec(center=center, radius=radius, nodes=nodes)
-
-
-def _check_contour_geometry(eigs: np.ndarray, contour: ContourSpec, cut: BranchCut) -> None:
-    gap = np.abs(eigs - contour.center)
-    slack = 1e-12 * max(1.0, contour.radius)
-    if float(gap.max()) >= contour.radius - slack:
+def _check_contour_geometry(eigs: np.ndarray, center: complex, radius: float) -> None:
+    if not (np.isfinite(center) and math.isfinite(radius)):
+        raise InvalidInputError("contour center and radius must be finite")
+    gap = np.abs(eigs - center)
+    slack = 1e-12 * max(1.0, radius)
+    if float(gap.max()) >= radius - slack:
         raise ContourError(
-            f"contour (center {contour.center:.6g}, radius {contour.radius:.6g}) "
+            f"contour (center {center:.6g}, radius {radius:.6g}) "
             f"does not strictly enclose the spectrum (max |lambda - c| = {gap.max():.6g})"
         )
-    if abs(contour.center) <= contour.radius + slack:
-        raise ContourError("closed disk bounded by the contour must exclude 0")
-    if cut.ray_distance(contour.center) <= contour.radius + slack:
-        raise ContourError("closed disk bounded by the contour meets the branch ray")
+    # distance from the center to the cut (-inf, 0], which holds 0
+    cut_distance = abs(center.imag) if center.real <= 0.0 else abs(center)
+    if cut_distance <= radius + slack:
+        raise ContourError("closed disk bounded by the contour meets (-inf, 0]")
 
 
-def _trapezoid_log(m: np.ndarray, contour: ContourSpec, cut: BranchCut, nodes: int) -> np.ndarray:
+def _trapezoid_log(m: np.ndarray, center: complex, radius: float, nodes: int) -> np.ndarray:
     d = m.shape[0]
     phi = 2.0 * math.pi * np.arange(nodes) / nodes
     rot = np.exp(1j * phi)
-    xi = contour.center + contour.radius * rot
+    xi = center + radius * rot
     lhs = xi[:, None, None] * np.eye(d)[None, :, :] - m[None, :, :]
     rhs = np.broadcast_to(np.eye(d, dtype=np.complex128), (nodes, d, d))
     try:
@@ -297,30 +219,31 @@ def _trapezoid_log(m: np.ndarray, contour: ContourSpec, cut: BranchCut, nodes: i
         raise NumericError(
             f"resolvent solve residual {residual:.3e}; move or shrink the contour"
         )
-    weights = cut.log(xi) * rot * (contour.radius / nodes)
+    weights = np.log(xi) * rot * (radius / nodes)
     return np.tensordot(weights, resolvents, axes=(0, 0))
 
 
-def log_riesz_dunford(m, contour: ContourSpec | None = None,
-                      cut: BranchCut = PRINCIPAL_CUT,
-                      max_nodes: int = 65536) -> np.ndarray:
-    """Contour-integral logarithm over a circle enclosing the spectrum.
+def log_riesz_dunford(m, center: complex, radius: float) -> np.ndarray:
+    """Principal logarithm of any square matrix as a contour integral over
+    the circle |xi - center| = radius.
 
-    Starts at ``contour.nodes`` quadrature points and doubles the count until
-    two successive results agree within QUAD_TOL * max(1, ||result||).
+    The circle must strictly enclose the spectrum, and its closed disk must
+    miss (-inf, 0], or ``ContourError`` is raised; a center or radius that is
+    not finite raises ``InvalidInputError``.  The quadrature starts at
+    ``CONTOUR_NODES`` points and doubles the count until two successive
+    results agree within QUAD_TOL * max(1, ||result||), or raises
+    ``NumericError`` at ``CONTOUR_MAX_NODES``.
     """
     a = as_matrix(m)
-    if contour is None:
-        contour = auto_contour(a)
-    eigs = np.linalg.eigvals(a)
-    _check_contour_geometry(eigs, contour, cut)
-    nodes = contour.nodes
-    current = _trapezoid_log(a, contour, cut, nodes)
+    center, radius = complex(center), float(radius)
+    _check_contour_geometry(np.linalg.eigvals(a), center, radius)
+    nodes = CONTOUR_NODES
+    current = _trapezoid_log(a, center, radius, nodes)
     while True:
-        if nodes >= max_nodes:
-            raise NumericError(f"quadrature did not converge within {max_nodes} nodes")
+        if nodes >= CONTOUR_MAX_NODES:
+            raise NumericError(f"quadrature did not converge within {CONTOUR_MAX_NODES} nodes")
         nodes *= 2
-        refined = _trapezoid_log(a, contour, cut, nodes)
+        refined = _trapezoid_log(a, center, radius, nodes)
         if operator_norm(refined - current) <= QUAD_TOL * max(1.0, operator_norm(refined)):
             return refined
         current = refined

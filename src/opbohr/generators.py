@@ -285,25 +285,26 @@ def _exp_herglotz_coeffs(cs: np.ndarray, betas: np.ndarray, order: int) -> np.nd
     return a.astype(np.complex128)
 
 
-def _beta_range(spec: FamilySpec, default: tuple[float, float]) -> tuple[float, float]:
-    """``params["beta_range"]``, checked to lie in [0, 1): every pole 1/beta is outside the disk."""
-    try:
-        lo, hi = (float(b) for b in spec.params.get("beta_range", default))
-    except (TypeError, ValueError):
-        raise InvalidInputError("beta_range must be two numbers") from None
-    if not (0.0 <= lo <= hi < 1.0):
-        raise InvalidInputError(f"beta_range must satisfy 0 <= lo <= hi < 1, got ({lo}, {hi})")
-    return lo, hi
+# Planted ranges, key -> (low, high): a range (lo, hi) must have low <= lo <= hi < high.
+# beta < 1 keeps every pole 1/beta outside the closed disk, c >= 0 every
+# exterior slice's modulus >= 1, and kappa >= 1 is a condition number.
+_RANGE_BOUNDS = {
+    "beta_range": (0.0, 1.0),
+    "c_range": (0.0, math.inf),
+    "cond_range": (1.0, math.inf),
+    "v_norm_sq_range": (0.0, math.inf),
+}
 
 
-def _c_range(spec: FamilySpec) -> tuple[float, float]:
-    """``params["c_range"]``, checked finite with 0 <= lo <= hi: every slice has modulus >= 1."""
+def _param_range(spec: FamilySpec, key: str, default: tuple[float, float]) -> tuple[float, float]:
+    """``params[key]`` (or the default) as two floats, checked against ``_RANGE_BOUNDS``."""
+    low, high = _RANGE_BOUNDS[key]
     try:
-        lo, hi = (float(c) for c in spec.params.get("c_range", (0.1, 2.0)))
+        lo, hi = (float(x) for x in spec.params.get(key, default))
     except (TypeError, ValueError):
-        raise InvalidInputError("c_range must be two numbers") from None
-    if not (0.0 <= lo <= hi < math.inf):
-        raise InvalidInputError(f"c_range must be finite with 0 <= lo <= hi, got ({lo}, {hi})")
+        raise InvalidInputError(f"{key} must be two numbers") from None
+    if not (low <= lo <= hi < high):
+        raise InvalidInputError(f"{key} must satisfy {low} <= lo <= hi < {high}, got ({lo}, {hi})")
     return lo, hi
 
 
@@ -381,8 +382,8 @@ def _build_commuting_harmonic(spec: FamilySpec, rng):
 def _build_exterior_diag(spec: FamilySpec, rng):
     d, order = spec.dim, spec.order
     w = random_unitary(d, rng)
-    c_lo, c_hi = _c_range(spec)
-    b_lo, b_hi = _beta_range(spec, (0.0, 0.9))
+    c_lo, c_hi = _param_range(spec, "c_range", (0.1, 2.0))
+    b_lo, b_hi = _param_range(spec, "beta_range", (0.0, 0.9))
     cs = rng.uniform(c_lo, c_hi, size=d)
     betas = rng.uniform(b_lo, b_hi, size=d)
 
@@ -407,7 +408,7 @@ def _build_exterior_colligation(spec: FamilySpec, rng):
     k, d = spec.aux_dim, spec.dim
     u = random_unitary(k, rng)
     v = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
-    lo, hi = spec.params.get("v_norm_sq_range", (0.2, 2.0))
+    lo, hi = _param_range(spec, "v_norm_sq_range", (0.2, 2.0))
     target = float(rng.uniform(lo, hi))
     v *= math.sqrt(target) / operator_norm(v)
     # Re H >= 0 on |z|^2 <= 1/(1 + delta): the same disk as a Schur bound of 1 + delta/2
@@ -419,8 +420,8 @@ def _build_exterior_colligation(spec: FamilySpec, rng):
 def _build_convex_diag(spec: FamilySpec, rng):
     d, order = spec.dim, spec.order
     w = random_unitary(d, rng)
-    b_lo, b_hi = _beta_range(spec, (0.0, 0.85))
-    k_lo, k_hi = spec.params.get("cond_range", (1.0, 6.0))
+    b_lo, b_hi = _param_range(spec, "beta_range", (0.0, 0.85))
+    k_lo, k_hi = _param_range(spec, "cond_range", (1.0, 6.0))
     betas = rng.uniform(b_lo, b_hi, size=d)
     kappa = float(rng.uniform(k_lo, k_hi))
     moduli = np.exp(rng.uniform(0.0, math.log(max(kappa, 1.0 + 1e-12)), size=d))
@@ -479,7 +480,10 @@ def _build_subordination(spec: FamilySpec, rng):
     order = spec.order
     phi = np.zeros(order + 1, dtype=np.complex128)
     if "constant" in spec.params:
-        s = float(spec.params["constant"])
+        try:
+            s = float(spec.params["constant"])
+        except (TypeError, ValueError):
+            raise InvalidInputError("constant contraction factor must be a number") from None
         if not (0.0 <= s < 1.0):
             raise InvalidInputError("constant contraction factor must lie in [0, 1)")
         b0 = s * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))

@@ -7,7 +7,7 @@ axes, which keeps the inequality checkers fully vectorized.
 The package's tolerances are constants here: ``PSD_TOL``, the default slack
 of a Loewner comparison and the one tolerance a caller can set
 (``bohr.check_theorem_grid(psd_tol=...)``, ``opbohr verify --tol``);
-``EQ_TOL`` for equalities and the Hermitian, unitary and normal contracts;
+``EQ_TOL`` for equalities and the Hermitian and unitary contracts;
 and ``QUAD_TOL``, the convergence target of quadrature.
 """
 
@@ -22,7 +22,7 @@ from .errors import InvalidInputError, NumericError
 
 # Relative slack of a Loewner (positive semidefinite) comparison.
 PSD_TOL = 1e-9
-# Slack of scalar equalities and of the Hermitian, unitary and normal contracts.
+# Slack of scalar equalities and of the Hermitian and unitary contracts.
 EQ_TOL = 1e-9
 # Convergence target of quadrature and decomposition residuals.
 QUAD_TOL = 1e-10

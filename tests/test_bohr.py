@@ -233,13 +233,83 @@ class TestPsiPeak:
         assert x0 == pytest.approx(math.sqrt(3.0 / 7.0), abs=1e-12)
         assert peak == pytest.approx(math.sqrt(7.0 / 3.0), abs=1e-12)
 
-    def test_peak_identity_and_grid_dominance(self):
+    @pytest.mark.parametrize("normal, weight", [(False, 2.0), (True, math.sqrt(2.0))])
+    def test_peak_identity_and_grid_dominance(self, normal, weight):
+        # psi(x) = x + (w r/sqrt(1-r^2)) sqrt(1-x^2), w = 2 (w = sqrt(2) when normal)
         for r in (0.1, 0.33, 0.5, 0.77, 0.95):
-            x0, peak = psi_peak(r)
-            psi = lambda x: x + (2 * r / math.sqrt(1 - r * r)) * math.sqrt(max(0.0, 1 - x * x))
+            x0, peak = psi_peak(r, normal)
+            psi = lambda x: x + (weight * r / math.sqrt(1 - r * r)) * math.sqrt(max(0.0, 1 - x * x))
             assert psi(x0) == pytest.approx(peak, abs=1e-12)
             xs = np.linspace(0.0, 1.0, 1000)
             assert max(psi(x) for x in xs) <= peak + 1e-12
+            assert max(psi(x) for x in xs) >= peak - 1e-5
+
+
+def psi_grid_max(r, weight, points=200001):
+    """Grid maximum of psi(x) = x + (weight r/sqrt(1-r^2)) sqrt(1-x^2) on [0, 1]."""
+    xs = np.linspace(0.0, 1.0, points)
+    return float(np.max(xs + weight * r / math.sqrt(1.0 - r * r) * np.sqrt(1.0 - xs * xs)))
+
+
+class TestT1RightSides:
+    """Right sides of t1i (normal variant) and t1ii against values the test
+    computes itself, with none of the module's formulas."""
+
+    def test_normal_t1i_peak_is_the_grid_maximum_of_its_psi(self):
+        h = sample(FamilySpec(family_id="commuting_harmonic", dim=3, aux_dim=4, order=32, seed=8))
+        rs = (0.1, 0.3, 0.5, 0.8)
+        for rep in check_theorem_grid("t1i", h, rs, mu=0.9, normal=True):
+            assert rep.side_values["rhs_norm"] == pytest.approx(
+                psi_grid_max(rep.r, math.sqrt(2.0)), abs=1e-6)
+
+    @pytest.mark.parametrize("mu", [0.3, 2.0])
+    def test_t1ii_right_side_on_a_planted_diagonal_a0(self, mu):
+        # ||I - Re(e^(i mu) A0)|| = max_j |1 - a_j cos mu| for a real diagonal A0
+        a = np.array([0.5, -0.8, 0.1])
+        analytic = np.zeros((3, 3, 3), dtype=complex)
+        analytic[0] = np.diag(a)
+        analytic[1] = 0.1 * np.eye(3)
+        coanalytic = np.zeros((2, 3, 3), dtype=complex)
+        coanalytic[0] = 0.05j * np.eye(3)
+        h = HarmonicSeries(analytic=analytic, coanalytic=coanalytic)
+        expected = max(abs(1.0 - aj * math.cos(mu)) for aj in a)
+        for rep in check_theorem_grid("t1ii", h, (0.1, 0.2), mu=mu):
+            assert rep.side_values["rhs_norm"] == pytest.approx(expected, rel=1e-14)
+
+
+# each id with its family, suite radii and check arguments; e55 and t1i bound
+# their tails by the remaining square mass, l2a and t4b geometrically
+LADDER_CASES = {
+    "e55": ("schur_holo", (0.25, 0.5, INV_SQRT2), {}),
+    "t1i": ("schur_harmonic", (0.1, 0.3, 0.5, 0.7, 0.9, 0.95), {"mu": 0.7}),
+    "l2a": ("schur_holo", (0.1, 0.2, 1.0 / 3.0), {}),
+    "t4b": ("starlike_diag", (KOEBE_RADIUS,), {}),
+}
+
+
+class TestTruncationLadder:
+    """The same draw at orders 4 and 8, with its tail bound, against order 256:
+    lhs_N + tail_N must reach lhs_256, and a tail may be 0 only where the
+    longer sum adds nothing."""
+
+    @pytest.mark.parametrize("theorem_id", sorted(LADDER_CASES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_tail_covers_the_longer_sum(self, theorem_id, d):
+        family, rs, kwargs = LADDER_CASES[theorem_id]
+        pair = theorem_id in ("l2a", "t4b")
+        for seed in range(4):
+            def reports(order):
+                spec = FamilySpec(family_id=family, dim=d, aux_dim=4, order=order, seed=seed,
+                                  params={"with_witness": True} if pair else {})
+                return check_theorem_grid(theorem_id, sample(spec), rs, **kwargs)
+
+            reference = [rep.side_values["lhs_norm"] for rep in reports(256)]
+            for order in (4, 8):
+                for rep, lhs_ref in zip(reports(order), reference):
+                    lhs, tail = rep.side_values["lhs_norm"], rep.side_values["tail"]
+                    assert lhs + tail >= lhs_ref * (1.0 - 1e-12), (seed, order, rep.r)
+                    if lhs_ref > lhs:
+                        assert tail > 0.0, (seed, order, rep.r)
 
 
 class TestClosedFormLiminf:

@@ -10,27 +10,26 @@ import pytest
 
 import opbohr
 from opbohr import (
-    BranchCut,
-    BranchCutError,
     ColligationSpec,
     ContourError,
-    ContourSpec,
     ContractError,
     DomainError,
+    InvalidInputError,
+    NumericError,
     RangeError,
     abs_value,
     adjoint,
-    auto_contour,
     colligation_log_coeff,
     herglotz_transfer_grid,
-    log_eig_normal,
+    log_hermitian,
     log_riesz_dunford,
     matrix_exp,
     operator_norm,
 )
+from opbohr import funcalc
 from opbohr.funcalc import EXP_NORM_CAP
 from opbohr.generators import random_unitary
-from opbohr.linalg import PSD_TOL, QUAD_TOL, smallest_eigenvalue
+from opbohr.linalg import PSD_TOL, smallest_eigenvalue
 from opbohr.series import coeffs_via_cauchy_integral
 
 
@@ -168,22 +167,23 @@ class TestMatrixExp:
             matrix_exp(stack[::-1])
 
 
-class TestScipyLoadedOnFirstUse:
-    def test_only_exponentials_load_scipy_linalg(self):
-        # a fresh process: a verify run over every theorem group never loads
-        # scipy.linalg; the logarithm of a non-Hermitian normal matrix (a
-        # complex Schur form) loads it when it first runs
+class TestScipyNeverLoaded:
+    def test_no_command_loads_scipy(self):
+        # a fresh process: verify over every theorem group, selftest, every
+        # demo and every scan family run on numpy alone
         script = textwrap.dedent("""
-            import sys
-            from opbohr.cli import main
-            assert main(["verify", "--theorems", "l1,t1,e55,t2,e17,t3,l2,t4",
-                         "--dims", "1,2", "--trials", "1"]) == 0
-            assert "scipy.linalg" not in sys.modules, "verify loaded scipy.linalg"
-            from opbohr import log_eig_normal, matrix_exp, operator_norm
-            from opbohr.generators import random_unitary
-            u = random_unitary(3, 7)
-            assert operator_norm(matrix_exp(log_eig_normal(u)) - u) <= 1e-10
-            assert "scipy.linalg" in sys.modules, "a Schur form ran without scipy.linalg"
+            import contextlib, io, sys
+            from opbohr.cli import DEMO_NAMES, main
+            commands = [["verify", "--theorems", "l1,t1,e55,t2,e17,t3,l2,t4",
+                         "--dims", "1,2", "--trials", "1"], ["selftest"]]
+            commands += [["demo", name] for name in DEMO_NAMES]
+            commands += [["scan", "--family", family, "--steps", "8"]
+                         for family in ("mobius", "koebe", "constant")]
+            for argv in commands:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0, argv
+            loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+            assert not loaded, loaded
         """)
         src = str(Path(opbohr.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
@@ -191,65 +191,51 @@ class TestScipyLoadedOnFirstUse:
         assert out.returncode == 0, out.stderr
 
 
-class TestBranchCut:
-    def test_principal_matches_numpy(self):
-        cut = BranchCut(math.pi)
-        zs = np.array([1.0, 1j, -1j, 2.0 + 3.0j, 0.5 - 0.1j])
-        assert np.allclose(cut.log(zs), np.log(zs))
-
-    def test_rotated_cut(self):
-        # with the ray along the positive reals, arguments live in (0 - 2pi, 0]
-        cut = BranchCut(0.0)
-        val = complex(cut.log(np.array([-1.0]))[0])
-        assert val == pytest.approx(-1j * math.pi)
-
-    def test_angle_domain(self):
-        with pytest.raises(Exception):
-            BranchCut(4.0)
-
-
-class TestLogEigNormal:
+class TestLogHermitian:
     def test_identity(self):
-        assert np.allclose(log_eig_normal(np.eye(3)), 0)
+        assert np.allclose(log_hermitian(np.eye(3)), 0)
 
     def test_diagonal(self):
-        out = log_eig_normal(np.diag([math.e, math.e**2]).astype(complex))
+        out = log_hermitian(np.diag([math.e, math.e**2]).astype(complex))
         assert np.allclose(out, np.diag([1.0, 2.0]), atol=1e-13)
-
-    def test_imaginary_pair(self):
-        out = log_eig_normal(np.diag([2j, -2j]))
-        expected = np.diag([math.log(2) + 1j * math.pi / 2, math.log(2) - 1j * math.pi / 2])
-        assert np.allclose(out, expected, atol=1e-13)
 
     def test_exp_roundtrip(self):
         for seed in range(6):
             m = planted_normal(seed, np.random.default_rng(seed).uniform(1.0, 10.0, 3))
-            back = matrix_exp(log_eig_normal(m))
+            back = matrix_exp(log_hermitian(m))
             assert operator_norm(back - m) <= 1e-10 * operator_norm(m)
 
-    def test_small_skew_hermitian_part_kept(self):
-        # entrywise 6e-6 from Hermitian, far above EQ_TOL: not the eigh route
-        m = np.diag([2.0, 2.0 * np.exp(3e-6j)])
-        back = matrix_exp(log_eig_normal(m))
-        assert operator_norm(back - m) <= QUAD_TOL * operator_norm(m)
+    def test_near_hermitian_input_takes_its_hermitian_part(self):
+        m = planted_normal(3, [2.0, 5.0])
+        skew = 1e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert operator_norm(log_hermitian(m + skew) - log_hermitian(m)) <= 1e-14
 
-    def test_spectrum_on_cut_rejected(self):
-        with pytest.raises(BranchCutError):
-            log_eig_normal(np.diag([-1.0, 2.0]).astype(complex))
-
-    def test_non_normal_rejected(self):
+    @pytest.mark.parametrize("m", [
+        np.diag([2j, -2j]),                       # normal, not Hermitian
+        np.diag([2.0, 2.0 * np.exp(3e-6j)]),      # 6e-6 off Hermitian, above EQ_TOL
+        np.array([[1, 1], [0, 1]], dtype=complex),
+    ])
+    def test_non_hermitian_rejected(self, m):
         with pytest.raises(ContractError):
-            log_eig_normal(np.array([[1, 1], [0, 1]], dtype=complex))
+            log_hermitian(m)
+
+    @pytest.mark.parametrize("eigs", [[-1.0, 2.0], [0.0, 3.0], [1e-12, 1.0]])
+    def test_spectrum_not_positive_rejected(self, eigs):
+        with pytest.raises(DomainError):
+            log_hermitian(planted_normal(1, eigs))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(InvalidInputError):
+            log_hermitian(np.diag([1.0, math.nan]))
 
 
 class TestLogRieszDunford:
     def test_diagonal_against_scalar_logs(self):
-        out = log_riesz_dunford(np.diag([2.0, 3.0]).astype(complex),
-                                ContourSpec(2.5, 1.0, 256))
+        out = log_riesz_dunford(np.diag([2.0, 3.0]).astype(complex), 2.5, 1.0)
         assert np.allclose(out, np.diag([math.log(2), math.log(3)]), atol=1e-10)
 
     def test_identity(self):
-        out = log_riesz_dunford(np.eye(2), ContourSpec(1.0, 0.5, 64))
+        out = log_riesz_dunford(np.eye(2), 1.0, 0.5)
         assert operator_norm(out) <= 1e-12
 
     def test_against_eigen_oracle(self):
@@ -259,30 +245,46 @@ class TestLogRieszDunford:
             m = planted_normal(seed, eigs)
             center = complex(0.5 * (eigs.min() + eigs.max()))
             radius = 0.5 * (eigs.max() - eigs.min()) + 0.4 * eigs.min()
-            got = log_riesz_dunford(m, ContourSpec(center, radius, 128))
-            assert operator_norm(got - log_eig_normal(m)) <= 1e-8
+            got = log_riesz_dunford(m, center, radius)
+            assert operator_norm(got - log_hermitian(m)) <= 1e-8
 
-    def test_adaptive_refinement_from_coarse_start(self):
+    def test_principal_log_of_a_non_normal_matrix(self):
+        # log of the Jordan block [[a, 1], [0, a]] is [[log a, 1/a], [0, log a]],
+        # and a spectrum off the real axis takes numpy's principal argument
+        a = 2.0 * np.exp(2.5j)
+        got = log_riesz_dunford(np.array([[a, 1.0], [0.0, a]]), a, 0.5)
+        expected = np.array([[np.log(a), 1.0 / a], [0.0, np.log(a)]])
+        assert operator_norm(got - expected) <= 1e-10
+
+    def test_adaptive_refinement_from_coarse_start(self, monkeypatch):
+        monkeypatch.setattr(funcalc, "CONTOUR_NODES", 16)
         m = np.diag([2.0, 7.0]).astype(complex)
-        got = log_riesz_dunford(m, ContourSpec(4.5, 3.5, 16))
+        got = log_riesz_dunford(m, 4.5, 3.5)
         assert np.allclose(got, np.diag([math.log(2), math.log(7)]), atol=1e-9)
 
-    def test_contour_must_enclose_spectrum(self):
+    @pytest.mark.parametrize("center, radius", [(2.0, 1.0), (2.0, 0.0), (2.0, -8.0)])
+    def test_contour_must_enclose_spectrum(self, center, radius):
         with pytest.raises(ContourError):
-            log_riesz_dunford(np.diag([2.0, 9.0]).astype(complex), ContourSpec(2.0, 1.0, 64))
+            log_riesz_dunford(np.diag([2.0, 9.0]).astype(complex), center, radius)
 
     def test_contour_must_exclude_zero(self):
         with pytest.raises(ContourError):
-            log_riesz_dunford(np.diag([0.5, 1.5]).astype(complex), ContourSpec(1.0, 1.2, 64))
+            log_riesz_dunford(np.diag([0.5, 1.5]).astype(complex), 1.0, 1.2)
 
-    def test_contour_must_avoid_cut(self):
+    @pytest.mark.parametrize("eigs, center, radius", [
+        ([1.0 + 2j, 1.0 - 2j], 1.0, 2.5),
+        ([-3.0 + 0.5j, -3.0 + 1.1j], -3.0 + 0.8j, 1.0),   # the disk meets the cut, not 0
+    ])
+    def test_contour_must_avoid_cut(self, eigs, center, radius):
         with pytest.raises(ContourError):
-            log_riesz_dunford(np.diag([1.0 + 2j, 1.0 - 2j]), ContourSpec(1.0, 2.5, 64))
+            log_riesz_dunford(np.diag(eigs), center, radius)
 
-    def test_auto_contour_roundtrip(self):
-        m = planted_normal(5, [2.0, 3.0, 4.0])
-        got = log_riesz_dunford(m, auto_contour(m))
-        assert operator_norm(got - log_eig_normal(m)) <= 1e-9
+    @pytest.mark.parametrize("center, radius", [
+        (math.nan, 1.0), (complex(2.0, math.inf), 1.0), (2.0, math.inf), (2.0, math.nan),
+    ])
+    def test_non_finite_contour_rejected(self, center, radius):
+        with pytest.raises(InvalidInputError):
+            log_riesz_dunford(np.eye(2), center, radius)
 
     def test_exp_log_roundtrip_through_contour(self):
         rng = np.random.default_rng(12)
@@ -291,17 +293,15 @@ class TestLogRieszDunford:
             m = planted_normal(seed + 100, eigs)
             center = complex(0.5 * (eigs.min() + eigs.max()))
             radius = 0.5 * (eigs.max() - eigs.min()) + 0.4 * eigs.min()
-            back = matrix_exp(log_riesz_dunford(m, ContourSpec(center, radius, 128)))
+            back = matrix_exp(log_riesz_dunford(m, center, radius))
             assert operator_norm(back - m) <= 1e-7 * operator_norm(m)
 
     def test_spectrum_hugging_contour_does_not_converge(self):
-        from opbohr import NumericError
-
         # an eigenvalue 1.5e-7 inside the circle stalls the geometric
         # convergence of the trapezoid rule until the node cap trips
         m = np.diag([2.0, 3.0 - 1e-7]).astype(complex)
         with pytest.raises(NumericError):
-            log_riesz_dunford(m, ContourSpec(2.5, 0.5 + 5e-8, 64), max_nodes=4096)
+            log_riesz_dunford(m, 2.5, 0.5 + 5e-8)
 
 
 def scalar_colligation(u_phase, v_val):

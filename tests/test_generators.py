@@ -327,14 +327,6 @@ class TestAlgebraicCertificates:
         with pytest.raises(GenerationError):
             sample(spec_of(family, params=params))
 
-    @pytest.mark.parametrize("c_range", [
-        (-0.1, 1.0), (-1.0, -0.5), (0.5, 0.2), (0.0, math.inf), (math.nan, 1.0), (0.2,), "ab",
-        None,
-    ])
-    def test_c_range_outside_the_nonnegative_reals_is_rejected(self, c_range):
-        with pytest.raises(InvalidInputError):
-            sample(spec_of("exterior_diag", params={"c_range": c_range}))
-
 
 class TestSubordinatedFamilies:
     def test_starlike_coefficient_growth(self):
@@ -462,18 +454,42 @@ class TestClosedFormLiminf:
         _, aux = sample(spec, with_aux=True)
         assert aux["eval"].boundary_liminf == pytest.approx(expected, rel=4 * U)
 
-    @pytest.mark.parametrize("family", ["convex_diag", "exterior_diag"])
-    @pytest.mark.parametrize("beta_range", [
-        (1.1, 1.2), (0.5, 1.0), (-0.1, 0.5), (0.6, 0.5), (0.2,), "ab", None,
-    ])
-    def test_beta_range_outside_the_unit_interval_is_rejected(self, family, beta_range):
-        with pytest.raises(InvalidInputError):
-            sample(spec_of(family, params={"beta_range": beta_range}))
 
-    def test_beta_range_at_its_ends_is_accepted(self):
-        for family in ("convex_diag", "exterior_diag"):
-            for beta_range in ((0.0, 0.0), (0.0, 0.5), (0.9, 0.9)):
-                sample(spec_of(family, order=8, params={"beta_range": beta_range}))
+# Each planted key, the families that read it, and values outside its bounds:
+# beta in [0, 1), c in [0, inf), cond in [1, inf), v_norm_sq in [0, inf), and
+# the constant witness factor in [0, 1).
+_MALFORMED = (
+    (("convex_diag", "exterior_diag"), "beta_range",
+     [(1.1, 1.2), (0.5, 1.0), (-0.1, 0.5), (0.6, 0.5)]),
+    (("exterior_diag",), "c_range",
+     [(-0.1, 1.0), (-1.0, -0.5), (0.5, 0.2), (0.0, math.inf), (math.nan, 1.0)]),
+    (("convex_diag",), "cond_range",
+     [(-3.0, -2.0), (0.5, 2.0), (4.0, 2.0), (math.inf, math.inf), (1.0, math.nan)]),
+    (("exterior_colligation",), "v_norm_sq_range",
+     [(-1.0, -0.5), (2.0, 0.2), (0.0, math.inf), (math.nan, 1.0)]),
+)
+
+
+class TestPlantedRanges:
+    @pytest.mark.parametrize("family, key, value", [
+        *((family, key, value) for families, key, values in _MALFORMED for family in families
+          for value in values + [(0.2,), "ab", None]),
+        *(("subordination", "constant", value) for value in ("x", None, -0.1, 1.0, math.nan)),
+    ])
+    def test_value_outside_its_bounds_is_rejected(self, family, key, value):
+        with pytest.raises(InvalidInputError):
+            sample(spec_of(family, params={key: value}))
+
+    @pytest.mark.parametrize("family, key, value", [
+        *((family, "beta_range", value) for family in ("convex_diag", "exterior_diag")
+          for value in ((0.0, 0.0), (0.0, 0.5), (0.9, 0.9))),
+        ("exterior_diag", "c_range", (0.0, 0.0)),
+        ("convex_diag", "cond_range", (1.0, 1.0)),
+        ("exterior_colligation", "v_norm_sq_range", (0.0, 0.0)),
+        ("subordination", "constant", 0.0),
+    ])
+    def test_range_at_its_ends_is_accepted(self, family, key, value):
+        sample(spec_of(family, order=8, params={key: value}))
 
 
 class TestAdHocSources:
