@@ -28,11 +28,17 @@ f(phi) = sum B_n z^n, and t1i and t1ii bound one rotated family P_n.
 Preparation shared by such a pair is kept for the most recent instance
 object, so t3a/t3b, l2a/l2b and t4a/t4b compose f(phi) and take |B_n| and
 ||B_n|| from one eigendecomposition once, and t1i/t1ii at one angle
-decompose P_n once.  A check on another instance replaces what is kept, and
-the parts kept are read-only, so a report never depends on which checks ran
-before it.  ``cli.run_suite`` draws one instance per theorem group and runs
-its parts back to back, so the slot serves ``opbohr verify`` as well as
-callers of this module.
+decompose P_n once.  The composite is cut at the order its radius can see:
+with s = sum ||A_n|| over the N source terms, radius r sums B_1..B_m, m the
+smallest order (at most N) at which the tail bound s rho^(m+1)/(1 - rho) is
+at most 2^-53, rho = max(r, R) and R the largest stated radius of the pair,
+and the tail of the check starts at m.  So every radius up to R reads one
+composite per pair, m depends on r alone, and the cut lowers a margin by at
+most 2^-53 scale beyond rounding (``_prep_subordination``).  A check on
+another instance replaces what is kept, and the parts kept are read-only, so
+a report never depends on which checks ran before it.  ``cli.run_suite``
+draws one instance per theorem group and runs its parts back to back, so the
+slot serves ``opbohr verify`` as well as callers of this module.
 
 The right side of t3a and t4a, liminf ||f(z) - f(0)|| as |z| -> 1 (f(0) = 0
 for t4a), has one source, ``boundary_distance_liminf``: the closed-form
@@ -426,6 +432,28 @@ def _geom_tail(coeff_bound: float, order: int, r: float) -> float:
     return coeff_bound * r ** (order + 1) / (1.0 - r)
 
 
+# a composite is summed up to the order where its tail bound falls to one unit roundoff
+_TAIL_CUTOFF = 2.0 ** -53
+
+
+def _visible_order(coeff_bound: float, rho: float, order: int) -> int:
+    """Smallest m with ``_geom_tail(coeff_bound, m, rho)`` <= 2^-53, capped at order.
+
+    m is ceil(log(2^-53 (1 - rho) / coeff_bound) / log(rho)) - 1, at least 0,
+    moved by one step where the rounding of the logarithms leaves it off the
+    smallest such m.  A zero coeff_bound gives 0.
+    """
+    if coeff_bound == 0.0:
+        return 0
+    m = max(0, math.ceil(math.log(_TAIL_CUTOFF * (1.0 - rho) / coeff_bound)
+                         / math.log(rho)) - 1)
+    if _geom_tail(coeff_bound, m, rho) > _TAIL_CUTOFF:
+        m += 1
+    elif m > 0 and _geom_tail(coeff_bound, m - 1, rho) <= _TAIL_CUTOFF:
+        m -= 1
+    return min(m, order)
+
+
 def _l2_mass_tail(residual_top: float, order: int, r: float) -> float:
     """Cauchy-Schwarz tail: r^(N+1)/sqrt(1-r^2) * sqrt(remaining square mass)."""
     return r ** (order + 1) / math.sqrt(1.0 - r * r) * math.sqrt(max(residual_top, 0.0))
@@ -695,8 +723,21 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
     right side is the boundary liminf of ||f - A_0|| (t3a) or of ||f|| (t4a),
     |A_1|/2 (t3b), sum ||A_n|| r^n over n >= 1 (l2a, l2b) or 1/4 (t4b).  The
     stated radius is 1/(1 + 2 ||A_1|| ||A_1^-1||) for t3a, 3 - 2 sqrt(2) for
-    t4a and t4b, and 1/3 for the others.  The tail bounds the composite of
-    the truncated f.
+    t4a and t4b, and 1/3 for the others.
+
+    f(phi) is composed and summed up to the order m its radius can see, not
+    to the order N of f.  With s = sum over n = 1..N of ||A_n||, every
+    ||B_n|| of the composite of the truncated f is at most s (the
+    coefficients of phi^n have modulus at most 1), so the B_n past m weigh at
+    most the tail s r^(m+1)/(1 - r), in norm and, as |B| <= ||B|| I, in the
+    Loewner order.  m is the smallest order (at most N) at which that tail is
+    at most 2^-53 at max(r, R), R being the largest stated radius of the
+    pair: 1/3 for t3 and l2, 3 - 2 sqrt(2) for t4.  Every radius up to R thus
+    reads one composite of order m, composed and decomposed once per pair; a
+    forced radius past R takes its own, longer one.  m depends on r alone,
+    not on the grid.  As the scale is at least 1, the cut moves a margin by
+    at most 2^-53 scale beyond rounding, and only down.  The source norms,
+    s and the right side of l2 keep all N terms.
 
     The liminf is ``boundary_distance_liminf`` of ``boundary_eval`` with base
     A_0 (t3a) or 0 (t4a), the closed form of a ``ClosedFormEval`` when that
@@ -711,15 +752,20 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
         _check_starlike_normalization(f)
     elif group == "t3" and f.order < 1:
         raise ContractError(f"{theorem_id} needs a series of order >= 1")
-    # M*M, |M| and ||M|| of the B_n from one eigh, prepared once per pair
-    composite = _shared(instance, "composite", lambda: GramParts(*map(
-        _read_only, gram_parts(compose_subordination(f, w, f.order).coeffs[1:]))))
     norms_a = _shared(instance, "source_norms",
                       lambda: _read_only(operator_norm(f.coeffs[1:])))
     sum_norm_a = float(np.sum(norms_a))
     order = f.order
+    pair_radius = KOEBE_RADIUS if group == "t4" else 1.0 / 3.0
+
+    def composite(m: int) -> GramParts:
+        """M*M, |M| and ||M|| of B_1..B_m from one eigh, prepared once per pair."""
+        return _shared(instance, ("composite", m), lambda: GramParts(*map(
+            _read_only, gram_parts(compose_subordination(f, w, m).coeffs[1:]))))
+
+    composite(_visible_order(sum_norm_a, pair_radius, order))  # the one every unforced r reads
     static_sides = {}
-    stated_radius = KOEBE_RADIUS if group == "t4" else 1.0 / 3.0
+    stated_radius = pair_radius
     if theorem_id == "t3a":
         stated_radius = static_sides["radius"] = thm3_radius(f.coeffs[1])
     if theorem_id in ("t3a", "t4a"):
@@ -728,14 +774,22 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
     if theorem_id == "t3b":
         half_abs_a1 = 0.5 * abs_value(f.coeffs[1])
         half_norm_a1 = operator_norm(half_abs_a1)
+    matrix_lhs = theorem_id in ("t3b", "l2a", "t4b")
 
     def sides(rs: np.ndarray) -> _Sides:
         size = rs.size
-        tails = [_geom_tail(sum_norm_a, order, r) for r in rs.tolist()]
-        if theorem_id in ("t3b", "l2a", "t4b"):
-            lhs = _kahan_matrix_sum(composite.abs, rs, 1)
-        else:
-            lhs = _kahan_scalar_sum(composite.norm, rs, 1).tolist()
+        radii = rs.tolist()
+        orders = [_visible_order(sum_norm_a, max(r, pair_radius), order) for r in radii]
+        tails = [_geom_tail(sum_norm_a, m, r) for m, r in zip(orders, radii)]
+        lhs = np.empty((size, f.dim, f.dim), dtype=np.complex128) if matrix_lhs else np.empty(size)
+        for m in set(orders):
+            at = [i for i, mi in enumerate(orders) if mi == m]
+            if matrix_lhs:
+                lhs[at] = _kahan_matrix_sum(composite(m).abs, rs[at], 1)
+            else:
+                lhs[at] = _kahan_scalar_sum(composite(m).norm, rs[at], 1)
+        if not matrix_lhs:
+            lhs = lhs.tolist()
         if group == "l2":
             return _Sides(lhs, _kahan_scalar_sum(norms_a, rs, 1).tolist(), tails)
         if theorem_id == "t3b":

@@ -335,13 +335,14 @@ def _order_param(params: dict) -> int:
 
 
 def _scan_family(family: str, params: dict) -> tuple[np.ndarray, int, float]:
-    """Coefficients of a scan family, the first power of its majorant and its bound."""
+    """Coefficients of a scan family, the first power of its majorant and its bound,
+    from validated parameters."""
     if family == "mobius":
-        coeffs = mobius_scalar_coeffs(_float_param(params, "a"), _order_param(params))
+        coeffs = mobius_scalar_coeffs(params["a"], params["order"])
         return coeffs[:, None, None], 0, 1.0
     if family == "koebe":
-        return koebe_scalar_coeffs(_order_param(params))[:, None, None], 1, 0.25
-    return np.array([[[_float_param(params, "value")]]], dtype=np.complex128), 0, 1.0
+        return koebe_scalar_coeffs(params["order"])[:, None, None], 1, 0.25
+    return np.array([[[params["value"]]]], dtype=np.complex128), 0, 1.0
 
 
 def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
@@ -361,6 +362,9 @@ def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
         raise InvalidInputError(f"unknown scan parameter(s) for {family}: {', '.join(unknown)}; "
                                 f"expected {', '.join(sorted(merged))}")
     merged.update(params or {})
+    # the scan keeps the validated values: an int order, float a and value
+    merged = {key: _order_param(merged) if key == "order" else _float_param(merged, key)
+              for key in merged}
     coeffs, k0, bound = _scan_family(family, merged)
     norms = operator_norm(coeffs[k0:])
     rs = np.linspace(_check_r(r_min), _check_r(r_max), steps)

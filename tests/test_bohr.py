@@ -277,6 +277,39 @@ class TestT1RightSides:
             assert rep.side_values["rhs_norm"] == pytest.approx(expected, rel=1e-14)
 
 
+class TestT2Sides:
+    """t2's side values on a planted d = 1 exterior_diag, exp(c (1 + beta z)/(1 - beta z)):
+    ||A_0|| = e^c and ||log A_0|| = c, against values the test computes itself."""
+
+    PLANTED = [(0.05, 0.999), (1.0, 0.999), (0.5, 0.3)]
+
+    @staticmethod
+    def planted(c, beta, order):
+        return sample(FamilySpec(family_id="exterior_diag", dim=1, order=order, seed=2,
+                                 params={"c_range": (c, c), "beta_range": (beta, beta)}))
+
+    @pytest.mark.parametrize("c, beta", PLANTED)
+    def test_chordal_and_growth_sides(self, c, beta):
+        r = 1.0 / 3.0
+        (rep,) = check_theorem_grid("t2", self.planted(c, beta, 64), [r])
+        sides = rep.side_values
+        # chordal distance from e^c to 1
+        expected = (math.exp(c) - 1.0) / (math.sqrt(1.0 + math.exp(2.0 * c)) * math.sqrt(2.0))
+        assert sides["lambda_rhs"] == pytest.approx(expected, rel=1e-13)
+        assert sides["growth_bound"] == pytest.approx(math.exp(c * (1.0 + r) / (1.0 - r)),
+                                                      rel=1e-13)
+
+    @pytest.mark.parametrize("c, beta", PLANTED)
+    def test_tail_covers_the_longer_sum(self, c, beta):
+        r = 1.0 / 3.0
+        (short,) = check_theorem_grid("t2", self.planted(c, beta, 8), [r])
+        (long,) = check_theorem_grid("t2", self.planted(c, beta, 256), [r])
+        assert short.side_values["tail"] > 0.0
+        assert long.side_values["majorant"] > short.side_values["majorant"]
+        assert (short.side_values["majorant"] + short.side_values["tail"]
+                >= long.side_values["majorant"])
+
+
 # each id with its family, suite radii and check arguments; e55 and t1i bound
 # their tails by the remaining square mass, l2a and t4b geometrically
 LADDER_CASES = {
@@ -310,6 +343,141 @@ class TestTruncationLadder:
                     assert lhs + tail >= lhs_ref * (1.0 - 1e-12), (seed, order, rep.r)
                     if lhs_ref > lhs:
                         assert tail > 0.0, (seed, order, rep.r)
+
+
+def visible_order(f, radius):
+    """Smallest m <= N at which sum_n ||A_n|| radius^(m+1)/(1 - radius) <= 2^-53."""
+    s = math.fsum(operator_norm(f.coeffs[1:]))
+    return next((m for m in range(f.order) if s * radius ** (m + 1) / (1.0 - radius) <= U),
+                f.order)
+
+
+def fsum_matrix_majorant(stack, r):
+    """sum over n >= 1 of stack[n-1] r^n, each real and imaginary entry by math.fsum."""
+    weights = [r ** n for n in range(1, stack.shape[0] + 1)]
+    out = np.empty(stack.shape[1:], dtype=np.complex128)
+    for index in np.ndindex(*stack.shape[1:]):
+        column = stack[(slice(None),) + index].tolist()
+        out[index] = complex(math.fsum(x.real * w for x, w in zip(column, weights)),
+                             math.fsum(x.imag * w for x, w in zip(column, weights)))
+    return out
+
+
+# subordination id -> (family, order of the draws, largest stated radius of its pair)
+SUBORDINATION_CASES = {
+    "t3a": ("convex_diag", 128, 1.0 / 3.0),
+    "t3b": ("convex_diag", 128, 1.0 / 3.0),
+    "l2a": ("schur_holo", 64, 1.0 / 3.0),
+    "l2b": ("schur_holo", 64, 1.0 / 3.0),
+    "t4a": ("starlike_diag", 256, KOEBE_RADIUS),
+    "t4b": ("starlike_diag", 256, KOEBE_RADIUS),
+}
+
+
+class TestCompositeTruncation:
+    """A subordination check sums f(phi) only up to the order m at which its
+    tail bound s r^(m+1)/(1 - r), s = sum ||A_n||, falls to 2^-53 at the pair's
+    largest stated radius.  Each report is compared with a full-order
+    reference that the test builds from compose_subordination(f, w, N) and its
+    own math.fsum and eigvalsh sums."""
+
+    @staticmethod
+    def draw(theorem_id, d, seed):
+        family, order, _ = SUBORDINATION_CASES[theorem_id]
+        pair, aux = sample(FamilySpec(family_id=family, dim=d, aux_dim=4, order=order,
+                                      seed=seed, params={"with_witness": True}), with_aux=True)
+        kwargs = {"boundary_eval": aux["eval"]} if theorem_id in ("t3a", "t4a") else {}
+        return pair, aux, kwargs
+
+    @staticmethod
+    def reference(theorem_id, pair, aux, r):
+        """(margin, scale, lhs) at r from all N composite coefficients and the
+        tail bound at N (below 1e-30 at these radii)."""
+        f, w = pair
+        composite = compose_subordination(f, w, f.order).coeffs[1:]
+        norms_a = operator_norm(f.coeffs[1:]).tolist()
+        tail = math.fsum(norms_a) * r ** (f.order + 1) / (1.0 - r)
+        if theorem_id.startswith("l2"):
+            rhs = math.fsum(x * r ** n for n, x in enumerate(norms_a, 1))
+        else:
+            rhs = 0.25 if theorem_id == "t4b" else aux["eval"].boundary_liminf
+        if theorem_id in ("t3b", "l2a", "t4b"):
+            s = fsum_matrix_majorant(abs_value(composite), r)
+            lhs = np.linalg.eigvalsh(s)[-1]
+            if theorem_id == "t3b":
+                half_a1 = 0.5 * abs_value(f.coeffs[1])
+                return (np.linalg.eigvalsh(half_a1 - s)[0] - tail,
+                        max(1.0, np.linalg.eigvalsh(half_a1)[-1]), lhs)
+            return rhs - lhs - tail, max(1.0, rhs), lhs
+        lhs = math.fsum(x * r ** n for n, x in enumerate(operator_norm(composite).tolist(), 1))
+        return rhs - lhs - tail, max(1.0, rhs), lhs
+
+    @pytest.mark.parametrize("theorem_id", sorted(SUBORDINATION_CASES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_margin_is_the_full_order_margin(self, theorem_id, d):
+        for seed in range(5):
+            pair, aux, kwargs = self.draw(theorem_id, d, seed)
+            (stated,) = check_theorem_grid(theorem_id, pair, [None], **kwargs)
+            for rep in check_theorem_grid(theorem_id, pair, (0.05, stated.r / 2, stated.r),
+                                          **kwargs):
+                margin, scale, lhs = self.reference(theorem_id, pair, aux, rep.r)
+                assert abs(rep.margin - margin) <= 2.0 ** -52 * scale, (seed, rep.r)
+                assert rep.passed == (margin >= -bohr.PSD_TOL * scale)
+                lhs_m, tail_m = rep.side_values["lhs_norm"], rep.side_values["tail"]
+                assert lhs_m + tail_m >= lhs * (1.0 - 8 * d * U), (seed, rep.r)
+
+    @pytest.mark.parametrize("theorem_id", ["t3a", "t3b", "l2b", "t4b"])
+    def test_tail_covers_the_coefficients_past_the_cut(self, theorem_id):
+        _, _, radius = SUBORDINATION_CASES[theorem_id]
+        for d, seed in ((1, 0), (2, 1), (4, 2)):
+            pair, _, kwargs = self.draw(theorem_id, d, seed)
+            f, w = pair
+            m = visible_order(f, radius)
+            assert 0 < m < f.order
+            norms_b = operator_norm(compose_subordination(f, w, f.order).coeffs).tolist()
+            for rep in check_theorem_grid(theorem_id, pair, (0.1, radius), force=True, **kwargs):
+                dropped = math.fsum(x * rep.r ** n for n, x in enumerate(norms_b) if n > m)
+                assert 0.0 < dropped <= rep.side_values["tail"] <= U
+
+    @pytest.mark.parametrize("theorem_id", sorted(SUBORDINATION_CASES))
+    def test_report_does_not_depend_on_its_grid(self, theorem_id):
+        # 0.9 is past every stated radius and takes its own, longer composite
+        for d in (1, 3):
+            pair, _, kwargs = self.draw(theorem_id, d, seed=d)
+            (stated,) = check_theorem_grid(theorem_id, pair, [None], **kwargs)
+            for r in (0.05, stated.r):
+                (alone,) = check_theorem_grid(theorem_id, pair, [r], **kwargs)
+                _, inside, _ = check_theorem_grid(theorem_id, pair, (0.1, r, 0.9), force=True,
+                                                  **kwargs)
+                assert inside == alone
+
+    def test_forced_radius_past_the_pair_takes_a_longer_composite(self, monkeypatch):
+        calls = []
+        compose = bohr.compose_subordination
+
+        def counted(f, w, order):
+            calls.append(order)
+            return compose(f, w, order)
+
+        monkeypatch.setattr(bohr, "compose_subordination", counted)
+        pair, _, _ = self.draw("l2a", 2, seed=3)
+        m = visible_order(pair[0], 1.0 / 3.0)
+        check_theorem_grid("l2a", pair, (0.1, 0.2, 1.0 / 3.0))
+        check_theorem_grid("l2b", pair, [None])
+        assert calls == [m]
+        check_theorem_grid("l2b", pair, (0.2, 0.5), force=True)
+        assert calls == [m, visible_order(pair[0], 0.5)]
+        assert calls[1] > m
+
+    def test_cut_order_is_the_smallest_whose_tail_is_at_most_one_roundoff(self):
+        # s = 2 at rho = 1/2 meets 2^-53 exactly at m = 54, where the logarithms round past it
+        for s in (0.0, 1e-20, 0.3, 1.0, 2.0, 7.5, 32896.0, 1e8):
+            for rho in (1e-3, 0.1, KOEBE_RADIUS, 1.0 / 3.0, 0.5, 0.9, 0.999):
+                m = bohr._visible_order(s, rho, 10 ** 6)
+                tails = [s * rho ** (k + 1) / (1.0 - rho) for k in (m - 1, m)]
+                assert tails[1] <= U, (s, rho)
+                assert m == 0 or tails[0] > U, (s, rho)
+                assert bohr._visible_order(s, rho, 5) == min(m, 5)
 
 
 class TestClosedFormLiminf:
@@ -824,7 +992,9 @@ class TestSharedPreparation:
                                   (("l2a", "l2b"), "schur_holo"),
                                   (("t4a", "t4b"), "starlike_diag")):
             pair, aux = self.pair(family_id, seed=9)
-            composite = compose_subordination(*pair, pair[0].order).coeffs[1:]
+            m = visible_order(pair[0], KOEBE_RADIUS if a == "t4a" else 1.0 / 3.0)
+            assert m < pair[0].order
+            composite = compose_subordination(*pair, m).coeffs[1:]
             gram = adjoint(composite) @ composite
             kwargs = {"boundary_eval": aux["eval"]} if a != "l2a" else {}
             solved.clear()
@@ -865,7 +1035,9 @@ class TestSharedPreparation:
         pair, _ = self.pair("schur_holo", seed=5)
         check_theorem_grid("l2a", pair, [0.2])
         shared = bohr._shared_slot[1]
-        for a in shared["composite"]:
+        composites = [key for key in shared if key[0] == "composite"]
+        assert composites == [("composite", visible_order(pair[0], 1.0 / 3.0))]
+        for a in shared[composites[0]]:
             assert not a.flags.writeable
         assert not shared["source_norms"].flags.writeable
         with pytest.raises(ValueError):

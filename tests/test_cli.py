@@ -258,6 +258,27 @@ class TestScan:
         code = main(["scan", "--family", "koebe", "--out", str(out)])
         assert code == 0 and out.exists()
 
+    @pytest.mark.parametrize("family, argv, expected", [
+        ("koebe", [], {"order": 256}),
+        ("koebe", ["order=64"], {"order": 64}),
+        ("mobius", ["order=32", "a=0.25"], {"a": 0.25, "order": 32}),
+        ("mobius", ["a=1e-1"], {"a": 0.1, "order": 96}),
+        ("constant", ["value=1"], {"value": 1.0}),
+    ])
+    def test_scan_keeps_the_validated_parameters(self, tmp_path, family, argv, expected):
+        # --param parses numbers as floats; a scan stores an int order and float a and value
+        out = tmp_path / "scan.csv"
+        params = [arg for item in argv for arg in ("--param", item)]
+        assert main(["scan", "--family", family, "--steps", "3", "--out", str(out), *params]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        typed = {k: (v, type(v)) for k, v in expected.items()}
+        for row in rows:
+            values = json.loads(row[1])
+            assert {k: (values[k], type(values[k])) for k in expected} == typed
+        scan = scan_radius(family, {k: float(v) for k, v in expected.items()}, steps=3)
+        assert {k: (v, type(v)) for k, v in scan.params.items()} == typed
+
 
 class TestDemo:
     def test_sharpness_demo(self, capsys):

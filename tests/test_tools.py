@@ -104,10 +104,10 @@ def test_report_diff_fails_on_flag_changes_and_misalignment(tmp_path, capsys, ed
         ]
 
 
-def _load_tracer():
-    """perfbench/tracer.py as a module, loaded from its file without changing it."""
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def _load_perfbench(name):
+    """perfbench/<name>.py as a module, loaded from its file without changing it."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
     try:
@@ -122,7 +122,7 @@ def test_every_traced_layer_is_still_in_the_package():
     # lacks that layer's metrics: a rename must rename the layer too
     from opbohr import bohr
 
-    tracer = _load_tracer()
+    tracer = _load_perfbench("tracer")
     missing = [f"{layer.name}: {module}.{fname}"
                for layer in tracer.LAYERS
                for module in [layer.name.split(".")[0]]
@@ -136,7 +136,37 @@ def test_every_traced_layer_is_still_in_the_package():
         measured, exact = traced.layer_metrics(0, 0)
     finally:
         traced.uninstall()
+    assert sorted(set(PER_LAYER) - emitted_metrics(measured, exact)) == []
+
+
+PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+
+
+def emitted_metrics(measured, exact):
     # perfbench/run.py adds the overhead ratio to the tracer's layer metrics
-    emitted = measured.keys() | exact.keys() | {"trace.overhead_ratio"}
-    per_layer = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
-    assert sorted(set(per_layer) - emitted) == []
+    return measured.keys() | exact.keys() | {"trace.overhead_ratio"}
+
+
+@pytest.mark.parametrize("workload", ["harmonic-grid", "subordination", "suite-all"])
+def test_traced_first_instance_runs_clean(tmp_path, workload):
+    # a wrapper whose work or key function no longer fits its layer's call
+    # (such as series.compose's key, which unpacks (f, w, order)) raises inside
+    # the instance, which counts it as a failed check
+    tracer = _load_perfbench("tracer")
+    workloads = _load_perfbench("workloads")
+    seed = workloads.WORKLOADS[workload][1]
+    instance = workloads.build(workload, seed, str(tmp_path))[0]
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        outcome = instance.verify(instance.execute())
+    finally:
+        traced.uninstall()
+    assert outcome.errors == [] and outcome.failed == 0
+    assert outcome.attempted > 0
+    measured, exact = traced.layer_metrics(0, len(traced.spans))
+    assert sorted(set(PER_LAYER) - emitted_metrics(measured, exact)) == []
+    assert exact["bohr.prepare.calls"] > 0
+    if workload == "subordination":
+        assert exact["series.compose.calls"] == 1
+        assert exact["series.compose.distinct_ratio"] == 1.0
