@@ -28,15 +28,14 @@ from .funcalc import (
     matrix_exp,
 )
 from .series import (
+    CoeffEnvelope,
     HarmonicSeries,
     HoloSeries,
     ScalarSeries,
     SubordinationWitness,
     coeffs_via_cauchy_integral,
     compose_subordination,
-    evaluate,
     evaluate_grid,
-    scalar_power_coeffs,
 )
 from .bohr import (
     KOEBE_RADIUS,

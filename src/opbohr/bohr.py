@@ -28,13 +28,20 @@ f(phi) = sum B_n z^n, and t1i and t1ii bound one rotated family P_n.
 Preparation shared by such a pair is kept for the most recent instance
 object, so t3a/t3b, l2a/l2b and t4a/t4b compose f(phi) and take |B_n| and
 ||B_n|| from one eigendecomposition once, and t1i/t1ii at one angle
-decompose P_n once.  The composite is cut at the order its radius can see:
-with s = sum ||A_n|| over the N source terms, radius r sums B_1..B_m, m the
-smallest order (at most N) at which the tail bound s rho^(m+1)/(1 - rho) is
-at most 2^-53, rho = max(r, R) and R the largest stated radius of the pair,
-and the tail of the check starts at m.  So every radius up to R reads one
-composite per pair, m depends on r alone, and the cut lowers a margin by at
-most 2^-53 scale beyond rounding (``_prep_subordination``).  A check on
+decompose P_n once.  The composite is cut at the order its radius can see,
+and its tail bounds the composite of f itself, not of the truncation f_N:
+f's coefficient envelope a_n >= ||A_n||, which the generators certify from
+their parameters, and the witness's |[z^n] phi^k| <= g^n give
+||B_n|| <= g^n S_n, S_n = a_1 + ... + a_n, and the closed-form tail
+sum over n > m of S_n (g r)^n.  A series without an envelope falls back on
+its stored norms and bounds f_N only, and its reports say so
+(``tail_bounds_f`` = 0).  Radius r sums B_1..B_m, m the smallest order (at
+most N) at which that tail is at most 2^-53 at rho = max(r, R), R the
+largest stated radius of the pair, found once per pair and rho.  So every
+radius up to R reads one composite per pair, m depends on r alone, t3 and t4
+take no norm of the source coefficients, and the cut lowers a margin by at
+most 2^-53 scale beyond rounding, 2^-52 for l2, whose right side stops at m
+too (``_prep_subordination``).  A check on
 another instance replaces what is kept, and the parts kept are read-only, so
 a report never depends on which checks ran before it.  ``cli.run_suite``
 draws one instance per theorem group and runs its parts back to back, so the
@@ -75,6 +82,7 @@ from .linalg import (
     smallest_eigenvalue,
 )
 from .series import (
+    CoeffEnvelope,
     HarmonicSeries,
     HoloSeries,
     SubordinationWitness,
@@ -427,31 +435,19 @@ class _Prepared:
     static_sides: dict = field(default_factory=dict)
 
 
-def _geom_tail(coeff_bound: float, order: int, r: float) -> float:
-    """Bound on coeff_bound * sum of r^n over n > order."""
-    return coeff_bound * r ** (order + 1) / (1.0 - r)
-
-
 # a composite is summed up to the order where its tail bound falls to one unit roundoff
 _TAIL_CUTOFF = 2.0 ** -53
 
 
-def _visible_order(coeff_bound: float, rho: float, order: int) -> int:
-    """Smallest m with ``_geom_tail(coeff_bound, m, rho)`` <= 2^-53, capped at order.
+def _composite_tail(envelope: CoeffEnvelope, partial_sum, m, x: float):
+    """Sum of S_n x^n over n > m, S_n = a_1 + ... + a_n and S_m = partial_sum.
 
-    m is ceil(log(2^-53 (1 - rho) / coeff_bound) / log(rho)) - 1, at least 0,
-    moved by one step where the rounding of the logarithms leaves it off the
-    smallest such m.  A zero coeff_bound gives 0.
+    It is (S_m x^(m+1) + sum over n > m of a_n x^n)/(1 - x): each S_n past
+    m is S_m plus the a_k with m < k <= n.  inf for x >= 1.
     """
-    if coeff_bound == 0.0:
-        return 0
-    m = max(0, math.ceil(math.log(_TAIL_CUTOFF * (1.0 - rho) / coeff_bound)
-                         / math.log(rho)) - 1)
-    if _geom_tail(coeff_bound, m, rho) > _TAIL_CUTOFF:
-        m += 1
-    elif m > 0 and _geom_tail(coeff_bound, m - 1, rho) <= _TAIL_CUTOFF:
-        m -= 1
-    return min(m, order)
+    if x >= 1.0:
+        return math.inf
+    return (partial_sum * x ** (m + 1) + envelope.tail(m, x)) / (1.0 - x)
 
 
 def _l2_mass_tail(residual_top: float, order: int, r: float) -> float:
@@ -707,12 +703,56 @@ def _prep_e17(instance, **_) -> _Prepared:
     return _Prepared(margins=margins)
 
 
-def _check_starlike_normalization(f: HoloSeries) -> None:
+def _check_starlike_normalization(instance) -> None:
+    """ContractError unless f(0) = 0 and f'(0) = I, within 1e-8; tested once per pair."""
+    f = instance[0]
     if f.order < 1:
         raise ContractError("starlike checks need a series of order >= 1")
-    d = f.dim
-    if operator_norm(f.coeffs[0]) > 1e-8 or operator_norm(f.coeffs[1] - np.eye(d)) > 1e-8:
+    if not _shared(instance, "normalized", lambda: (
+            operator_norm(f.coeffs[0]) <= 1e-8
+            and operator_norm(f.coeffs[1] - np.eye(f.dim)) <= 1e-8)):
         raise ContractError("t4 checks need a normalized instance (f(0) = 0, f'(0) = I)")
+
+
+def _source_envelope(f: HoloSeries) -> tuple[CoeffEnvelope, float]:
+    """f's envelope and 1.0, or for a series without one an envelope of its
+    truncation f_N and 0.0.
+
+    The f_N envelope puts s = sum over n = 1..N of ||A_n|| at n = 1, ratio 0:
+    it bounds the partial sums of the stored norms, not each norm, and that
+    is all the composite tail reads.
+    """
+    if f.envelope is not None:
+        return f.envelope, 1.0
+    return CoeffEnvelope(float(np.sum(operator_norm(f.coeffs[1:]))), 0.0), 0.0
+
+
+def _cut_order(instance, envelope: CoeffEnvelope, rho: float) -> tuple[int, float]:
+    """(m, S_m): the smallest m <= N at which ``_composite_tail`` at x = g rho
+    is at most 2^-53, or N, and its partial sum; once per pair and rho.
+
+    As every S_n >= a_1, the tail is at least a_1 x^(m+1)/(1 - x).  No order
+    below the one at which that bound falls to 2^-53 can do, so the search
+    walks up from it, less one step for the rounding of its logarithms.
+    """
+    def compute():
+        f, w = instance
+        x = w.coeff_growth * rho
+        first = envelope.term(1)
+        if x >= 1.0:
+            m = f.order
+        elif x == 0.0 or first == 0.0:
+            m = 0
+        else:
+            m = min(f.order, max(0, math.ceil(math.log(_TAIL_CUTOFF * (1.0 - x) / first)
+                                              / math.log(x)) - 2))
+        partial_sum = float(np.sum(envelope.values(m)))
+        while m < f.order and _composite_tail(envelope, partial_sum, m, x) > _TAIL_CUTOFF:
+            m += 1
+            partial_sum += envelope.term(m)
+        return m, partial_sum
+
+    return _shared(instance, ("cut", rho), compute)
 
 
 def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -> _Prepared:
@@ -721,23 +761,33 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
     The left side is sum |B_n| r^n, in the Loewner order, for t3b, l2a and
     t4b, and sum ||B_n|| r^n for t3a, l2b and t4a, both over n >= 1.  The
     right side is the boundary liminf of ||f - A_0|| (t3a) or of ||f|| (t4a),
-    |A_1|/2 (t3b), sum ||A_n|| r^n over n >= 1 (l2a, l2b) or 1/4 (t4b).  The
+    |A_1|/2 (t3b), sum ||A_n|| r^n over n = 1..m (l2a, l2b) or 1/4 (t4b).  The
     stated radius is 1/(1 + 2 ||A_1|| ||A_1^-1||) for t3a, 3 - 2 sqrt(2) for
     t4a and t4b, and 1/3 for the others.
 
-    f(phi) is composed and summed up to the order m its radius can see, not
-    to the order N of f.  With s = sum over n = 1..N of ||A_n||, every
-    ||B_n|| of the composite of the truncated f is at most s (the
-    coefficients of phi^n have modulus at most 1), so the B_n past m weigh at
-    most the tail s r^(m+1)/(1 - r), in norm and, as |B| <= ||B|| I, in the
-    Loewner order.  m is the smallest order (at most N) at which that tail is
-    at most 2^-53 at max(r, R), R being the largest stated radius of the
-    pair: 1/3 for t3 and l2, 3 - 2 sqrt(2) for t4.  Every radius up to R thus
-    reads one composite of order m, composed and decomposed once per pair; a
-    forced radius past R takes its own, longer one.  m depends on r alone,
-    not on the grid.  As the scale is at least 1, the cut moves a margin by
-    at most 2^-53 scale beyond rounding, and only down.  The source norms,
-    s and the right side of l2 keep all N terms.
+    f(phi) is composed and summed up to the order m its radius can see, and
+    the tail bounds the rest of the composite of f itself, not of its
+    truncation.  f's envelope a_n >= ||A_n|| (``series.CoeffEnvelope``, which
+    a generator certifies for every n) and the witness's bound
+    |[z^n] phi^k| <= g^n give ||B_n|| <= g^n S_n, S_n = a_1 + ... + a_n, as
+    B_n = sum over k = 1..n of [z^n] phi^k A_k.  So the B_n past m weigh at
+    most sum over n > m of S_n (g r)^n, in norm and, as |B| <= ||B|| I, in
+    the Loewner order; ``_composite_tail`` gives that sum in closed form.  A
+    series without an envelope falls back on its stored norms: the whole of
+    s = sum over n = 1..N of ||A_n|| at n = 1, which bounds the composite of
+    the truncation f_N only, with the tail s (g r)^(m+1)/(1 - g r).  The
+    side value ``tail_bounds_f`` is 1.0 for the first and 0.0 for the second.
+
+    m is the smallest order (at most N) at which the tail at max(r, R) is at
+    most 2^-53, R being the largest stated radius of the pair: 1/3 for t3 and
+    l2, 3 - 2 sqrt(2) for t4.  It is found once per pair and max(r, R)
+    (``_cut_order``), so every radius up to R reads one composite of order m,
+    composed and decomposed once per pair; a forced radius past R takes its
+    own, longer one.  m depends on r alone, not on the grid.  t3 and t4 take
+    no norm of the source coefficients, and l2 takes those of A_1..A_m: the
+    terms its right side drops weigh at most the tail.  As the scale is at
+    least 1, the cut moves a margin by at most 2^-53 scale beyond rounding
+    (2^-52 for l2), and only down.
 
     The liminf is ``boundary_distance_liminf`` of ``boundary_eval`` with base
     A_0 (t3a) or 0 (t4a), the closed form of a ``ClosedFormEval`` when that
@@ -749,13 +799,11 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
     f, w = _as_pair(instance)
     group = theorem_id[:2]
     if group == "t4":
-        _check_starlike_normalization(f)
+        _check_starlike_normalization(instance)
     elif group == "t3" and f.order < 1:
         raise ContractError(f"{theorem_id} needs a series of order >= 1")
-    norms_a = _shared(instance, "source_norms",
-                      lambda: _read_only(operator_norm(f.coeffs[1:])))
-    sum_norm_a = float(np.sum(norms_a))
-    order = f.order
+    envelope, bounds_f = _shared(instance, "envelope", lambda: _source_envelope(f))
+    growth = w.coeff_growth
     pair_radius = KOEBE_RADIUS if group == "t4" else 1.0 / 3.0
 
     def composite(m: int) -> GramParts:
@@ -763,8 +811,13 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
         return _shared(instance, ("composite", m), lambda: GramParts(*map(
             _read_only, gram_parts(compose_subordination(f, w, m).coeffs[1:]))))
 
-    composite(_visible_order(sum_norm_a, pair_radius, order))  # the one every unforced r reads
-    static_sides = {}
+    def source_norms(m: int) -> np.ndarray:
+        """||A_1||..||A_m||, for l2's right side, once per pair."""
+        return _shared(instance, ("source_norms", m),
+                       lambda: _read_only(operator_norm(f.coeffs[1:m + 1])))
+
+    composite(_cut_order(instance, envelope, pair_radius)[0])  # the one every unforced r reads
+    static_sides = {"tail_bounds_f": bounds_f}
     stated_radius = pair_radius
     if theorem_id == "t3a":
         stated_radius = static_sides["radius"] = thm3_radius(f.coeffs[1])
@@ -779,19 +832,24 @@ def _prep_subordination(instance, *, theorem_id: str, boundary_eval=None, **_) -
     def sides(rs: np.ndarray) -> _Sides:
         size = rs.size
         radii = rs.tolist()
-        orders = [_visible_order(sum_norm_a, max(r, pair_radius), order) for r in radii]
-        tails = [_geom_tail(sum_norm_a, m, r) for m, r in zip(orders, radii)]
+        cuts = [_cut_order(instance, envelope, max(r, pair_radius)) for r in radii]
+        tails = [_composite_tail(envelope, partial_sum, m, growth * r)
+                 for (m, partial_sum), r in zip(cuts, radii)]
+        orders = [m for m, _ in cuts]
         lhs = np.empty((size, f.dim, f.dim), dtype=np.complex128) if matrix_lhs else np.empty(size)
+        source_sums = np.empty(size)
         for m in set(orders):
             at = [i for i, mi in enumerate(orders) if mi == m]
             if matrix_lhs:
                 lhs[at] = _kahan_matrix_sum(composite(m).abs, rs[at], 1)
             else:
                 lhs[at] = _kahan_scalar_sum(composite(m).norm, rs[at], 1)
+            if group == "l2":
+                source_sums[at] = _kahan_scalar_sum(source_norms(m), rs[at], 1)
         if not matrix_lhs:
             lhs = lhs.tolist()
         if group == "l2":
-            return _Sides(lhs, _kahan_scalar_sum(norms_a, rs, 1).tolist(), tails)
+            return _Sides(lhs, source_sums.tolist(), tails)
         if theorem_id == "t3b":
             return _Sides(lhs, half_abs_a1, tails, rhs_norm=[half_norm_a1] * size)
         rhs = 0.25 if theorem_id == "t4b" else static_sides["liminf"]

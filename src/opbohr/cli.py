@@ -481,6 +481,40 @@ def _certificate_gap(family: str, seed: int) -> float:
     return aux["sup_cert"] - float(operator_norm(aux["eval"](zs)).max())
 
 
+_ENVELOPE_FAMILIES = ("convex_diag", "starlike_diag", "schur_holo")
+
+# below 2^-500 operator_norm squares a norm out of the normal range
+_NORM_FLOOR = 2.0 ** -500
+
+
+def _envelope_gap(family: str, seed: int) -> float:
+    """Least 1 - ||A_n||/a_n of a family's envelope over an order-512 draw.
+
+    n runs over the stored coefficients with a_n >= 2^-500; a sound envelope
+    gives a gap >= 0.
+    """
+    f = sample(FamilySpec(family_id=family, dim=3, order=512, seed=seed))
+    bound = f.envelope.values(f.order)
+    seen = bound >= _NORM_FLOOR
+    return float(np.min(1.0 - operator_norm(f.coeffs[1:])[seen] / bound[seen]))
+
+
+def _witness_growth_gap(seed: int) -> float:
+    """Least 1 - |[z^n] phi^k|/g^n over 1 <= k, n <= 512 for an order-512 witness.
+
+    The powers of phi are formed by repeated convolution, apart from the
+    power table that composition builds; a sound g gives a gap >= 0.
+    """
+    w = sample(FamilySpec(family_id="subordination", dim=1, order=512, seed=seed))
+    phi = np.array(w.phi.coeffs)
+    power, peak = phi, np.abs(phi)
+    for _ in range(2, phi.size):
+        power = np.convolve(power, phi)[:phi.size]
+        peak = np.maximum(peak, np.abs(power))
+    bound = w.coeff_growth ** np.arange(phi.size)
+    return float(np.min(1.0 - peak[1:] / bound[1:]))
+
+
 def selftest(seed: int = 2024, verbose: bool = True) -> int:
     """Cross-validate the independent numerical routes; returns failure count."""
     if seed < 0:
@@ -559,6 +593,13 @@ def selftest(seed: int = 2024, verbose: bool = True) -> int:
         gap = _certificate_gap(family, derive_seed(seed, 50))
         record(f"{family} certificate vs dense boundary sample", gap >= -CERT_SLACK,
                f"(gap {gap:.2e})")
+
+    for family in _ENVELOPE_FAMILIES:
+        gap = _envelope_gap(family, derive_seed(seed, 60))
+        record(f"{family} envelope vs stored norms at order 512", gap >= 0.0, f"(gap {gap:.2e})")
+    gap = _witness_growth_gap(derive_seed(seed, 60))
+    record("subordination coefficient growth vs powers of phi at order 512", gap >= 0.0,
+           f"(gap {gap:.2e})")
 
     if verbose:
         print(f"selftest: {failures} failure(s)")

@@ -70,6 +70,32 @@ family carries its bound: ``sup_cert`` (an upper bound on ||f||, or on
 |phi(z)|/|z| for the witness) or ``min_cert`` (a lower bound on the
 smallest singular value).  Identical ``FamilySpec`` values produce
 bit-identical instances.
+
+The families that pair with a witness certify their coefficients the same
+way, with a ``series.CoeffEnvelope`` a_n >= ||A_n|| for every n >= 1, past
+the stored order too, carried on the ``HoloSeries``:
+
+* ``convex_diag``: (1 + delta_W) max_j |t_j| (max_j beta_j)^(n-1), as
+  ||W diag(s) W*|| <= ||W||^2 max_j |s_j| <= (1 + delta_W) max_j |s_j| for
+  the frame's defect delta_W = ||W*W - I||;
+* ``starlike_diag``: (1 + delta_W) n (max_j |zeta_j| + 4u)^(n-1), the
+  growth bound n (1 + delta_W) of the starlike slices.  numpy forms
+  zeta^(n-1) through exp((n - 1) log zeta) above n = 100, whose modulus
+  drifts from 1 by up to about 0.44 (n - 1) u; the 4u of the ratio covers
+  3 (n - 1) u of it.  The draw fails unless its scale is within
+  1 + ``CERT_SLACK``, the certificate of the growth bound;
+* ``schur_holo``: M (1 + delta)^(n/2), Cauchy's estimate on the disk
+  |z|^2 <= 1/(1 + delta) on which ||f|| <= M, the ``sup_cert``.
+
+Both diagonal-frame scales also carry 1 + 16 d u for the rounding of the
+stored products W diag(s) W* and of their norms, which stays below 14u on
+order-512 draws, d = 1..4.  The witness carries g = max(1, ``sup_cert``) in
+``SubordinationWitness.coeff_growth``: with phi = z b and |b| <= sigma on
+|z| <= rho = (1 + delta)^(-1/2), Cauchy's estimate gives
+|[z^n] phi^k| = |[z^(n-k)] b^k| <= sigma^k rho^(k-n) <= sigma^n, as
+1/rho = sqrt(1 + delta) <= 1 + delta/2 = sigma; the constant witness b_0 z
+has |[z^n] phi^k| <= |b_0|^n.  ``opbohr selftest`` compares each bound with
+the stored coefficients of an order-512 draw.
 """
 
 from __future__ import annotations
@@ -84,6 +110,7 @@ from .errors import ContractError, GenerationError, InvalidInputError
 from .funcalc import ColligationSpec
 from .linalg import adjoint, hermitize, operator_norm
 from .series import (
+    CoeffEnvelope,
     HarmonicSeries,
     HoloSeries,
     ScalarSeries,
@@ -257,6 +284,16 @@ def _check_realization(family: str, bound: float) -> float:
     return bound
 
 
+def _frame_envelope(w: np.ndarray, top: float, ratio: float, power: int = 0) -> CoeffEnvelope:
+    """Envelope of the stored W diag(s_n) W*, max_j |s_n,j| <= top n^power ratio^(n-1).
+
+    Its scale is (1 + delta_W)(1 + 16 d u) top (module docstring).
+    """
+    d = w.shape[0]
+    growth = (1.0 + float(_unitarity_defect(w))) * (1.0 + 16 * d * UNIT_ROUNDOFF)
+    return CoeffEnvelope(growth * top, ratio, power)
+
+
 def _diag_frame_stack(w: np.ndarray, diag_vals: np.ndarray) -> np.ndarray:
     """Stack of W diag(diag_vals[n]) W* over the leading axis of diag_vals.
 
@@ -319,8 +356,10 @@ def _scalar_schur_coeffs(rng: np.random.Generator, aux_dim: int, order: int):
 
 def _build_schur_holo(spec: FamilySpec, rng):
     real = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
-    instance = HoloSeries(real.coeffs(spec.order))
     sup = _check_realization("schur_holo", real.sup_bound())
+    # Cauchy's estimate on |z| = (1 + delta)^(-1/2), with 1 + delta = 2 M - 1
+    ratio = math.sqrt(2.0 * sup - 1.0)
+    instance = HoloSeries(real.coeffs(spec.order), CoeffEnvelope(sup * ratio, ratio))
     return instance, {"eval": real.transfer_grid, "realization": real, "sup_cert": sup}
 
 
@@ -432,7 +471,8 @@ def _build_convex_diag(spec: FamilySpec, rng):
     diag_coeffs = np.zeros((order + 1, d), dtype=np.complex128)
     n = np.arange(1, order + 1, dtype=np.float64)
     diag_coeffs[1:] = ts[None, :] * betas[None, :] ** (n[:, None] - 1.0)
-    instance = HoloSeries(_diag_frame_stack(w, diag_coeffs))
+    envelope = _frame_envelope(w, float(np.abs(ts).max()), float(betas.max()))
+    instance = HoloSeries(_diag_frame_stack(w, diag_coeffs), envelope)
 
     def eval_exact(zs):
         zs = np.asarray(zs, dtype=np.complex128).ravel()
@@ -459,11 +499,11 @@ def _build_starlike_diag(spec: FamilySpec, rng):
     diag_coeffs = np.zeros((order + 1, d), dtype=np.complex128)
     n = np.arange(1, order + 1, dtype=np.float64)
     diag_coeffs[1:] = n[:, None] * zetas[None, :] ** (n[:, None] - 1.0)
-    instance = HoloSeries(_diag_frame_stack(w, diag_coeffs))
-
-    norms = operator_norm(instance.coeffs[1:])
-    if np.any(norms > n + 1e-9):
-        raise GenerationError("starlike_diag sample violates the coefficient growth bound")
+    envelope = _frame_envelope(w, 1.0, float(np.abs(zetas).max()) + 4.0 * UNIT_ROUNDOFF, 1)
+    if not envelope.scale <= 1.0 + CERT_SLACK:
+        raise GenerationError("starlike_diag frame is not unitary enough to certify the "
+                              f"coefficient growth bound: scale {envelope.scale:.12f}")
+    instance = HoloSeries(_diag_frame_stack(w, diag_coeffs), envelope)
 
     def eval_exact(zs):
         zs = np.asarray(zs, dtype=np.complex128).ravel()
@@ -497,7 +537,7 @@ def _build_subordination(spec: FamilySpec, rng):
         phi[1 : 1 + min(order, b_coeffs.size)] = b_coeffs[: max(order, 0)]
         eval_b = lambda zs: real.transfer_grid(zs)[:, 0, 0]
         sup = _check_realization("subordination witness", real.sup_bound())
-    witness = SubordinationWitness(phi=ScalarSeries(phi))
+    witness = SubordinationWitness(phi=ScalarSeries(phi), coeff_growth=max(1.0, sup))
     return witness, {"eval_phi": lambda zs: np.asarray(zs).ravel() * eval_b(np.asarray(zs).ravel()),
                      "sup_cert": sup}
 

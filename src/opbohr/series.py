@@ -1,14 +1,17 @@
 """Truncated matrix-coefficient power series.
 
 A holomorphic series stores coefficients A_0..A_N as a single complex array of
-shape (N+1, d, d).  A harmonic series adds coanalytic coefficients B_1..B_N
-whose adjoints multiply conj(z)^n during evaluation.  Subordination composition
-follows the coefficient algebra B_k = sum over n of alpha_k^(n) A_n, where
-alpha^(n) are the Taylor coefficients of the n-th power of the inner map,
-built once per composition as a power table.  The table is built by block
-doubling, ceil(log2(count)) products with triangular Toeplitz matrices, each
-entry within (order + 1) (ceil(log2(count)) + 1) u (|phi|^n)_k of the exact
-coefficient (``_power_table``).
+shape (N+1, d, d), and may carry a ``CoeffEnvelope``: a closed-form bound
+a_n >= ||A_n|| for every n >= 1, past N too, which a generator certifies
+from the parameters of its draw.  A harmonic series adds coanalytic
+coefficients B_1..B_N whose adjoints multiply conj(z)^n during evaluation.
+Subordination composition follows the coefficient algebra B_k = sum over n
+of alpha_k^(n) A_n, where alpha^(n) are the Taylor coefficients of the n-th
+power of the inner map, built once per composition as a power table.  The
+table is built by block doubling, ceil(log2(count)) products with
+triangular Toeplitz matrices, each entry within
+(order + 1) (ceil(log2(count)) + 1) u (|phi|^n)_k of the exact coefficient
+(``_power_table``).
 """
 
 from __future__ import annotations
@@ -39,13 +42,63 @@ def _check_coeff_stack(coeffs, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class CoeffEnvelope:
+    """The bound a_n = scale * n^power * ratio^(n-1) on ||A_n||, for every n >= 1.
+
+    power is 0 (geometric) or 1 (arithmetico-geometric); ratio 0 puts the
+    whole scale at n = 1.  ``tail`` sums the terms past an order in closed
+    form, which is what lets a subordination tail cover f past its stored
+    order.
+    """
+
+    scale: float
+    ratio: float
+    power: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.scale) and self.scale >= 0.0
+                and math.isfinite(self.ratio) and self.ratio >= 0.0):
+            raise InvalidInputError("an envelope needs a finite scale and ratio >= 0")
+        if self.power not in (0, 1):
+            raise InvalidInputError(f"envelope power must be 0 or 1, got {self.power!r}")
+
+    def term(self, n):
+        """a_n, for n >= 1 a number or an array."""
+        return self.scale * n ** self.power * self.ratio ** (n - 1)
+
+    def values(self, count: int) -> np.ndarray:
+        """a_1..a_count."""
+        return self.term(np.arange(1.0, count + 1.0))
+
+    def tail(self, m, x: float):
+        """Sum of a_n x^n over n > m, for x >= 0.
+
+        With y = ratio x < 1 it is scale x y^m/(1 - y) for power 0 and
+        scale x y^m (m + 1 - m y)/(1 - y)^2 for power 1; inf for y >= 1.
+        """
+        y = self.ratio * x
+        if y >= 1.0:
+            return math.inf
+        head = self.scale * x * y ** m / (1.0 - y)
+        return head if self.power == 0 else head * (m + 1 - m * y) / (1.0 - y)
+
+
+@dataclass(frozen=True)
 class HoloSeries:
-    """Truncated holomorphic series sum of A_n z^n with matrix coefficients."""
+    """Truncated holomorphic series sum of A_n z^n with matrix coefficients.
+
+    ``envelope``, when given, bounds the norms of every coefficient of the
+    function the series truncates (``CoeffEnvelope``); None claims nothing
+    beyond the stored coefficients.
+    """
 
     coeffs: np.ndarray
+    envelope: CoeffEnvelope | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _freeze(_check_coeff_stack(self.coeffs, "coeffs")))
+        if self.envelope is not None and not isinstance(self.envelope, CoeffEnvelope):
+            raise InvalidInputError("envelope must be a CoeffEnvelope or None")
 
     @property
     def dim(self) -> int:
@@ -117,37 +170,20 @@ class ScalarSeries:
 class SubordinationWitness:
     """A disk self-map phi with phi(0) = 0.
 
-    Generators certify |phi(z)| <= |z| from phi's parameters when they draw
-    it (``generators``); the constructor checks phi(0) = 0 only.
+    ``coeff_growth`` is a g with |[z^n] phi^k| <= g^n for all n, k >= 1.  A
+    map with |phi(z)| <= |z| has g = 1, the default.  Generators certify the
+    bound from phi's parameters when they draw it (``generators``); the
+    constructor checks phi(0) = 0 and g >= 0 only.
     """
 
     phi: ScalarSeries
+    coeff_growth: float = 1.0
 
     def __post_init__(self):
         if self.phi.coeffs[0] != 0:
             raise InvalidInputError("subordination witness requires phi(0) = 0")
-
-
-def evaluate(f: HoloSeries | HarmonicSeries, z: complex) -> np.ndarray:
-    """Evaluate a series at a single point of the open unit disk (Horner)."""
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| must be < 1, got {abs(z):.6g}")
-    z = complex(z)
-    if isinstance(f, HarmonicSeries):
-        coeffs = f.analytic
-    else:
-        coeffs = f.coeffs
-    acc = coeffs[-1].copy()
-    for n in range(coeffs.shape[0] - 2, -1, -1):
-        acc = acc * z + coeffs[n]
-    if isinstance(f, HarmonicSeries):
-        zb = np.conj(z)
-        co = adjoint(f.coanalytic)
-        tail = co[-1].copy()
-        for n in range(co.shape[0] - 2, -1, -1):
-            tail = tail * zb + co[n]
-        acc = acc + tail * zb
-    return acc
+        if not (math.isfinite(self.coeff_growth) and self.coeff_growth >= 0.0):
+            raise InvalidInputError("coeff_growth must be finite and >= 0")
 
 
 def evaluate_grid(f: HoloSeries | HarmonicSeries, zs) -> np.ndarray:
@@ -218,20 +254,6 @@ def _power_table(phi: np.ndarray, count: int) -> np.ndarray:
         np.matmul(rows, right, out=out[:, h:])
         m += step
     return alpha
-
-
-def scalar_power_coeffs(phi: ScalarSeries, t: int, order: int) -> ScalarSeries:
-    """Coefficients of phi^t up to ``order``: row t of the power table.
-
-    Requires phi(0) = 0 and t >= 1, so the result vanishes below order t.
-    """
-    if t < 1:
-        raise ContractError("power must be a positive integer")
-    if abs(phi.coeffs[0]) > 1e-12:
-        raise ContractError("scalar_power_coeffs requires phi(0) = 0")
-    if t > order:
-        return ScalarSeries(np.zeros(order + 1, dtype=np.complex128))
-    return ScalarSeries(_power_table(_inner_map(phi.coeffs, order), t)[t])
 
 
 def compose_subordination(f: HoloSeries, w: SubordinationWitness, order: int) -> HoloSeries:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 
 from opbohr import (
     KOEBE_RADIUS,
+    CoeffEnvelope,
     THEOREM_IDS,
     ContractError,
     DomainError,
     HarmonicSeries,
     InvalidInputError,
     HoloSeries,
+    ScalarSeries,
+    SubordinationWitness,
     bohr_radius_bisect,
     boundary_distance_liminf,
     check_theorem_grid,
@@ -299,6 +303,21 @@ class TestT2Sides:
         assert sides["growth_bound"] == pytest.approx(math.exp(c * (1.0 + r) / (1.0 - r)),
                                                       rel=1e-13)
 
+    def test_planted_row_binds_in_the_a0_square_part(self):
+        # c = 1, beta = 0.999: the majorant is f(1/3) = exp((1 + beta/3)/(1 - beta/3)), as
+        # every coefficient is positive, against ||A_0||^2 = e^2; the growth part
+        # exp(||V||^2 (1 + r)/(2 (1 - r))) with ||V||^2 = 2c is e^2 at r = 1/3 as well
+        r, beta = 1.0 / 3.0, 0.999
+        (rep,) = check_theorem_grid("t2", self.planted(1.0, beta, 64), [r])
+        sides = rep.side_values
+        expected = (math.exp(2.0) - math.exp((1.0 + beta * r) / (1.0 - beta * r))) / math.exp(2.0)
+        assert sides["a0_sq_margin"] == pytest.approx(expected, rel=1e-9)
+        assert sides["a0_sq_margin"] == pytest.approx(1.4981e-3, rel=1e-4)
+        parts = (sides["lambda_margin"], sides["growth_margin"], sides["a0_sq_margin"])
+        assert sides["a0_sq_margin"] <= min(parts) + 4 * U
+        assert sides["a0_sq_margin"] < sides["lambda_margin"] / 100.0
+        assert rep.margin == min(parts)
+
     @pytest.mark.parametrize("c, beta", PLANTED)
     def test_tail_covers_the_longer_sum(self, c, beta):
         r = 1.0 / 3.0
@@ -345,11 +364,20 @@ class TestTruncationLadder:
                         assert tail > 0.0, (seed, order, rep.r)
 
 
-def visible_order(f, radius):
-    """Smallest m <= N at which sum_n ||A_n|| radius^(m+1)/(1 - radius) <= 2^-53."""
-    s = math.fsum(operator_norm(f.coeffs[1:]))
-    return next((m for m in range(f.order) if s * radius ** (m + 1) / (1.0 - radius) <= U),
-                f.order)
+def partial_sums(f, count):
+    """S_1..S_count: partial sums of f's envelope, or for a series without one
+    s = sum ||A_n|| over its N stored terms at every n."""
+    if f.envelope is None:
+        return np.full(count, math.fsum(operator_norm(f.coeffs[1:])))
+    return np.cumsum(f.envelope.values(count))
+
+
+def cut_order(pair, radius, terms=4000):
+    """Smallest m <= N at which sum over n > m of S_n (g radius)^n is <= 2^-53,
+    each sum taken by math.fsum over its first `terms` terms."""
+    f, w = pair
+    weighted = partial_sums(f, terms) * (w.coeff_growth * radius) ** np.arange(1, terms + 1)
+    return next((m for m in range(f.order) if math.fsum(weighted[m:]) <= U), f.order)
 
 
 def fsum_matrix_majorant(stack, r):
@@ -376,10 +404,10 @@ SUBORDINATION_CASES = {
 
 class TestCompositeTruncation:
     """A subordination check sums f(phi) only up to the order m at which its
-    tail bound s r^(m+1)/(1 - r), s = sum ||A_n||, falls to 2^-53 at the pair's
-    largest stated radius.  Each report is compared with a full-order
-    reference that the test builds from compose_subordination(f, w, N) and its
-    own math.fsum and eigvalsh sums."""
+    tail bound, sum over n > m of S_n (g r)^n with S_n the partial sums of
+    f's envelope, falls to 2^-53 at the pair's largest stated radius.  Each
+    report is compared with a full-order reference that the test builds from
+    compose_subordination(f, w, N) and its own math.fsum and eigvalsh sums."""
 
     @staticmethod
     def draw(theorem_id, d, seed):
@@ -432,7 +460,7 @@ class TestCompositeTruncation:
         for d, seed in ((1, 0), (2, 1), (4, 2)):
             pair, _, kwargs = self.draw(theorem_id, d, seed)
             f, w = pair
-            m = visible_order(f, radius)
+            m = cut_order(pair, radius)
             assert 0 < m < f.order
             norms_b = operator_norm(compose_subordination(f, w, f.order).coeffs).tolist()
             for rep in check_theorem_grid(theorem_id, pair, (0.1, radius), force=True, **kwargs):
@@ -461,23 +489,121 @@ class TestCompositeTruncation:
 
         monkeypatch.setattr(bohr, "compose_subordination", counted)
         pair, _, _ = self.draw("l2a", 2, seed=3)
-        m = visible_order(pair[0], 1.0 / 3.0)
+        m = cut_order(pair, 1.0 / 3.0)
         check_theorem_grid("l2a", pair, (0.1, 0.2, 1.0 / 3.0))
         check_theorem_grid("l2b", pair, [None])
         assert calls == [m]
         check_theorem_grid("l2b", pair, (0.2, 0.5), force=True)
-        assert calls == [m, visible_order(pair[0], 0.5)]
+        assert calls == [m, cut_order(pair, 0.5)]
         assert calls[1] > m
 
     def test_cut_order_is_the_smallest_whose_tail_is_at_most_one_roundoff(self):
-        # s = 2 at rho = 1/2 meets 2^-53 exactly at m = 54, where the logarithms round past it
-        for s in (0.0, 1e-20, 0.3, 1.0, 2.0, 7.5, 32896.0, 1e8):
-            for rho in (1e-3, 0.1, KOEBE_RADIUS, 1.0 / 3.0, 0.5, 0.9, 0.999):
-                m = bohr._visible_order(s, rho, 10 ** 6)
-                tails = [s * rho ** (k + 1) / (1.0 - rho) for k in (m - 1, m)]
-                assert tails[1] <= U, (s, rho)
-                assert m == 0 or tails[0] > U, (s, rho)
-                assert bohr._visible_order(s, rho, 5) == min(m, 5)
+        # ratio 0 puts the whole scale at n = 1: 2 at rho = 1/2 meets 2^-53 exactly at m = 54
+        envelopes = [CoeffEnvelope(0.0, 0.0), CoeffEnvelope(2.0, 0.0), CoeffEnvelope(32896.0, 0.0),
+                     CoeffEnvelope(1e-20, 0.5), CoeffEnvelope(3.0, 0.85),
+                     CoeffEnvelope(1.0, 1.0 + 1e-9), CoeffEnvelope(1.0, 1.0, 1),
+                     CoeffEnvelope(1.0 + 1e-9, 1.0 + 2.0 ** -51, 1)]
+        for envelope in envelopes:
+            f = HoloSeries(np.zeros((121, 1, 1)), envelope)
+            for growth in (1.0, 1.0 + 1e-9):
+                pair = (f, SubordinationWitness(ScalarSeries([0.0, 1.0]), coeff_growth=growth))
+                for rho in (1e-3, KOEBE_RADIUS, 1.0 / 3.0, 0.5, 0.9):
+                    m, partial_sum = bohr._cut_order(pair, envelope, rho)
+                    assert m == cut_order(pair, rho), (envelope, growth, rho)
+                    assert partial_sum == pytest.approx(
+                        math.fsum(envelope.values(m)), rel=1e-13, abs=0.0)
+
+
+class TestEnvelopeTail:
+    """The tail bounds the composite of f itself: lhs_m + tail_m of a draw at
+    order N reaches the left side of the same draw's composite at order 512,
+    which the test composes and sums itself, even at N = 1 where the
+    truncation f_N drops most of f."""
+
+    @staticmethod
+    def reference_lhs(theorem_id, pair, r):
+        composite = compose_subordination(*pair, 512).coeffs[1:]
+        if theorem_id in ("t3b", "l2a", "t4b"):
+            return float(np.linalg.eigvalsh(fsum_matrix_majorant(abs_value(composite), r))[-1])
+        return math.fsum(x * r ** n for n, x in enumerate(operator_norm(composite).tolist(), 1))
+
+    @pytest.mark.parametrize("theorem_id", sorted(SUBORDINATION_CASES))
+    def test_tail_covers_the_order_512_composite(self, theorem_id):
+        family, suite_order, _ = SUBORDINATION_CASES[theorem_id]
+        for d in (1, 2, 3, 4):
+            for seed in (0, 1):
+                def draw(order):
+                    return sample(FamilySpec(family_id=family, dim=d, aux_dim=4, order=order,
+                                             seed=seed, params={"with_witness": True}),
+                                  with_aux=True)
+
+                long_pair, aux = draw(512)
+                kwargs = {"boundary_eval": aux["eval"]} if theorem_id in ("t3a", "t4a") else {}
+                (stated,) = check_theorem_grid(theorem_id, long_pair, [None], **kwargs)
+                references = {r: self.reference_lhs(theorem_id, long_pair, r)
+                              for r in (0.1, stated.r)}
+                for order in (1, 2, 4, 8, suite_order):
+                    pair, _ = draw(order)
+                    for rep in check_theorem_grid(theorem_id, pair, sorted(references),
+                                                  **kwargs):
+                        lhs, tail = rep.side_values["lhs_norm"], rep.side_values["tail"]
+                        assert rep.side_values["tail_bounds_f"] == 1.0
+                        assert lhs + tail >= references[rep.r] * (1.0 - 8 * d * U), (
+                            seed, order, rep.r)
+
+    @pytest.mark.parametrize("theorem_id", ["t4a", "t4b"])
+    def test_planted_koebe_tail_covers_f_at_every_order(self, theorem_id):
+        # the Koebe slices with the identity witness: B_n = A_n = n I, and
+        # sum n r^n = r/(1 - r)^2 = 1/4 at 3 - 2 sqrt(2).  The truncation's own
+        # tail, with s = 1 at N = 1, reaches only 0.0355 of the 0.0784 past n = 1
+        spec = FamilySpec(family_id="starlike_diag", dim=2, order=1,
+                          params={"zeta": [1.0, 1.0], "frame_identity": True})
+        r = KOEBE_RADIUS
+        for order in (1, 2, 4, 8):
+            f, aux = sample(dataclasses.replace(spec, order=order), with_aux=True)
+            kwargs = {"boundary_eval": aux["eval"]} if theorem_id == "t4a" else {}
+            (rep,) = check_theorem_grid(theorem_id, (f, identity_witness(order)), [r], **kwargs)
+            assert rep.side_values["lhs_norm"] + rep.side_values["tail"] >= 0.25 * (1.0 - 4 * U)
+            if order == 1:
+                (f_n,) = check_theorem_grid(theorem_id, (HoloSeries(f.coeffs),
+                                                         identity_witness(order)), [r], **kwargs)
+                assert f_n.side_values["lhs_norm"] + f_n.side_values["tail"] < 0.22
+
+    def test_witness_growth_scales_the_tail(self):
+        # |[z^n] phi^k| <= g^n: the tail is sum over n > m of S_n (g r)^n
+        spec = FamilySpec(family_id="starlike_diag", dim=1, order=8,
+                          params={"zeta": [1.0], "frame_identity": True})
+        f = sample(spec)
+        sums = partial_sums(f, 4000)
+        for growth in (1.0, 1.5):
+            pair = (f, SubordinationWitness(identity_witness(8).phi, coeff_growth=growth))
+            m = cut_order(pair, KOEBE_RADIUS)
+            for rep in check_theorem_grid("t4b", pair, (0.1, KOEBE_RADIUS)):
+                x = growth * rep.r
+                expected = math.fsum(sums[m:] * x ** np.arange(m + 1, 4001))
+                assert rep.side_values["tail"] == pytest.approx(expected, rel=1e-12)
+
+    def test_series_without_an_envelope_keeps_the_truncation_tail(self):
+        # the Koebe demo pair: s = 1 + ... + 256 = 32896 at n = 1, tail s r^(m+1)/(1 - r)
+        pair = (koebe_series(2, 256), identity_witness(256))
+        m = cut_order(pair, KOEBE_RADIUS)
+        for rep in check_theorem_grid("t4b", pair, (0.1, KOEBE_RADIUS)):
+            assert rep.side_values["tail_bounds_f"] == 0.0
+            assert rep.side_values["tail"] == 32896.0 * rep.r ** (m + 1) / (1.0 - rep.r)
+        # a copy of a generated series drops its envelope, and its tail with it
+        (f, w), _ = sample(FamilySpec(family_id="convex_diag", dim=2, order=128, seed=4,
+                                      params={"with_witness": True}), with_aux=True)
+        (with_envelope,) = check_theorem_grid("t3b", (f, w), [None])
+        (without,) = check_theorem_grid("t3b", (HoloSeries(f.coeffs), w), [None])
+        assert (with_envelope.side_values["tail_bounds_f"], without.side_values["tail_bounds_f"]) \
+            == (1.0, 0.0)
+
+    def test_a_tail_past_the_envelope_ratio_fails_the_check(self):
+        # a ratio of 3 diverges at 1/3: no finite tail, so no pass
+        f = koebe_series(1, 8)
+        pair = (HoloSeries(f.coeffs, CoeffEnvelope(1.0, 3.0)), identity_witness(8))
+        (rep,) = check_theorem_grid("t4b", pair, [0.34], force=True)
+        assert rep.side_values["tail"] == math.inf and not rep.passed
 
 
 class TestClosedFormLiminf:
@@ -660,6 +786,21 @@ class TestCheckTheorem:
         pair = (koebe_series(2, 256), identity_witness(256))
         (rep,) = check_theorem_grid("t4b", pair, [KOEBE_RADIUS])
         assert rep.passed and abs(rep.margin) <= 1e-9
+
+    @pytest.mark.parametrize("theorem_id", ["t4a", "t4b"])
+    def test_t4_needs_a_normalized_instance(self, theorem_id):
+        # f(0) = 0 and f'(0) = I within 1e-8: a shift of either by 1e-6 is refused
+        f, aux = sample(FamilySpec(family_id="starlike_diag", dim=2, order=16,
+                                   params={"zeta": [1.0, 1.0], "frame_identity": True}),
+                        with_aux=True)
+        kwargs = {"boundary_eval": aux["eval"]} if theorem_id == "t4a" else {}
+        check_theorem_grid(theorem_id, (f, identity_witness(16)), [0.1], **kwargs)
+        for n in (0, 1):
+            coeffs = np.array(f.coeffs)
+            coeffs[n] += 1e-6 * np.eye(2)
+            with pytest.raises(ContractError, match="normalized"):
+                check_theorem_grid(theorem_id, (HoloSeries(coeffs), identity_witness(16)), [0.1],
+                                   **kwargs)
 
     def test_e17_vectorized_sweep(self):
         triples = ordered_triples(100_000, 31)
@@ -992,7 +1133,7 @@ class TestSharedPreparation:
                                   (("l2a", "l2b"), "schur_holo"),
                                   (("t4a", "t4b"), "starlike_diag")):
             pair, aux = self.pair(family_id, seed=9)
-            m = visible_order(pair[0], KOEBE_RADIUS if a == "t4a" else 1.0 / 3.0)
+            m = cut_order(pair, KOEBE_RADIUS if a == "t4a" else 1.0 / 3.0)
             assert m < pair[0].order
             composite = compose_subordination(*pair, m).coeffs[1:]
             gram = adjoint(composite) @ composite
@@ -1002,6 +1143,34 @@ class TestSharedPreparation:
             check_theorem_grid(b, pair, [None])
             grams = [m for m in solved if m.shape == gram.shape and np.allclose(m, gram)]
             assert len(grams) == 1, (a, b)
+
+    def test_generated_pairs_take_no_source_norm_past_the_cut(self, monkeypatch):
+        # t3 and t4 take no norm of a coefficient stack at all; l2 takes one, of
+        # A_1..A_m.  Single matrices: |A_1|/2 for t3b, A_0 and A_1 - I once per t4 pair
+        stacks, matrices = [], []
+        norm = bohr.operator_norm
+
+        def recorded(m):
+            (stacks if np.ndim(m) == 3 else matrices).append(np.shape(m)[0])
+            return norm(m)
+
+        monkeypatch.setattr(bohr, "operator_norm", recorded)
+        for (a, b), family_id, radius, single in (
+                (("t3a", "t3b"), "convex_diag", 1.0 / 3.0, 1),
+                (("l2a", "l2b"), "schur_holo", 1.0 / 3.0, 0),
+                (("t4a", "t4b"), "starlike_diag", KOEBE_RADIUS, 2)):
+            for d in (1, 3):
+                pair, aux = sample(FamilySpec(family_id=family_id, dim=d, aux_dim=4, order=128,
+                                              seed=d, params={"with_witness": True}),
+                                   with_aux=True)
+                m = cut_order(pair, radius)
+                kwargs = {"boundary_eval": aux["eval"]} if a != "l2a" else {}
+                stacks.clear()
+                matrices.clear()
+                check_theorem_grid(a, pair, (0.1, None), **kwargs)
+                check_theorem_grid(b, pair, (0.1, 0.15, None))
+                assert stacks == ([m] if a == "l2a" else []), (a, d)
+                assert len(matrices) == single, (a, d)
 
     def test_interleaved_instances_give_cold_reports(self, monkeypatch):
         h = sample(FamilySpec(family_id="commuting_harmonic", dim=3, aux_dim=4, order=32, seed=2))
@@ -1036,9 +1205,10 @@ class TestSharedPreparation:
         check_theorem_grid("l2a", pair, [0.2])
         shared = bohr._shared_slot[1]
         composites = [key for key in shared if key[0] == "composite"]
-        assert composites == [("composite", visible_order(pair[0], 1.0 / 3.0))]
+        assert composites == [("composite", cut_order(pair, 1.0 / 3.0))]
         for a in shared[composites[0]]:
             assert not a.flags.writeable
-        assert not shared["source_norms"].flags.writeable
+        norms = shared[("source_norms", composites[0][1])]
+        assert not norms.flags.writeable
         with pytest.raises(ValueError):
-            shared["source_norms"][0] = 0.0
+            norms[0] = 0.0

@@ -10,6 +10,7 @@ from opbohr import (
     THEOREM_IDS,
     DomainError,
     RadiusScan,
+    SubordinationWitness,
     bohr_radius_bisect,
     norm_majorant,
     thm2_radius,
@@ -324,12 +325,36 @@ class TestSelftest:
 
     def test_selftest_catches_an_unsound_certificate(self, monkeypatch, capsys):
         # a Schur bound below 1 is contradicted by the dense sample of every
-        # family that reads it
+        # family that reads it, and by the stored norms under schur_holo's
+        # envelope, which is built from it
         monkeypatch.setattr(generators.SchurRealization, "sup_bound", lambda self: 0.9)
-        assert selftest(seed=2024, verbose=True) == 3
+        assert selftest(seed=2024, verbose=True) == 4
         failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
-        assert [line.split()[1] for line in failed] == [
-            "schur_holo", "schur_harmonic", "subordination"]
+        assert [line.split()[1:3] for line in failed] == [
+            ["schur_holo", "certificate"], ["schur_harmonic", "certificate"],
+            ["subordination", "certificate"], ["schur_holo", "envelope"]]
+
+    @pytest.mark.parametrize("family", ["convex_diag", "starlike_diag"])
+    def test_selftest_catches_an_envelope_below_the_stored_norms(self, monkeypatch, capsys,
+                                                                 family):
+        frame_envelope = generators._frame_envelope
+        monkeypatch.setattr(generators, "_frame_envelope",
+                            lambda w, top, *args: frame_envelope(w, 0.9 * top, *args))
+        assert selftest(seed=2024, verbose=True) == 2
+        failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+        assert [line.split()[1:3] for line in failed] == [
+            ["convex_diag", "envelope"], ["starlike_diag", "envelope"]]
+
+    def test_selftest_catches_a_witness_growth_below_one(self, monkeypatch, capsys):
+        build = generators._build_subordination
+
+        def shrunk(spec, rng):
+            witness, aux = build(spec, rng)
+            return SubordinationWitness(witness.phi, coeff_growth=0.99), aux
+
+        monkeypatch.setitem(generators._BUILDERS, "subordination", shrunk)
+        assert selftest(seed=2024, verbose=True) == 1
+        assert "[FAIL] subordination coefficient growth" in capsys.readouterr().out
 
 
 def _stated_radius(witness: dict) -> float:

@@ -318,7 +318,7 @@ class TestAlgebraicCertificates:
         ("schur_holo", {}), ("schur_harmonic", {}), ("commuting_harmonic", {}),
         ("subordination", {}), ("exterior_colligation", {}),
         ("exterior_diag", {"c_range": (0.0, 0.0)}),
-        ("convex_diag", {"with_witness": True}),
+        ("convex_diag", {"with_witness": True}), ("starlike_diag", {}),
     ])
     def test_unitary_perturbed_by_1e_6_raises(self, monkeypatch, family, params):
         draw = generators.random_unitary
@@ -390,6 +390,73 @@ class TestSubordinatedFamilies:
         pair = sample(spec_of("convex_diag", params={"with_witness": True}))
         assert isinstance(pair[0], HoloSeries)
         assert isinstance(pair[1], SubordinationWitness)
+
+
+# below 2^-500 operator_norm squares a norm out of the normal range
+NORM_FLOOR = 2.0 ** -500
+
+
+class TestCoeffEnvelopes:
+    """Each pairable family's envelope a_n >= ||A_n|| and the witness's
+    |[z^n] phi^k| <= g^n, against the stored coefficients of the draw."""
+
+    @pytest.mark.parametrize("family", ["convex_diag", "starlike_diag", "schur_holo"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31), d=st.integers(1, 4), order=st.integers(1, 512))
+    def test_envelope_dominates_every_stored_norm(self, family, seed, d, order):
+        f = sample(spec_of(family, dim=d, order=order, seed=seed))
+        norms = operator_norm(f.coeffs[1:])
+        bound = f.envelope.values(order)
+        seen = bound >= NORM_FLOOR
+        assert np.all(norms[seen] <= bound[seen])
+        assert np.all(norms[~seen] <= 2.0 * NORM_FLOOR)
+
+    @pytest.mark.parametrize("params", [
+        {"zeta": [1.0, 1.0, 1.0], "frame_identity": True},
+        {"zeta": [1.0 + 5e-13, 1j, -1.0]},
+        {"beta_range": (0.999, 0.999), "cond_range": (1.0, 1.0)},
+    ])
+    def test_planted_envelopes_dominate_their_norms(self, params):
+        family = "convex_diag" if "beta_range" in params else "starlike_diag"
+        f = sample(spec_of(family, dim=3, order=512, params=params))
+        assert np.all(operator_norm(f.coeffs[1:]) <= f.envelope.values(512))
+
+    @pytest.mark.parametrize("family", ["convex_diag", "starlike_diag"])
+    def test_diagonal_envelopes_are_tight_at_the_first_coefficient(self, family):
+        # ||A_1|| = max_j |t_j| for convex_diag and 1 for starlike_diag
+        for d in (1, 2, 3, 4):
+            f = sample(spec_of(family, dim=d, order=8, seed=d))
+            a1 = float(f.envelope.values(1)[0])
+            assert operator_norm(f.coeffs[1]) <= a1 <= operator_norm(f.coeffs[1]) * (1.0 + 1e-12)
+
+    def test_envelope_forms(self):
+        (f, w), aux = sample(spec_of("schur_holo", order=8, params={"with_witness": True}),
+                             with_aux=True)
+        # Cauchy's estimate on |z|^2 = 1/(1 + delta): a_n = M (1 + delta)^(n/2)
+        m = aux["sup_cert"]
+        assert f.envelope.values(8) == pytest.approx(m * (2.0 * m - 1.0) ** (np.arange(1, 9) / 2),
+                                                     rel=1e-15)
+        assert w.coeff_growth == max(1.0, aux["witness_aux"]["sup_cert"])
+        f, aux = sample(spec_of("convex_diag", order=8), with_aux=True)
+        assert f.envelope.ratio == float(aux["beta"].max()) and f.envelope.power == 0
+        f, aux = sample(spec_of("starlike_diag", order=8), with_aux=True)
+        assert f.envelope.power == 1
+        assert 1.0 < f.envelope.ratio <= float(np.abs(aux["zeta"]).max()) + 4 * U
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31),
+           constant=st.one_of(st.none(), st.floats(0.0, 0.999)))
+    def test_witness_growth_bounds_every_power_coefficient(self, seed, constant):
+        params = {} if constant is None else {"constant": constant}
+        w = sample(spec_of("subordination", dim=1, order=512, seed=seed, params=params))
+        phi = np.array(w.phi.coeffs)
+        bound = w.coeff_growth ** np.arange(513)
+        assert w.coeff_growth >= 1.0
+        power = phi
+        for k in range(1, 513):
+            if k > 1:
+                power = np.convolve(power, phi)[:513]
+            assert np.all(np.abs(power) <= bound), k
 
 
 def dense_boundary_min(evaluator, points=2 ** 14):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opbohr import (
+    CoeffEnvelope,
     ContractError,
     DomainError,
     HarmonicSeries,
@@ -14,9 +15,7 @@ from opbohr import (
     adjoint,
     coeffs_via_cauchy_integral,
     compose_subordination,
-    evaluate,
     evaluate_grid,
-    scalar_power_coeffs,
 )
 from opbohr.generators import FamilySpec, identity_witness, koebe_series, sample
 from opbohr.series import _inner_map, _power_table
@@ -26,27 +25,41 @@ def scalar_series(coeffs, dim=1):
     return HoloSeries.from_scalar(np.asarray(coeffs, dtype=complex), dim)
 
 
+def horner(f, z):
+    """f(z) at one point by Horner's rule, adding adjoint(B_n) conj(z)^n for a harmonic f."""
+    coeffs = f.analytic if isinstance(f, HarmonicSeries) else f.coeffs
+    acc = np.zeros(coeffs.shape[1:], dtype=complex)
+    for a in coeffs[::-1]:
+        acc = acc * z + a
+    if isinstance(f, HarmonicSeries):
+        tail = np.zeros_like(acc)
+        for b in adjoint(f.coanalytic)[::-1]:
+            tail = (tail + b) * np.conj(z)
+        acc = acc + tail
+    return acc
+
+
 class TestEvaluate:
     def test_constant(self):
         a0 = np.array([[1.0, 2j], [0.0, -1.0]])
         f = HoloSeries(a0[None])
-        for z in (0.0, 0.5j, -0.9):
-            assert np.allclose(evaluate(f, z), a0)
+        for value in evaluate_grid(f, [0.0, 0.5j, -0.9]):
+            assert np.allclose(value, a0)
 
     def test_truncated_geometric(self):
         f = scalar_series(np.ones(61))
-        val = evaluate(f, 0.5)[0, 0]
+        val = evaluate_grid(f, [0.5])[0, 0, 0]
         assert abs(val - 2.0) <= 1e-15 + 2.0 ** -59
 
     def test_harmonic_single_coanalytic_term(self):
         b1 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         h = HarmonicSeries(analytic=np.zeros((2, 2, 2)), coanalytic=b1[None])
-        val = evaluate(h, 0.5j)
+        val = evaluate_grid(h, [0.5j])[0]
         assert np.allclose(val, adjoint(b1) * (-0.5j), atol=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            evaluate(scalar_series([1.0]), 1.0)
+            evaluate_grid(scalar_series([1.0]), [0.5, 1.0])
 
     def test_grid_matches_pointwise(self):
         rng = np.random.default_rng(4)
@@ -54,7 +67,7 @@ class TestEvaluate:
         zs = 0.7 * np.exp(2j * math.pi * rng.uniform(size=11))
         grid = evaluate_grid(f, zs)
         for i, z in enumerate(zs):
-            assert np.allclose(grid[i], evaluate(f, complex(z)), atol=1e-13)
+            assert np.allclose(grid[i], horner(f, complex(z)), atol=1e-13)
 
     def test_harmonic_against_direct_sum(self):
         rng = np.random.default_rng(6)
@@ -64,7 +77,7 @@ class TestEvaluate:
         for z in (0.3, -0.2 + 0.4j, 0.75j):
             direct = sum(a[n] * z**n for n in range(5))
             direct += sum(adjoint(b[n - 1]) * np.conj(z) ** n for n in range(1, 5))
-            assert np.allclose(evaluate(h, z), direct, atol=1e-13)
+            assert np.allclose(horner(h, z), direct, atol=1e-13)
             assert np.allclose(evaluate_grid(h, np.array([z]))[0], direct, atol=1e-13)
 
 
@@ -92,50 +105,6 @@ def random_pair(seed, f_order, phi_order, dim):
     decay = 0.6 ** np.arange(1, phi_order + 1)
     phi[1:] = decay * (rng.standard_normal(phi_order) + 1j * rng.standard_normal(phi_order))
     return f, SubordinationWitness(phi=ScalarSeries(phi))
-
-
-class TestScalarPowerCoeffs:
-    def test_monomial(self):
-        phi = ScalarSeries([0.0, 1.0])
-        out = scalar_power_coeffs(phi, 3, 6).coeffs
-        expected = np.zeros(7)
-        expected[3] = 1.0
-        assert np.allclose(out, expected)
-
-    def test_square_monomial(self):
-        phi = ScalarSeries([0.0, 0.0, 1.0])
-        out = scalar_power_coeffs(phi, 2, 6).coeffs
-        assert out[4] == pytest.approx(1.0)
-        assert np.allclose(np.delete(out, 4), 0)
-
-    def test_hand_expansion(self):
-        # (z + z^2)^2 = z^2 + 2 z^3 + z^4
-        phi = ScalarSeries([0.0, 1.0, 1.0])
-        out = scalar_power_coeffs(phi, 2, 4).coeffs
-        assert np.allclose(out, [0, 0, 1, 2, 1])
-
-    def test_power_one_is_identity(self):
-        rng = np.random.default_rng(9)
-        coeffs = np.concatenate([[0.0], rng.standard_normal(6)])
-        phi = ScalarSeries(coeffs)
-        assert np.allclose(scalar_power_coeffs(phi, 1, 6).coeffs, coeffs)
-
-    def test_requires_zero_constant(self):
-        with pytest.raises(ContractError):
-            scalar_power_coeffs(ScalarSeries([1.0, 1.0]), 2, 4)
-
-    def test_power_beyond_order_vanishes(self):
-        out = scalar_power_coeffs(ScalarSeries([0.0, 0.5, 0.25]), 5, 3).coeffs
-        assert out.shape == (4,) and np.all(out == 0)
-
-    def test_rows_match_repeated_products(self):
-        _, w = random_pair(3, 1, 40, 1)
-        acc = np.array(w.phi.coeffs)
-        for t in range(1, 12):
-            if t > 1:
-                acc = np.convolve(acc, w.phi.coeffs)[:41]
-            got = scalar_power_coeffs(w.phi, t, 40).coeffs
-            assert np.abs(got - acc).max() <= 1e-14
 
 
 def power_table_loop(phi, count):
@@ -321,3 +290,47 @@ class TestWitnessValidation:
     def test_requires_vanishing_constant(self):
         with pytest.raises(Exception):
             SubordinationWitness(phi=ScalarSeries([0.5, 1.0]))
+
+    @pytest.mark.parametrize("growth", [-1.0, math.inf, math.nan])
+    def test_coeff_growth_must_be_finite_and_nonnegative(self, growth):
+        with pytest.raises(InvalidInputError):
+            SubordinationWitness(phi=ScalarSeries([0.0, 1.0]), coeff_growth=growth)
+
+    def test_coeff_growth_defaults_to_a_self_map(self):
+        assert identity_witness(4).coeff_growth == 1.0
+
+
+class TestCoeffEnvelope:
+    """Closed-form values and tails against sums the test takes itself."""
+
+    CASES = [(2.0, 0.0, 0), (1.5, 0.6, 0), (0.7, 1.0 + 1e-9, 0), (1.0, 1.0, 1),
+             (3.0, 0.85, 1), (1.0, 1.0 + 2.0 ** -51, 1)]
+
+    @pytest.mark.parametrize("scale, ratio, power", CASES)
+    def test_values(self, scale, ratio, power):
+        env = CoeffEnvelope(scale, ratio, power)
+        expected = [scale * n ** power * ratio ** (n - 1) for n in range(1, 41)]
+        assert env.values(40) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("scale, ratio, power", CASES)
+    def test_tail_is_the_sum_past_m(self, scale, ratio, power):
+        env = CoeffEnvelope(scale, ratio, power)
+        for x in (0.0, 0.1, 1.0 / 3.0, 0.9):
+            terms = [scale * n ** power * ratio ** (n - 1) * x ** n for n in range(1, 1200)]
+            for m in (0, 1, 5, 30):
+                assert env.tail(m, x) == pytest.approx(math.fsum(terms[m:]), rel=1e-12, abs=0)
+
+    def test_tail_diverges_past_the_ratio(self):
+        env = CoeffEnvelope(1.0, 2.0)
+        assert env.tail(3, 0.5) == math.inf and env.tail(3, 0.7) == math.inf
+
+    @pytest.mark.parametrize("scale, ratio, power", [
+        (-1.0, 0.5, 0), (1.0, -0.5, 0), (math.inf, 0.5, 0), (1.0, math.nan, 0), (1.0, 0.5, 2)])
+    def test_rejects_invalid_parameters(self, scale, ratio, power):
+        with pytest.raises(InvalidInputError):
+            CoeffEnvelope(scale, ratio, power)
+
+    def test_series_takes_only_an_envelope(self):
+        assert HoloSeries(np.zeros((2, 1, 1))).envelope is None
+        with pytest.raises(InvalidInputError):
+            HoloSeries(np.zeros((2, 1, 1)), envelope=(1.0, 0.5))
