@@ -49,7 +49,7 @@ slot serves ``opbohr verify`` as well as callers of this module.
 
 The right side of t3a and t4a, liminf ||f(z) - f(0)|| as |z| -> 1 (f(0) = 0
 for t4a), has one source, ``boundary_distance_liminf``: the closed-form
-value carried by a ``generators.ClosedFormEval``, exact for the two
+value carried by a ``series.ClosedFormEval``, exact for the two
 diagonal-frame families (max_j |t_j|/(1 + beta_j) for ``convex_diag``,
 1/(4 sin^2(G/4)) for ``starlike_diag``), read when the base f(0) is exactly
 zero.  Any other evaluator or a nonzero base raises ``ContractError``: a
@@ -66,9 +66,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError, InvalidInputError
+from .errors import ContractError, DomainError, InvalidInputError, RangeError
 from .funcalc import ColligationSpec, herglotz_transfer_grid, log_hermitian, matrix_exp
-from .generators import ClosedFormEval
 from .linalg import (
     EQ_TOL,
     PSD_TOL,
@@ -82,6 +81,7 @@ from .linalg import (
     smallest_eigenvalue,
 )
 from .series import (
+    ClosedFormEval,
     CoeffEnvelope,
     HarmonicSeries,
     HoloSeries,
@@ -217,16 +217,36 @@ def _isinf(z) -> bool:
     return math.isinf(z.real) or math.isinf(z.imag)
 
 
+def _sphere_point(z) -> tuple[complex, float]:
+    """(z, 1)/sqrt(1 + |z|^2), and (1, 0) at infinity, from z scaled into the unit square."""
+    if _isinf(z):
+        return 1.0, 0.0
+    z = complex(z)
+    s = max(1.0, abs(z.real), abs(z.imag))
+    n = math.hypot(1.0 / s, z.real / s, z.imag / s)
+    return complex(z.real / s, z.imag / s) / n, 1.0 / s / n
+
+
 def spherical_distance(z1, z2) -> float:
-    """Chordal distance on the extended plane; lies in [0, 1]."""
+    """Chordal distance |z1 - z2|/(sqrt(1 + |z1|^2) sqrt(1 + |z2|^2)) on the
+    extended plane; lies in [0, 1].
+
+    Every finite or infinite value is accepted.  Where some |z|^2 overflows a
+    float, the distance is |u1 v2 - u2 v1| of the points (u, v) =
+    (z, 1)/sqrt(1 + |z|^2), which no step overflows.
+    """
     inf1, inf2 = _isinf(z1), _isinf(z2)
-    if inf1 and inf2:
-        return 0.0
-    if inf1 or inf2:
-        finite = complex(z2 if inf1 else z1)
-        return 1.0 / math.sqrt(1.0 + abs(finite) ** 2)
-    z1, z2 = complex(z1), complex(z2)
-    return abs(z1 - z2) / (math.sqrt(1.0 + abs(z1) ** 2) * math.sqrt(1.0 + abs(z2) ** 2))
+    try:
+        if inf1 and inf2:
+            return 0.0
+        if inf1 or inf2:
+            finite = complex(z2 if inf1 else z1)
+            return 1.0 / math.sqrt(1.0 + abs(finite) ** 2)
+        z1, z2 = complex(z1), complex(z2)
+        return abs(z1 - z2) / (math.sqrt(1.0 + abs(z1) ** 2) * math.sqrt(1.0 + abs(z2) ** 2))
+    except OverflowError:
+        (u1, v1), (u2, v2) = _sphere_point(z1), _sphere_point(z2)
+        return min(1.0, abs(u1 * v2 - u2 * v1))
 
 
 def psi_peak(r: float, normal: bool = False) -> tuple[float, float]:
@@ -246,7 +266,7 @@ def psi_peak(r: float, normal: bool = False) -> tuple[float, float]:
 def boundary_distance_liminf(boundary_eval, base) -> float:
     """liminf ||f(z) - base|| as |z| -> 1, read from the evaluator's closed form.
 
-    ``boundary_eval`` must be a ``generators.ClosedFormEval`` and ``base``
+    ``boundary_eval`` must be a ``series.ClosedFormEval`` and ``base``
     exactly zero; its ``boundary_liminf`` is then the value.  Anything else,
     a plain callable, None or a nonzero base, raises ``ContractError``.
     """
@@ -660,7 +680,12 @@ def _prep_t2(instance, *, order: int = 64, **_) -> _Prepared:
 
     def margin(r: float, alpha: float):
         rho_t = 0.5 * (1.0 + r)
-        growth = math.exp(0.5 * v_sq * (1.0 + rho_t) / (1.0 - rho_t))
+        # exp((||V||^2/2)(1+rho)/(1-rho)) at rho_t, for the tail, and at r
+        try:
+            growth, growth_bound = [math.exp(0.5 * v_sq * (1.0 + rho) / (1.0 - rho))
+                                    for rho in (rho_t, r)]
+        except OverflowError:
+            raise RangeError(f"t2's growth bound overflows a float at r = {r!r}") from None
         tail = growth * (r / rho_t) ** (order + 1) / (1.0 - r / rho_t)
         alpha_hi = alpha + tail
         lam_lhs = spherical_distance(alpha_hi, norm_a0)
@@ -668,7 +693,6 @@ def _prep_t2(instance, *, order: int = 64, **_) -> _Prepared:
         lam_margin = lam_rhs - lam_lhs
         # growth bound exp((||V||^2/2)(1+r)/(1-r)) and its value ||A0||^2 at
         # the sharp radius both dominate the norm majorant
-        growth_bound = math.exp(0.5 * v_sq * (1.0 + r) / (1.0 - r))
         a0_sq_bound = norm_a0 ** 2
         growth_margin = (growth_bound - alpha_hi) / max(1.0, growth_bound)
         a0_sq_margin = (a0_sq_bound - alpha_hi) / max(1.0, a0_sq_bound)
@@ -944,7 +968,7 @@ def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
     t4a/b  subordination to a normalized starlike instance at r <= 3 - 2 sqrt(2)
 
     t3a and t4a read their right side from ``boundary_eval``, which must be a
-    ``generators.ClosedFormEval`` (``boundary_distance_liminf``); the other
+    ``series.ClosedFormEval`` (``boundary_distance_liminf``); the other
     checks ignore it.
 
     A report passes when its margin is at least -psd_tol * scale; a psd_tol

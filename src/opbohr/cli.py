@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import functools
 import itertools
@@ -82,7 +83,8 @@ _LEADER = {t: t for t in THEOREM_IDS} | {
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str = "verify"
+    """The settings of ``opbohr verify``; each field is the ``dest`` of its flag."""
+
     theorems: tuple[str, ...] = ("t1iii",)
     trials: int = 10
     dims: tuple[int, ...] = (1, 2)
@@ -113,19 +115,9 @@ class RunConfig:
             raise OpBohrError(f"unknown report format: {self.format!r}")
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "theorems": list(self.theorems),
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "order": self.order,
-            "seed": self.seed,
-            "psd_tol": self.psd_tol,
-            "r_values": None if self.r_values is None else list(self.r_values),
-            "normal_variant": self.normal_variant,
-            "force": self.force,
-            "format": self.format,
-        }
+        """The report's config block: the command and every setting but ``out``."""
+        return {"command": "verify", **{f.name: getattr(self, f.name)
+                                        for f in dataclasses.fields(self) if f.name != "out"}}
 
 
 @dataclass
@@ -180,7 +172,9 @@ class SuiteRun:
 
     family         family of the drawn instance: an id of ``FAMILY_IDS``, or
                    ``gaussian_sequence`` (l1) or ``ordered_triple`` (e17)
-    order          default truncation order; ``--order`` replaces it
+    order          default truncation order; ``--order`` replaces it.  A pair's
+                   cut order at its largest stated radius stays below it, and
+                   the envelope tail covers f past it
     radii          default r-grid; ``--r`` replaces it.  A None radius is the
                    check's stated radius; ``radii=None`` marks a check without
                    a radius (one report per trial, ``--r`` ignored)
@@ -214,12 +208,12 @@ SUITE_RUNS: dict[str, tuple[SuiteRun, ...]] = {
     "t2": (SuiteRun("exterior_diag"),
            SuiteRun("exterior_colligation", radii=(1.0 / 3.0,), sub_seed=1)),
     "e17": (SuiteRun("ordered_triple", radii=None),),
-    "t3a": (SuiteRun("convex_diag", order=128, pair=True),),
-    "t3b": (SuiteRun("convex_diag", order=128, pair=True),),
+    "t3a": (SuiteRun("convex_diag", pair=True),),
+    "t3b": (SuiteRun("convex_diag", pair=True),),
     "l2a": (SuiteRun("schur_holo", radii=(0.1, 0.2, 1.0 / 3.0), pair=True),),
     "l2b": (SuiteRun("schur_holo", radii=(0.1, 0.2, 1.0 / 3.0), pair=True),),
-    "t4a": (SuiteRun("starlike_diag", order=256, pair=True),),
-    "t4b": (SuiteRun("starlike_diag", order=256, pair=True),),
+    "t4a": (SuiteRun("starlike_diag", pair=True),),
+    "t4b": (SuiteRun("starlike_diag", pair=True),),
 }
 
 
@@ -311,61 +305,51 @@ def run_suite(config: RunConfig) -> SuiteReport:
 # radius scans
 # ---------------------------------------------------------------------------
 
-_SCAN_DEFAULTS = {
-    "mobius": {"a": 0.5, "order": 96},
-    "koebe": {"order": 256},
-    "constant": {"value": 0.5},
+# family -> (default parameters, builder); the builder maps validated parameters
+# to the family's coefficients, the first power of its majorant and its bound
+_SCAN_FAMILIES = {
+    "mobius": ({"a": 0.5, "order": 96},
+               lambda p: (mobius_scalar_coeffs(p["a"], p["order"])[:, None, None], 0, 1.0)),
+    "koebe": ({"order": 256},
+              lambda p: (koebe_scalar_coeffs(p["order"])[:, None, None], 1, 0.25)),
+    "constant": ({"value": 0.5},
+                 lambda p: (np.array([[[p["value"]]]], dtype=np.complex128), 0, 1.0)),
 }
 
 
-def _float_param(params: dict, key: str) -> float:
+def _scan_param(key: str, value) -> float | int:
+    """A scan parameter, a number or its text, as the scan keeps it: an int
+    order, a float otherwise."""
     try:
-        return float(params[key])
+        number = float(value)
     except (TypeError, ValueError):
-        raise InvalidInputError(f"scan parameter {key} must be a number, "
-                                f"got {params[key]!r}") from None
-
-
-def _order_param(params: dict) -> int:
-    order = _float_param(params, "order")
-    if not (order.is_integer() and order >= 0):
-        raise InvalidInputError(f"scan parameter order must be an integer >= 0, "
-                                f"got {params['order']!r}")
-    return int(order)
-
-
-def _scan_family(family: str, params: dict) -> tuple[np.ndarray, int, float]:
-    """Coefficients of a scan family, the first power of its majorant and its bound,
-    from validated parameters."""
-    if family == "mobius":
-        coeffs = mobius_scalar_coeffs(params["a"], params["order"])
-        return coeffs[:, None, None], 0, 1.0
-    if family == "koebe":
-        return koebe_scalar_coeffs(params["order"])[:, None, None], 1, 0.25
-    return np.array([[[params["value"]]]], dtype=np.complex128), 0, 1.0
+        raise InvalidInputError(f"scan parameter {key} must be a number, got {value!r}") from None
+    if key != "order":
+        return number
+    if not (number.is_integer() and number >= 0):
+        raise InvalidInputError(f"scan parameter order must be an integer >= 0, got {value!r}")
+    return int(number)
 
 
 def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
                 r_max: float = 0.95, steps: int = 40, tol: float = 1e-7) -> RadiusScan:
     """Margin grid plus a bisection-refined radius for a named scalar family.
 
-    The coefficient norms are computed once; the grid is one majorant sum over
+    ``params`` override the family's defaults, each a number or its text;
+    the scan keeps an int order and a float otherwise.  The coefficient norms are computed once; the grid is one majorant sum over
     all its radii, and the bisection predicate sums the same norms.
     """
     if steps < 0:
         raise InvalidInputError(f"steps must be >= 0, got {steps}")
-    if family not in _SCAN_DEFAULTS:
+    if family not in _SCAN_FAMILIES:
         raise OpBohrError(f"unknown scan family: {family!r}")
-    merged = dict(_SCAN_DEFAULTS[family])
-    unknown = sorted(set(params or {}) - set(merged))
+    defaults, build = _SCAN_FAMILIES[family]
+    unknown = sorted(set(params or {}) - set(defaults))
     if unknown:
         raise InvalidInputError(f"unknown scan parameter(s) for {family}: {', '.join(unknown)}; "
-                                f"expected {', '.join(sorted(merged))}")
-    merged.update(params or {})
-    # the scan keeps the validated values: an int order, float a and value
-    merged = {key: _order_param(merged) if key == "order" else _float_param(merged, key)
-              for key in merged}
-    coeffs, k0, bound = _scan_family(family, merged)
+                                f"expected {', '.join(sorted(defaults))}")
+    merged = {key: _scan_param(key, value) for key, value in {**defaults, **(params or {})}.items()}
+    coeffs, k0, bound = build(merged)
     norms = operator_norm(coeffs[k0:])
     rs = np.linspace(_check_r(r_min), _check_r(r_max), steps)
     margins = bound - _kahan_scalar_sum(norms, rs, k0)
@@ -653,6 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each dest is the name of its RunConfig field
     pv = sub.add_parser("verify", help="run randomized theorem suites")
     pv.add_argument("--theorems", default="t1i,t1ii,t1iii",
                     help="comma list of ids (groups t1, l2, t3, t4 expand)")
@@ -661,8 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of matrix dimensions")
     pv.add_argument("--order", type=int, default=None, help="series truncation override")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--tol", type=float, default=PSD_TOL, help="relative PSD slack")
-    pv.add_argument("--r", type=_comma_list(float, "numbers"), default=None,
+    pv.add_argument("--tol", dest="psd_tol", metavar="TOL", type=float, default=PSD_TOL,
+                    help="relative PSD slack")
+    pv.add_argument("--r", dest="r_values", metavar="R", type=_comma_list(float, "numbers"),
                     help="comma list of radii; replaces every theorem's default grid")
     pv.add_argument("--normal-variant", action="store_true",
                     help="use commuting samples and the sharper normal bounds for t1i/t1ii")
@@ -672,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--format", choices=("json", "csv"), default="json")
 
     ps = sub.add_parser("scan", help="margin grid and bisection radius for a scalar family")
-    ps.add_argument("--family", required=True, choices=("mobius", "koebe", "constant"))
+    ps.add_argument("--family", required=True, choices=tuple(_SCAN_FAMILIES))
     ps.add_argument("--param", action="append", default=[],
                     help="key=value family parameter (repeatable)")
     ps.add_argument("--r-min", type=float, default=0.0)
@@ -695,17 +681,12 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _parse_params(items: list[str]) -> dict:
-    out = {}
+def _parse_params(items: list[str]) -> dict[str, str]:
+    """``--param`` items as text values, which ``scan_radius`` converts."""
     for item in items:
         if "=" not in item:
             raise OpBohrError(f"--param expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        try:
-            out[key] = float(value)
-        except ValueError:
-            out[key] = value
-    return out
+    return dict(item.split("=", 1) for item in items)
 
 
 def main(argv=None) -> int:
@@ -716,20 +697,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            config = RunConfig(
-                command="verify",
-                theorems=parse_theorem_list(args.theorems),
-                trials=args.trials,
-                dims=args.dims,
-                order=args.order,
-                seed=args.seed,
-                psd_tol=args.tol,
-                r_values=args.r,
-                normal_variant=args.normal_variant,
-                force=args.force,
-                out=args.out,
-                format=args.format,
-            )
+            settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
+            config = RunConfig(**{**settings, "theorems": parse_theorem_list(args.theorems)})
             report = run_suite(config)
             agg = report.aggregate
             print(f"checks: {agg['report_count']}  passed: {agg['pass_count']}  "

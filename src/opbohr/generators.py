@@ -102,7 +102,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -110,6 +110,7 @@ from .errors import ContractError, GenerationError, InvalidInputError
 from .funcalc import ColligationSpec
 from .linalg import adjoint, hermitize, operator_norm
 from .series import (
+    ClosedFormEval,
     CoeffEnvelope,
     HarmonicSeries,
     HoloSeries,
@@ -148,21 +149,6 @@ class FamilySpec:
             raise InvalidInputError(f"unknown family id: {self.family_id!r}")
         if self.dim < 1 or self.aux_dim < 1 or self.order < 0:
             raise InvalidInputError("dim and aux_dim must be >= 1, order >= 0")
-
-
-@dataclass(frozen=True)
-class ClosedFormEval:
-    """An exact evaluator, zs -> (len(zs), d, d) values, with its boundary liminf.
-
-    ``boundary_liminf`` is liminf ||f(z)|| as |z| -> 1 in closed form (see
-    the module docstring for each family's formula and rounding bound).
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    boundary_liminf: float
-
-    def __call__(self, zs) -> np.ndarray:
-        return self.fn(zs)
 
 
 def _rng(seed) -> np.random.Generator:

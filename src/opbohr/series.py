@@ -3,7 +3,9 @@
 A holomorphic series stores coefficients A_0..A_N as a single complex array of
 shape (N+1, d, d), and may carry a ``CoeffEnvelope``: a closed-form bound
 a_n >= ||A_n|| for every n >= 1, past N too, which a generator certifies
-from the parameters of its draw.  A harmonic series adds coanalytic
+from the parameters of its draw.  A ``ClosedFormEval`` is the other
+certified datum a generator attaches: an exact evaluator with its boundary
+liminf in closed form.  A harmonic series adds coanalytic
 coefficients B_1..B_N whose adjoints multiply conj(z)^n during evaluation.
 Subordination composition follows the coefficient algebra B_k = sum over n
 of alpha_k^(n) A_n, where alpha^(n) are the Taylor coefficients of the n-th
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -81,6 +84,21 @@ class CoeffEnvelope:
             return math.inf
         head = self.scale * x * y ** m / (1.0 - y)
         return head if self.power == 0 else head * (m + 1 - m * y) / (1.0 - y)
+
+
+@dataclass(frozen=True)
+class ClosedFormEval:
+    """An exact evaluator, zs -> (len(zs), d, d) values, with its boundary liminf.
+
+    ``boundary_liminf`` is liminf ||f(z)|| as |z| -> 1 in closed form (see
+    ``generators`` for each family's formula and rounding bound).
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    boundary_liminf: float
+
+    def __call__(self, zs) -> np.ndarray:
+        return self.fn(zs)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from opbohr import (
     HarmonicSeries,
     InvalidInputError,
     HoloSeries,
+    RangeError,
     ScalarSeries,
     SubordinationWitness,
     bohr_radius_bisect,
@@ -216,6 +219,23 @@ class TestSphericalDistance:
     def test_direct_value(self):
         assert spherical_distance(2.0, 1.0) == pytest.approx(1.0 / math.sqrt(10.0))
 
+    def test_every_finite_value(self):
+        # |z|^2 overflows a float past about 2^512; the distance does not
+        big = 1e200
+        assert spherical_distance(big, 0.0) == spherical_distance(0.0, big) == 1.0
+        assert spherical_distance(big, math.inf) == pytest.approx(1.0 / big, rel=4 * U)
+        assert spherical_distance(big, 2.0 * big) == pytest.approx(0.5 / big, rel=4 * U)
+        assert spherical_distance(big, -big) == pytest.approx(2.0 / big, rel=4 * U)
+        for z in (complex(1.7e308, -1.7e308), 1.7e308, -1e300j):
+            assert spherical_distance(z, 1.0) == pytest.approx(INV_SQRT2, rel=4 * U)
+            assert spherical_distance(z, z) == 0.0
+
+    def test_keeps_its_operations_where_the_squares_are_finite(self):
+        z = 1e150
+        assert spherical_distance(z, 1.0) == abs(z - 1.0) / (
+            math.sqrt(1.0 + abs(z) ** 2) * math.sqrt(1.0 + 1.0 ** 2))
+        assert spherical_distance(z, math.inf) == 1.0 / math.sqrt(1.0 + z ** 2)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_metric_on_triples(self, seed):
@@ -317,6 +337,22 @@ class TestT2Sides:
         assert sides["a0_sq_margin"] <= min(parts) + 4 * U
         assert sides["a0_sq_margin"] < sides["lambda_margin"] / 100.0
         assert rep.margin == min(parts)
+
+    @pytest.mark.parametrize("r", [0.99, 0.999999])
+    def test_growth_bound_past_the_float_range_is_a_range_error(self, r):
+        # ||V||^2 = 2c = 10: exp(5 (1 + rho)/(1 - rho)) overflows for rho past 0.986
+        with pytest.raises(RangeError, match="overflows a float"):
+            check_theorem_grid("t2", self.planted(5.0, 0.5, 64), [r], force=True)
+
+    def test_chordal_side_takes_a_majorant_past_the_float_square_range(self):
+        # c = 1.75 at r = 0.99: the growth bound stays finite, the tail passes 2^512
+        (rep,) = check_theorem_grid("t2", self.planted(1.75, 0.5, 64), [0.99], force=True)
+        sides = rep.side_values
+        assert 2.0 ** 512 < sides["tail"] < math.inf
+        # alpha + tail and ||A_0|| = e^c are chordally 1/sqrt(1 + e^(2c)) apart, to 1e-150
+        assert sides["lambda_lhs"] == pytest.approx(1.0 / math.sqrt(1.0 + math.exp(3.5)),
+                                                    rel=1e-13)
+        assert not rep.passed
 
     @pytest.mark.parametrize("c, beta", PLANTED)
     def test_tail_covers_the_longer_sum(self, c, beta):
@@ -1212,3 +1248,12 @@ class TestSharedPreparation:
         assert not norms.flags.writeable
         with pytest.raises(ValueError):
             norms[0] = 0.0
+
+
+def test_bohr_imports_no_generator():
+    # the checks read the certified data a generator attaches (envelopes,
+    # closed-form evaluators) from series, so bohr sits below generators
+    tree = ast.parse(Path(bohr.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert imported == {"errors", "funcalc", "linalg", "series"}

@@ -19,6 +19,7 @@ from opbohr import (
 from opbohr.cli import (
     MU_FIXED,
     THEOREM_GROUPS,
+    SUITE_RUNS,
     RunConfig,
     demo,
     main,
@@ -29,7 +30,7 @@ from opbohr.cli import (
     write_scan_csv,
     write_suite_report,
 )
-from opbohr import cli, generators
+from opbohr import bohr, cli, generators
 from opbohr.errors import OpBohrError
 from opbohr.generators import (
     FamilySpec,
@@ -38,11 +39,7 @@ from opbohr.generators import (
     mobius_scalar_coeffs,
     sample,
 )
-from opbohr.serialize import (
-    dumps,
-    report_from_json,
-    report_to_json,
-)
+from opbohr.serialize import dumps, report_to_json
 
 
 class TestTheoremParsing:
@@ -58,22 +55,14 @@ class TestTheoremParsing:
 
 
 class TestSerialization:
-    def test_report_roundtrip(self):
-        config = RunConfig(theorems=("t1iii",), trials=2, dims=(1, 2), seed=3)
-        suite = run_suite(config)
+    def test_report_to_json_writes_every_field(self):
+        suite = run_suite(RunConfig(theorems=("t1iii",), trials=2, dims=(1, 2), seed=3))
         for rep in suite.reports:
-            back = report_from_json(json.loads(json.dumps(report_to_json(rep))))
-            assert back == rep
-
-    def test_family_spec_roundtrip(self):
-        from opbohr.generators import FamilySpec
-        from opbohr.serialize import family_spec_from_json, family_spec_to_json
-
-        spec = FamilySpec(family_id="convex_diag", dim=3, aux_dim=5, order=96,
-                          seed=17, params={"with_witness": True, "cond_range": (1.0, 4.0)})
-        back = family_spec_from_json(json.loads(json.dumps(family_spec_to_json(spec))))
-        assert back.family_id == spec.family_id and back.seed == spec.seed
-        assert back.params["with_witness"] is True
+            written = json.loads(dumps(report_to_json(rep)))
+            assert written == {"theorem_id": rep.theorem_id, "r": rep.r, "mu": rep.mu,
+                               "passed": rep.passed, "margin": rep.margin,
+                               "side_values": rep.side_values, "witness": rep.witness}
+            assert all(type(v) is float for v in written["side_values"].values())
 
 
 def _strip_timestamp(payload: str) -> dict:
@@ -184,13 +173,54 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "scan_radius", fake_scan)
         assert main(["scan", "--family", "koebe", "--param", "order=8"]) == 0
         assert main(["scan", "--family", "koebe"]) == 0
-        assert seen == [{"order": 8.0}, {}]
+        assert seen == [{"order": "8"}, {}]
         assert main(["scan", "--family", "koebe", "--steps", "x"]) == 2
         assert main(["scan", "--family", "nonsense"]) == 2
         assert main(["scan", "--family", "koebe", "--param", "order"]) == 2
         assert main(["scan", "--family", "koebe", "--param", "order=16"]) == 0
-        assert seen[-1] == {"order": 16.0}
+        assert seen[-1] == {"order": "16"}
         assert cli._parser() is cli._parser()
+
+    def test_every_flag_reaches_its_setting(self, tmp_path, monkeypatch):
+        # every flag away from its default: a flag whose dest misses its
+        # RunConfig field would leave the field at its default
+        written = []
+        write = cli.write_suite_report
+        monkeypatch.setattr(cli, "write_suite_report",
+                            lambda report, path, fmt: written.append(report) or write(
+                                report, path, fmt))
+        out = tmp_path / "flags.csv"
+        assert main(["verify", "--theorems", "t1iii,e17", "--trials", "2", "--dims", "1,3",
+                     "--order", "8", "--seed", "4", "--tol", "1e-6", "--r", "0.1,0.2",
+                     "--normal-variant", "--force", "--out", str(out), "--format", "csv"]) == 0
+        assert json.loads(dumps(written[0].to_json()))["config"] == {
+            "command": "verify",
+            "theorems": ["t1iii", "e17"],
+            "trials": 2,
+            "dims": [1, 3],
+            "order": 8,
+            "seed": 4,
+            "psd_tol": 1e-6,
+            "r_values": [0.1, 0.2],
+            "normal_variant": True,
+            "force": True,
+            "format": "csv",
+        }
+        with open(out, newline="") as fh:
+            assert next(csv.reader(fh))[0] == "theorem_id"
+
+    def test_t2_growth_overflow_is_a_range_error(self, capsys):
+        # at r = 0.99 the drawn instance's majorant passes 2^512, whose square
+        # overflows, and the check reports; at r = 0.999999 its growth bound
+        # overflows a float, a configuration error
+        argv = ["verify", "--theorems", "t2", "--force", "--dims", "1", "--trials", "1"]
+        assert main(argv + ["--r", "0.99"]) == 1
+        capsys.readouterr()
+        assert main(argv + ["--r", "0.999999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: t2's growth bound overflows a float at r = 0.999999"]
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPBOHR_OUT_DIR", str(tmp_path))
@@ -417,6 +447,27 @@ class TestSuiteStructure:
         suite = run_suite(config)
         assert all(rep.r == pytest.approx(1.0 / 3.0) for rep in suite.reports)
         assert all(rep.passed for rep in suite.reports)
+
+    def test_every_other_group_reports_at_a_forced_radius_near_one(self):
+        ids = tuple(t for t in THEOREM_IDS if t != "t2")
+        config = RunConfig(theorems=ids, trials=1, dims=(1, 2), r_values=(0.999999,), force=True)
+        reports = run_suite(config).reports
+        assert {rep.theorem_id for rep in reports} == set(ids)
+        assert all(rep.r in (0.999999, None) for rep in reports)
+
+    @pytest.mark.parametrize("theorem_id", [t for t, runs in SUITE_RUNS.items()
+                                            if any(run.pair for run in runs)])
+    def test_pair_draws_reach_past_their_cut_order(self, theorem_id):
+        # every unforced radius reads the composite up to the cut order at the
+        # pair's largest stated radius; an envelope that needed longer draws
+        # would have its order capped at N
+        radius = KOEBE_RADIUS if theorem_id.startswith("t4") else 1.0 / 3.0
+        for run in SUITE_RUNS[theorem_id]:
+            for seed in range(5):
+                for dim in range(1, 5):
+                    pair, _, _ = cli._draw(run.family, dim, run.order, seed, run.pair)
+                    envelope, _ = bohr._source_envelope(pair[0])
+                    assert bohr._cut_order(pair, envelope, radius)[0] < run.order, (seed, dim)
 
     def test_t2_runs_both_families(self):
         config = RunConfig(theorems=("t2",), trials=1, dims=(2,), seed=4)
