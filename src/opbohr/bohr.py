@@ -67,7 +67,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractError, DomainError, InvalidInputError, RangeError
-from .funcalc import ColligationSpec, herglotz_transfer_grid, log_hermitian, matrix_exp
+from .funcalc import log_hermitian
 from .linalg import (
     EQ_TOL,
     PSD_TOL,
@@ -86,7 +86,6 @@ from .series import (
     HarmonicSeries,
     HoloSeries,
     SubordinationWitness,
-    coeffs_via_cauchy_integral,
     compose_subordination,
 )
 
@@ -656,26 +655,13 @@ def _prep_e55(instance, **_) -> _Prepared:
     return _Prepared(sides=sides)
 
 
-def _colligation_series_norms(c: ColligationSpec, order: int, rho: float = 0.5):
-    nodes = max(4 * order + 4, 256)
-    series = coeffs_via_cauchy_integral(
-        lambda zs: matrix_exp(herglotz_transfer_grid(c, zs)), order, rho, nodes)
-    return operator_norm(series.coeffs)
-
-
-def _prep_t2(instance, *, order: int = 64, **_) -> _Prepared:
-    if isinstance(instance, ColligationSpec):
-        a0 = matrix_exp(0.5 * hermitize(adjoint(instance.V) @ instance.V))
-        norm_a0, norm_log_a0, radius = _thm2_parts(a0)
-        v_sq = operator_norm(instance.V) ** 2
-        norms_a = _colligation_series_norms(instance, order)
-    elif isinstance(instance, HoloSeries):
-        norm_a0, norm_log_a0, radius = _thm2_parts(instance.coeffs[0])
-        v_sq = 2.0 * norm_log_a0
-        norms_a = operator_norm(instance.coeffs)
-        order = instance.order
-    else:
-        raise ContractError("t2 needs a ColligationSpec or exterior HoloSeries instance")
+def _prep_t2(instance, **_) -> _Prepared:
+    if not isinstance(instance, HoloSeries):
+        raise ContractError("t2 needs an exterior HoloSeries instance")
+    norm_a0, norm_log_a0, radius = _thm2_parts(instance.coeffs[0])
+    v_sq = 2.0 * norm_log_a0  # ||V||^2 for a colligation, whose log A0 is V*V/2
+    norms_a = operator_norm(instance.coeffs)
+    order = instance.order
     ell = math.log(norm_a0) / norm_log_a0
 
     def margin(r: float, alpha: float):
@@ -942,8 +928,7 @@ def _build_report(theorem_id: str, prepared: _Prepared, rs: Sequence[float | Non
 
 def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
                        mu: float | None = None, *, force: bool = False,
-                       normal: bool = False, k: int = 0, order: int = 64,
-                       boundary_eval=None, psd_tol: float = PSD_TOL,
+                       normal: bool = False, k: int = 0, boundary_eval=None, psd_tol: float = PSD_TOL,
                        witness: dict | None = None) -> list[TheoremReport]:
     """Run one inequality check at every radius of rs; one report per radius.
 
@@ -958,8 +943,8 @@ def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
     t1ii   rotated norm sum against ||I - Re(e^(i mu) A0)||, r <= 1/5 (1/3 normal)
     t1iii  split absolute sums against I/2 at r <= 1/3
     e55    holomorphic majorant against I/sqrt(1-r^2)
-    t2     chordal-distance Bohr inequality for exterior instances, plus the
-           realization growth bounds; radius (2L-1)/(2L+1) from the instance
+    t2     chordal-distance Bohr inequality for an exterior HoloSeries, plus
+           the realization growth bounds; radius (2L-1)/(2L+1) from the instance
     e17    chordal-distance monotonicity on an ordered triple (no radius; each
            entry of rs, which may be None, yields one report)
     t3a/b  subordination to a convex instance: norm sum against the boundary
@@ -981,6 +966,6 @@ def check_theorem_grid(theorem_id: str, instance, rs: Sequence[float | None],
     if theorem_id not in _PREPARERS:
         raise ContractError(f"unknown theorem id: {theorem_id!r}")
     prepared = _PREPARERS[theorem_id](
-        instance, mu=mu, normal=normal, k=k, order=order, boundary_eval=boundary_eval)
+        instance, mu=mu, normal=normal, k=k, boundary_eval=boundary_eval)
     return _build_report(theorem_id, prepared, rs, mu, psd_tol, force, witness)
 

@@ -104,6 +104,8 @@ class RunConfig:
             raise OpBohrError("dims must be a nonempty subset of 1..16")
         if self.r_values is not None and not self.r_values:
             raise OpBohrError("r values must be a nonempty list")
+        if self.order is not None and self.order < 0:
+            raise OpBohrError(f"order must be >= 0, got {self.order!r}")
         if self.seed < 0:
             raise OpBohrError("seed must be >= 0")
         if not (math.isfinite(self.psd_tol) and self.psd_tol >= 0.0):
@@ -249,9 +251,8 @@ def _run_one_trial(theorem: str, dim: int, trial: int, config: RunConfig,
         mus = (*MU_FIXED, _random_mu(inst_seed)) if run.over_mu else (None,)
         for mu, kwargs in itertools.product(mus, run.variants):
             reports.extend(check_theorem_grid(
-                theorem, instance, rs, mu, normal=normal, order=order,
-                boundary_eval=aux.get("eval"), psd_tol=config.psd_tol,
-                force=config.force, witness=witness, **kwargs))
+                theorem, instance, rs, mu, normal=normal, boundary_eval=aux.get("eval"),
+                psd_tol=config.psd_tol, force=config.force, witness=witness, **kwargs))
     return reports
 
 
@@ -457,7 +458,7 @@ def _certificate_gap(family: str, seed: int) -> float:
     if family == "subordination":
         return aux["sup_cert"] - float(np.abs(aux["eval_phi"](zs)).max()) / rho
     if family == "exterior_colligation":
-        inverse = matrix_exp(-herglotz_transfer_grid(instance, zs))
+        inverse = matrix_exp(-herglotz_transfer_grid(aux["colligation"], zs))
         return 1.0 / float(operator_norm(inverse).max()) - aux["min_cert"]
     if family == "exterior_diag":
         sv = np.linalg.svd(aux["eval"](zs), compute_uv=False)

@@ -1,7 +1,7 @@
 """Seeded, reproducible factories for the instance families the checkers need.
 
-Stored coefficients come from closed forms or exact recurrences, not from
-samples on a circle:
+Stored coefficients come from closed forms or exact recurrences, and from
+samples on a circle for one family only:
 
 * Schur realizations (``schur_holo``, ``schur_harmonic``,
   ``commuting_harmonic`` and the subordination witness): A_0 = A and
@@ -12,7 +12,16 @@ samples on a circle:
 * ``convex_diag`` and ``starlike_diag``: t beta^(n-1) and n zeta^(n-1) per
   slice.
 
-``exterior_colligation`` stores its colligation (U, V) only.
+``exterior_colligation`` is the one family whose coefficients come from
+samples on a circle.  A_0 = exp(V*V/2) is taken from the colligation, and
+A_1..A_N from max(4N + 4, 256) samples of exp(H) on |z| = 1/2
+(``series.coeffs_via_cauchy_integral``); its aux mapping carries the
+colligation as ``"colligation"``.  The extraction's scale 2^n amplifies
+the samples' rounding, so coefficient n is off by roughly
+2^n u e^(3||V||^2/2): at d = 2, seed 2, order 64 it gives ||A_64|| = 538,
+where a series-exponential reference gives 5.24.  t2 weighs coefficient n
+by at most 3^-n.  From order 1024 on, 2^n overflows a float, and the draw
+raises ``RangeError`` before it samples.
 
 The exact evaluator of ``convex_diag`` and ``starlike_diag`` is a
 ``ClosedFormEval``: it also carries the boundary liminf of ||f(z)|| as
@@ -107,7 +116,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ContractError, GenerationError, InvalidInputError
-from .funcalc import ColligationSpec
+from .funcalc import ColligationSpec, herglotz_transfer_grid, matrix_exp
 from .linalg import adjoint, hermitize, operator_norm
 from .series import (
     ClosedFormEval,
@@ -116,6 +125,7 @@ from .series import (
     HoloSeries,
     ScalarSeries,
     SubordinationWitness,
+    coeffs_via_cauchy_integral,
 )
 
 FAMILY_IDS = (
@@ -438,8 +448,12 @@ def _build_exterior_colligation(spec: FamilySpec, rng):
     v *= math.sqrt(target) / operator_norm(v)
     # Re H >= 0 on |z|^2 <= 1/(1 + delta): the same disk as a Schur bound of 1 + delta/2
     _check_realization("exterior_colligation", 1.0 + 0.5 * float(_unitarity_defect(u)))
-    instance = ColligationSpec(k=k, U=u, V=v)
-    return instance, {"min_cert": 1.0, "v_norm_sq": target}
+    colligation = ColligationSpec(k=k, U=u, V=v)
+    coeffs = np.array(coeffs_via_cauchy_integral(
+        lambda zs: matrix_exp(herglotz_transfer_grid(colligation, zs)),
+        spec.order, 0.5, max(4 * spec.order + 4, 256)).coeffs)
+    coeffs[0] = matrix_exp(0.5 * hermitize(adjoint(v) @ v))  # f(0), not from the samples
+    return HoloSeries(coeffs), {"min_cert": 1.0, "v_norm_sq": target, "colligation": colligation}
 
 
 def _build_convex_diag(spec: FamilySpec, rng):

@@ -10,8 +10,8 @@ coefficients B_1..B_N whose adjoints multiply conj(z)^n during evaluation.
 Subordination composition follows the coefficient algebra B_k = sum over n
 of alpha_k^(n) A_n, where alpha^(n) are the Taylor coefficients of the n-th
 power of the inner map, built once per composition as a power table.  The
-table is built by block doubling, ceil(log2(count)) products with
-triangular Toeplitz matrices, each entry within
+table is built by doubling, ceil(log2(count)) products with triangular
+Toeplitz matrices, each entry within
 (order + 1) (ceil(log2(count)) + 1) u (|phi|^n)_k of the exact coefficient
 (``_power_table``).
 """
@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ContractError, DomainError, InvalidInputError
+from .errors import ContractError, DomainError, InvalidInputError, RangeError
 from .linalg import adjoint, all_finite, as_matrix_stack
 
 
@@ -239,11 +239,10 @@ def _power_table(phi: np.ndarray, count: int) -> np.ndarray:
     so phi^n vanishes below order n.  The rows are built by doubling (Brent
     and Kung, JACM 1978): with rows 1..m in hand, rows m+1..min(2m, count)
     are phi^j phi^m for j = 1..m, one product of the block of rows 1..m with
-    the upper-triangular Toeplitz matrix of row m's band.  That matrix is
-    split once into 2x2 blocks and its zero block is never multiplied, so
-    ceil(log2(count)) block products form the table.  Below a row's band
-    every product has an exact zero factor, so with finite entries each row
-    stays exactly zero there.
+    the upper-triangular Toeplitz matrix of row m's band, a strided view of
+    the zero-padded band.  So ceil(log2(count)) products form the table.
+    Below a row's band every product has an exact zero factor, so with
+    finite entries each row stays exactly zero there.
 
     Entry (n, k) lies within (order + 1) (ceil(log2(count)) + 1) u (|phi|^n)_k
     of phi^n's coefficient, with u the unit roundoff and |phi| the series of
@@ -258,18 +257,12 @@ def _power_table(phi: np.ndarray, count: int) -> np.ndarray:
     m = 1
     while m < count:
         step, size = min(m, count - m), order - m
-        h = size // 2
-        # columns h.. of the Toeplitz matrix t[i, k] = alpha[m, m + k - i] (zero for
-        # k < i), copied from the reversed rows of a Hankel view of the padded band;
-        # the leading h x h block of t is right[h:2h, :h]
-        padded = np.zeros(2 * size - h - 1, dtype=np.complex128)
-        padded[size - h - 1:] = alpha[m, m:order]
-        hankel = as_strided(padded, shape=(size, size - h), strides=2 * padded.strides)
-        right = hankel[::-1].copy()
-        rows = alpha[1:step + 1, 1:size + 1]
-        out = alpha[m + 1:m + step + 1, m + 1:]
-        np.matmul(rows[:, :h], right[h:2 * h, :h], out=out[:, :h])
-        np.matmul(rows, right, out=out[:, h:])
+        # t[i, k] = alpha[m, m + k - i], zero for k < i, read from the padded band
+        padded = np.zeros(2 * size - 1, dtype=np.complex128)
+        padded[size - 1:] = alpha[m, m:order]
+        stride = padded.strides[0]
+        toeplitz = as_strided(padded[size - 1:], shape=(size, size), strides=(-stride, stride))
+        np.matmul(alpha[1:step + 1, 1:size + 1], toeplitz, out=alpha[m + 1:m + step + 1, m + 1:])
         m += step
     return alpha
 
@@ -311,12 +304,18 @@ def coeffs_via_cauchy_integral(eval_grid, order: int, rho: float, nodes: int) ->
     z_m = rho * exp(2*pi*i*m/nodes), and ``coeffs_from_circle_samples`` takes
     the coefficients from its stack.  The trapezoid rule on |z| = rho aliases
     coefficient n by at most sup-norm * rho^(M-n) / (1 - rho^M), so nodes
-    must exceed 2N.
+    must exceed 2N.  An order whose rho^-N overflows a float raises
+    RangeError before ``eval_grid`` is called.
     """
     if not (0.0 < rho < 1.0):
         raise DomainError("extraction radius must lie in (0, 1)")
     if nodes <= 2 * order:
         raise ContractError("nodes must exceed twice the requested order")
+    try:
+        math.pow(rho, -order)  # the largest DFT scale, checked before any sample is taken
+    except OverflowError:
+        raise RangeError(f"extraction at order {order} overflows a float: "
+                         f"rho^-{order} with rho = {rho!r}") from None
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     samples = as_matrix_stack(eval_grid(rho * np.exp(1j * theta)), "eval_grid output")
     if samples.ndim != 3 or samples.shape[0] != nodes:

@@ -365,13 +365,19 @@ class TestT2Sides:
                 >= long.side_values["majorant"])
 
 
-# each id with its family, suite radii and check arguments; e55 and t1i bound
-# their tails by the remaining square mass, l2a and t4b geometrically
+# each case with its id, family, radii and check arguments; e55 and the t1
+# ids bound their tails by the remaining square mass, l2a and t4b
+# geometrically, and t2 by the growth bound on a larger circle, so t2
+# compares its majorant where the others compare lhs_norm
 LADDER_CASES = {
-    "e55": ("schur_holo", (0.25, 0.5, INV_SQRT2), {}),
-    "t1i": ("schur_harmonic", (0.1, 0.3, 0.5, 0.7, 0.9, 0.95), {"mu": 0.7}),
-    "l2a": ("schur_holo", (0.1, 0.2, 1.0 / 3.0), {}),
-    "t4b": ("starlike_diag", (KOEBE_RADIUS,), {}),
+    "e55": ("e55", "schur_holo", (0.25, 0.5, INV_SQRT2), {}),
+    "t1i": ("t1i", "schur_harmonic", (0.1, 0.3, 0.5, 0.7, 0.9, 0.95), {"mu": 0.7}),
+    "t1ii": ("t1ii", "schur_harmonic", (0.2,), {"mu": 0.7}),
+    "t1iii": ("t1iii", "schur_harmonic", (1.0 / 3.0,), {}),
+    "t2-diag": ("t2", "exterior_diag", (0.2, 1.0 / 3.0), {}),
+    "t2-colligation": ("t2", "exterior_colligation", (0.2, 1.0 / 3.0), {}),
+    "l2a": ("l2a", "schur_holo", (0.1, 0.2, 1.0 / 3.0), {}),
+    "t4b": ("t4b", "starlike_diag", (KOEBE_RADIUS,), {}),
 }
 
 
@@ -380,21 +386,22 @@ class TestTruncationLadder:
     lhs_N + tail_N must reach lhs_256, and a tail may be 0 only where the
     longer sum adds nothing."""
 
-    @pytest.mark.parametrize("theorem_id", sorted(LADDER_CASES))
+    @pytest.mark.parametrize("case", sorted(LADDER_CASES))
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_tail_covers_the_longer_sum(self, theorem_id, d):
-        family, rs, kwargs = LADDER_CASES[theorem_id]
+    def test_tail_covers_the_longer_sum(self, case, d):
+        theorem_id, family, rs, kwargs = LADDER_CASES[case]
         pair = theorem_id in ("l2a", "t4b")
+        lhs_key = "majorant" if theorem_id == "t2" else "lhs_norm"
         for seed in range(4):
             def reports(order):
                 spec = FamilySpec(family_id=family, dim=d, aux_dim=4, order=order, seed=seed,
                                   params={"with_witness": True} if pair else {})
                 return check_theorem_grid(theorem_id, sample(spec), rs, **kwargs)
 
-            reference = [rep.side_values["lhs_norm"] for rep in reports(256)]
+            reference = [rep.side_values[lhs_key] for rep in reports(256)]
             for order in (4, 8):
                 for rep, lhs_ref in zip(reports(order), reference):
-                    lhs, tail = rep.side_values["lhs_norm"], rep.side_values["tail"]
+                    lhs, tail = rep.side_values[lhs_key], rep.side_values["tail"]
                     assert lhs + tail >= lhs_ref * (1.0 - 1e-12), (seed, order, rep.r)
                     if lhs_ref > lhs:
                         assert tail > 0.0, (seed, order, rep.r)
@@ -909,6 +916,13 @@ class TestCheckTheorem:
             assert rep.passed
             (rep2,) = check_theorem_grid("t1ii", inst, [0.2], mu=mu)
             assert rep2.passed
+
+    def test_t2_refuses_a_bare_colligation(self):
+        # t2 reads a drawn series; the colligation itself is only its aux datum
+        _, aux = sample(FamilySpec(family_id="exterior_colligation", dim=2, order=8, seed=3),
+                        with_aux=True)
+        with pytest.raises(ContractError, match="HoloSeries"):
+            check_theorem_grid("t2", aux["colligation"], [1.0 / 3.0])
 
     def test_t2_sides_include_growth_bounds(self):
         spec = FamilySpec(family_id="exterior_colligation", dim=2, aux_dim=4, order=64, seed=3)

@@ -222,6 +222,22 @@ class TestExitCodes:
         assert captured.err.splitlines() == [
             "error: t2's growth bound overflows a float at r = 0.999999"]
 
+    @pytest.mark.parametrize("group, order", [("l1", "-1"), ("e17", "-5"), ("t1", "-1")])
+    def test_negative_order_is_one_error(self, capsys, group, order):
+        # e17 draws no series, and still refuses the setting rather than echo it
+        assert main(["verify", "--theorems", group, "--order", order, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: order must be >= 0, got {order}"]
+
+    def test_t2_order_past_the_extraction_range_is_one_error(self, capsys):
+        argv = ["verify", "--theorems", "t2", "--order", "1100", "--dims", "1", "--trials", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: extraction at order 1100 overflows a float")
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPBOHR_OUT_DIR", str(tmp_path))
         code = main(["verify", "--theorems", "t1iii", "--trials", "1",

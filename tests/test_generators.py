@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbohr import (
-    ColligationSpec,
     GenerationError,
     HarmonicSeries,
     HoloSeries,
     InvalidInputError,
+    RangeError,
     SubordinationWitness,
     abs_value,
     adjoint,
@@ -19,7 +20,7 @@ from opbohr import (
     operator_norm,
     thm2_radius,
 )
-from opbohr import bohr, generators
+from opbohr import generators
 from opbohr.funcalc import herglotz_transfer_grid, matrix_exp
 from opbohr.generators import (
     CERT_SLACK,
@@ -76,8 +77,6 @@ class TestDeterminism:
         elif isinstance(a, HarmonicSeries):
             assert a.analytic.tobytes() == b.analytic.tobytes()
             assert a.coanalytic.tobytes() == b.coanalytic.tobytes()
-        elif isinstance(a, ColligationSpec):
-            assert a.U.tobytes() == b.U.tobytes() and a.V.tobytes() == b.V.tobytes()
         elif isinstance(a, SubordinationWitness):
             assert a.phi.coeffs.tobytes() == b.phi.coeffs.tobytes()
 
@@ -190,14 +189,29 @@ class TestExactCoefficients:
 
     def test_colligation_path_matches_per_node_reference(self):
         for d, seed in ((1, 2), (2, 7), (3, 8), (4, 9)):
-            inst = sample(spec_of("exterior_colligation", dim=d, seed=seed))
-            # the t2 series norms: radius-0.5 samples of exp(log f), one node at a time
+            inst, aux = sample(spec_of("exterior_colligation", dim=d, seed=seed), with_aux=True)
+            c = aux["colligation"]
+            # radius-0.5 samples of exp(log f), one node at a time
             nodes = 4 * 64 + 4
             theta = 2.0 * math.pi * np.arange(nodes) / nodes
-            logs = herglotz_transfer_grid(inst, 0.5 * np.exp(1j * theta))
+            logs = herglotz_transfer_grid(c, 0.5 * np.exp(1j * theta))
             samples = np.stack([matrix_exp(lg) for lg in logs])
-            norms = operator_norm(coeffs_from_circle_samples(samples, 0.5, 64))
-            assert np.array_equal(bohr._colligation_series_norms(inst, 64), norms)
+            reference = coeffs_from_circle_samples(samples, 0.5, 64)
+            assert np.array_equal(inst.coeffs[1:], reference[1:])
+            assert np.array_equal(inst.coeffs[0], matrix_exp(0.5 * hermitize(adjoint(c.V) @ c.V)))
+
+    @pytest.mark.parametrize("order", [0, 8, 64])
+    def test_colligation_draw_has_the_spec_order(self, order):
+        inst = sample(spec_of("exterior_colligation", order=order, seed=5))
+        assert isinstance(inst, HoloSeries) and inst.order == order
+
+    def test_colligation_order_whose_scale_overflows_raises_before_sampling(self):
+        # 0.5^-1100 overflows a float: the draw stops with RangeError, and no
+        # numpy overflow warning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="order 1100"):
+                sample(spec_of("exterior_colligation", dim=1, order=1100, seed=1))
 
 
 class TestExteriorFamilies:
@@ -231,8 +245,8 @@ class TestExteriorFamilies:
     def test_colligation_v_norm_in_range(self):
         spec = spec_of("exterior_colligation", seed=3,
                        params={"v_norm_sq_range": (0.5, 0.6)})
-        inst = sample(spec)
-        assert 0.5 - 1e-9 <= operator_norm(inst.V) ** 2 <= 0.6 + 1e-9
+        _, aux = sample(spec, with_aux=True)
+        assert 0.5 - 1e-9 <= operator_norm(aux["colligation"].V) ** 2 <= 0.6 + 1e-9
 
 
 DENSE_ANGLES = 2 ** 12
@@ -291,10 +305,10 @@ class TestAlgebraicCertificates:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 31), d=st.integers(1, 4))
     def test_colligation_log_has_nonnegative_real_part(self, seed, d):
-        inst, aux = sample(spec_of("exterior_colligation", dim=d, order=8, seed=seed),
-                           with_aux=True)
+        _, aux = sample(spec_of("exterior_colligation", dim=d, order=8, seed=seed),
+                        with_aux=True)
         for rho in DENSE_RADII:
-            logs = herglotz_transfer_grid(inst, dense_circle(rho))
+            logs = herglotz_transfer_grid(aux["colligation"], dense_circle(rho))
             re = np.linalg.eigvalsh(hermitize(logs))
             assert np.all(re[:, 0] >= -CERT_SLACK * np.maximum(1.0, np.abs(re).max(axis=1))), rho
             # Re H >= 0 keeps ||exp(-H)|| <= 1 whatever ||H||, so matrix_exp takes it

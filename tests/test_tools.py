@@ -98,10 +98,29 @@ def test_report_diff_fails_on_flag_changes_and_misalignment(tmp_path, capsys, ed
     if status == 0:
         assert out.splitlines() == [
             "t3a: 1 reports, 0 flag changes, max |dmargin|/scale 0.125; changed -; "
-            "added lhs_norm; removed -",
+            "added lhs_norm; removed -; witness order differs in 0",
             "t3b: 1 reports, 0 flag changes, max |dmargin|/scale 0; changed lhs_norm 0.25; "
-            "added -; removed -",
+            "added -; removed -; witness order differs in 0",
         ]
+
+
+@pytest.mark.parametrize("field, value, status, expected", [
+    ("order", 64, 0, "t3b: 2 reports, 0 flag changes, max |dmargin|/scale 0; changed -; "
+                     "added -; removed -; witness order differs in 1"),
+    ("seed", 2, 1, "error: report 1 does not align"),
+])
+def test_report_diff_aligns_on_the_witness_without_its_order(tmp_path, capsys, field, value,
+                                                             status, expected):
+    a = [_report("t3b", 0.25), _report("t3b", 0.5)]
+    for report in a:
+        report["witness"]["order"] = 128
+    b = json.loads(json.dumps(a))
+    b[1]["witness"][field] = value
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, reports in zip(paths, (a, b)):
+        path.write_text(json.dumps({"reports": reports}))
+    assert report_diff.main([str(p) for p in paths]) == status
+    assert any(line.startswith(expected) for line in capsys.readouterr().out.splitlines())
 
 
 def _load_perfbench(name):

@@ -5,13 +5,14 @@ Usage, from the root of a checkout:
     python3 tools/report_diff.py A.json B.json
 
 The reports of A and B must align one to one, in order, on
-(theorem_id, r, mu, witness). For each theorem id it prints the report
-count, the number of reports whose pass flag differs, the largest
-|margin_B - margin_A| / scale (the scale of A's side values), the side-value
-keys of both whose value differs in some report, with the largest
-|b - a| / max(1, |a|), and the keys that only B has or only A has. The exit
-status is 1 when the reports do not align or any pass flag differs, 0
-otherwise.
+(theorem_id, r, mu, witness), the witness without its ``order``: a draw
+keeps its seed when its truncation order changes. For each theorem id it
+prints the report count, the number of reports whose pass flag differs, the
+largest |margin_B - margin_A| / scale (the scale of A's side values), the
+side-value keys of both whose value differs in some report, with the
+largest |b - a| / max(1, |a|), the keys that only B has or only A has, and
+the number of reports whose witness order differs. The exit status is 1
+when the reports do not align or any pass flag differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from pathlib import Path
 
 
 def _align_key(report) -> tuple:
-    return (report["theorem_id"], report["r"], report["mu"],
-            json.dumps(report["witness"], sort_keys=True))
+    witness = {k: v for k, v in report["witness"].items() if k != "order"}
+    return (report["theorem_id"], report["r"], report["mu"], json.dumps(witness, sort_keys=True))
 
 
 def compare(a_reports, b_reports) -> tuple[dict[str, dict], list[str]]:
@@ -36,10 +37,12 @@ def compare(a_reports, b_reports) -> tuple[dict[str, dict], list[str]]:
               if _align_key(a) != _align_key(b)]
     stats: dict[str, dict] = {}
     for a, b in zip(a_reports, b_reports):
-        s = stats.setdefault(a["theorem_id"], {"reports": 0, "flags": 0, "shift": 0.0,
-                                               "changed": {}, "added": set(), "removed": set()})
+        s = stats.setdefault(a["theorem_id"], {"reports": 0, "flags": 0, "orders": 0,
+                                               "shift": 0.0, "changed": {}, "added": set(),
+                                               "removed": set()})
         s["reports"] += 1
         s["flags"] += a["passed"] != b["passed"]
+        s["orders"] += a["witness"].get("order") != b["witness"].get("order")
         scale = a["side_values"].get("scale", 1.0)
         s["shift"] = max(s["shift"], abs(b["margin"] - a["margin"]) / scale)
         sides_a, sides_b = a["side_values"], b["side_values"]
@@ -68,7 +71,8 @@ def main(argv=None) -> int:
         print(f"{theorem_id}: {s['reports']} reports, {s['flags']} flag changes, "
               f"max |dmargin|/scale {s['shift']:.3g}; changed {changed}; "
               f"added {', '.join(sorted(s['added'])) or '-'}; "
-              f"removed {', '.join(sorted(s['removed'])) or '-'}")
+              f"removed {', '.join(sorted(s['removed'])) or '-'}; "
+              f"witness order differs in {s['orders']}")
     return 1 if errors or flags else 0
 
 
