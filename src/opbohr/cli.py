@@ -50,13 +50,11 @@ from .generators import (
     UNIT_ROUNDOFF,
     FamilySpec,
     derive_seed,
-    gaussian_coeff_sequence,
     identity_witness,
     koebe_scalar_coeffs,
     koebe_series,
     mobius_scalar_coeffs,
     mobius_series,
-    ordered_triples,
     random_unitary,
     sample,
 )
@@ -100,7 +98,8 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise OpBohrError("trials must be >= 1")
-        if not self.dims or any(d < 1 or d > 16 for d in self.dims):
+        if (not self.dims or any(d < 1 or d > 16 for d in self.dims)
+                or len(set(self.dims)) < len(self.dims)):
             raise OpBohrError("dims must be a nonempty subset of 1..16")
         if self.r_values is not None and not self.r_values:
             raise OpBohrError("r values must be a nonempty list")
@@ -172,8 +171,7 @@ class SuiteRun:
     ``schur_harmonic`` under ``--normal-variant``), l2b, t3b and t4b their
     leader's pair, and the witness of each report names that draw.
 
-    family         family of the drawn instance: an id of ``FAMILY_IDS``, or
-                   ``gaussian_sequence`` (l1) or ``ordered_triple`` (e17)
+    family         family of the drawn instance, an id of ``FAMILY_IDS``
     order          default truncation order; ``--order`` replaces it.  A pair's
                    cut order at its largest stated radius stays below it, and
                    the envelope tail covers f past it
@@ -220,16 +218,12 @@ SUITE_RUNS: dict[str, tuple[SuiteRun, ...]] = {
 
 
 def _draw(family: str, dim: int, order: int, seed: int, pair: bool):
-    """Instance, aux data and witness fields (besides family and trial) of one draw."""
-    if family == "gaussian_sequence":
-        fields = {"dim": dim, "order": order, "seed": seed}
-        return gaussian_coeff_sequence(dim, order, seed), {}, fields
-    if family == "ordered_triple":
-        return tuple(ordered_triples(1, seed)[0]), {}, {"seed": seed}
+    """Instance, aux data and witness fields (all but the trial) of one draw."""
     spec = FamilySpec(family_id=family, dim=dim, aux_dim=4, order=order, seed=seed,
                       params={"with_witness": True} if pair else {})
     instance, aux = sample(spec, with_aux=True)
-    return instance, aux, {"dim": dim, "aux_dim": spec.aux_dim, "order": order, "seed": seed}
+    return instance, aux, {"family_id": family, "dim": dim, "aux_dim": spec.aux_dim,
+                           "order": order, "seed": seed}
 
 
 def _run_one_trial(theorem: str, dim: int, trial: int, config: RunConfig,
@@ -246,7 +240,7 @@ def _run_one_trial(theorem: str, dim: int, trial: int, config: RunConfig,
         if key not in draws:
             draws[key] = _draw(*key)
         instance, aux, fields = draws[key]
-        witness = {"family_id": family, **fields, "trial": trial}
+        witness = {**fields, "trial": trial}
         rs = (None,) if run.radii is None else config.r_values or run.radii
         mus = (*MU_FIXED, _random_mu(inst_seed)) if run.over_mu else (None,)
         for mu, kwargs in itertools.product(mus, run.variants):
@@ -337,8 +331,10 @@ def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
     """Margin grid plus a bisection-refined radius for a named scalar family.
 
     ``params`` override the family's defaults, each a number or its text;
-    the scan keeps an int order and a float otherwise.  The coefficient norms are computed once; the grid is one majorant sum over
-    all its radii, and the bisection predicate sums the same norms.
+    the scan keeps an int order and a float otherwise.  The coefficient norms
+    are computed once; the grid is one majorant sum over all its radii, the
+    bisection predicate sums the same norms, and both pass a radius whose
+    margin is at least -1e-12.
     """
     if steps < 0:
         raise InvalidInputError(f"steps must be >= 0, got {steps}")
@@ -352,14 +348,16 @@ def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
     merged = {key: _scan_param(key, value) for key, value in {**defaults, **(params or {})}.items()}
     coeffs, k0, bound = build(merged)
     norms = operator_norm(coeffs[k0:])
+
+    def passes(rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Margins and pass flags at the radii rs, for the grid and the bisection alike."""
+        margins = bound - _kahan_scalar_sum(norms, rs, k0)
+        return margins, margins >= -1e-12
+
     rs = np.linspace(_check_r(r_min), _check_r(r_max), steps)
-    margins = bound - _kahan_scalar_sum(norms, rs, k0)
-    grid = tuple((float(r), float(m), bool(m >= -1e-12)) for r, m in zip(rs, margins))
-
-    def predicate(r: float) -> bool:
-        return float(_kahan_scalar_sum(norms, np.array([_check_r(r)]), k0)[0]) <= bound
-
-    result = bohr_radius_bisect(predicate, r_min, r_max, tol=tol)
+    grid = tuple((float(r), float(m), bool(p)) for r, m, p in zip(rs, *passes(rs)))
+    result = bohr_radius_bisect(lambda r: bool(passes(np.array([_check_r(r)]))[1][0]),
+                                r_min, r_max, tol=tol)
     return RadiusScan(family_id=family, params=merged, grid=grid,
                       estimated_radius=result.radius, bracketed=result.bracketed,
                       warnings=result.warnings)

@@ -1,12 +1,26 @@
 """Seeded, reproducible factories for the instance families the checkers need.
 
+Every suite instance is ``sample(FamilySpec)`` of one of the ``FAMILY_IDS``,
+the keys of ``_BUILDERS``: ``schur_holo``, ``schur_harmonic``,
+``commuting_harmonic``, ``exterior_diag``, ``exterior_colligation``,
+``convex_diag``, ``starlike_diag``, ``subordination``, and the sources of
+l1 and e17, ``gaussian_sequence`` (a ``HoloSeries`` of
+``gaussian_coeff_sequence``) and ``ordered_triple`` (one triple of
+``ordered_triples``), drawn from the same seeded stream as those functions.
+
+Both harmonic families are the mix t g + (1 - t) h* of two Schur
+realizations g and h (``_harmonic_mix``).  For ``schur_harmonic`` they are
+d x d realizations and t is one number.  For ``commuting_harmonic`` each is
+the direct sum of d scalar realizations, a block-diagonal realization of
+dim d (``_direct_sum``), t holds one value per slice, and the diagonal mix
+is put into a unitary frame W as W diag(s) W*.
+
 Stored coefficients come from closed forms or exact recurrences, and from
 samples on a circle for one family only:
 
-* Schur realizations (``schur_holo``, ``schur_harmonic``,
-  ``commuting_harmonic`` and the subordination witness): A_0 = A and
-  A_n = B D^(n-1) C from the blocks of the unitary
-  (``SchurRealization.coeffs``);
+* Schur realizations (``schur_holo``, both harmonic families and the
+  subordination witness): A_0 = A and A_n = B D^(n-1) C from the blocks of
+  the unitary (``SchurRealization.coeffs``);
 * ``exterior_diag``: each slice exp(c (1 + beta z)/(1 - beta z)) from the
   recurrence n a_n = sum_k k g_k a_(n-k) of its exponent g;
 * ``convex_diag`` and ``starlike_diag``: t beta^(n-1) and n zeta^(n-1) per
@@ -48,9 +62,10 @@ Both are exact for an exactly unitary frame; the drawn frames have
 ||W*W - I|| of a few u, which moves the norm of every value, sampled or
 closed-form, by at most that much relative.
 
-Every family certifies its draw at generation time from its parameters,
-with no sample and no random number, and raises ``GenerationError`` if the
-certificate fails, which would indicate a bug rather than bad luck:
+Every family but the l1 and e17 sources certifies its draw at generation
+time from its parameters, with no sample and no random number, and raises
+``GenerationError`` if the certificate fails, which would indicate a bug
+rather than bad luck:
 
 * Schur realizations: with delta = ||U*U - I|| for the realization's
   unitary U, v = [x; z y] and y = (I - z D)^(-1) C x, U v = [f(z) x; y], so
@@ -58,8 +73,8 @@ certificate fails, which would indicate a bug rather than bad luck:
   and ||f(z)|| <= sqrt(1 + delta) <= 1 + delta/2 on |z|^2 <= 1/(1 + delta)
   (for delta = 0 this is Agler's I - f*f = (1 - |z|^2) g*g).  The harmonic
   mix t g + (1 - t) h* takes the larger of its two bounds;
-  ``commuting_harmonic`` multiplies the largest slice bound by
-  ||W||^2 <= 1 + ||W*W - I|| for its frame W.  The witness phi = z b has
+  ``commuting_harmonic`` multiplies the larger bound of its two direct sums
+  by ||W||^2 <= 1 + ||W*W - I|| for its frame W.  The witness phi = z b has
   |phi(z)| <= |z| (1 + delta/2), the constant witness |phi(z)| = |b_0| |z|;
 * ``exterior_diag``: Re (1 + beta z)/(1 - beta z) = (1 - beta^2 |z|^2)/
   |1 - beta z|^2 is least on the closed disk at z = -1, so the smallest
@@ -78,7 +93,8 @@ certificate fails when delta/2 > ``CERT_SLACK``: then its bound exceeds
 family carries its bound: ``sup_cert`` (an upper bound on ||f||, or on
 |phi(z)|/|z| for the witness) or ``min_cert`` (a lower bound on the
 smallest singular value).  Identical ``FamilySpec`` values produce
-bit-identical instances.
+bit-identical instances, and ``sample`` raises ``InvalidInputError`` on a
+``params`` key that the draw does not read.
 
 The families that pair with a witness certify their coefficients the same
 way, with a ``series.CoeffEnvelope`` a_n >= ||A_n|| for every n >= 1, past
@@ -126,17 +142,6 @@ from .series import (
     ScalarSeries,
     SubordinationWitness,
     coeffs_via_cauchy_integral,
-)
-
-FAMILY_IDS = (
-    "schur_holo",
-    "schur_harmonic",
-    "commuting_harmonic",
-    "exterior_diag",
-    "exterior_colligation",
-    "convex_diag",
-    "starlike_diag",
-    "subordination",
 )
 
 CERT_SLACK = 1e-9
@@ -341,9 +346,39 @@ def _param_range(spec: FamilySpec, key: str, default: tuple[float, float]) -> tu
     return lo, hi
 
 
-def _scalar_schur_coeffs(rng: np.random.Generator, aux_dim: int, order: int):
-    real = SchurRealization(random_unitary(1 + aux_dim, rng), dim=1)
-    return real.coeffs(order)[:, 0, 0], real
+def _direct_sum(unitaries: np.ndarray) -> SchurRealization:
+    """The realization of diag(f_1, ..., f_d) from a (d, 1 + k, 1 + k) stack of
+    scalar realizations' unitaries: each block of the sum is block diagonal."""
+    d, n = unitaries.shape[:2]
+    idx = np.c_[np.arange(d), d + np.arange(d * (n - 1)).reshape(d, n - 1)]
+    u = np.zeros((d * n, d * n), dtype=np.complex128)
+    u[idx[:, :, None], idx[:, None, :]] = unitaries
+    return SchurRealization(u, dim=d)
+
+
+def _harmonic_mix(family: str, g: SchurRealization, h: SchurRealization, t, order: int,
+                  frame: np.ndarray | None = None):
+    """The harmonic function t g + (1 - t) h* of two realizations, and its aux mapping.
+
+    t is a number, or one value per slice when g and h are direct sums; a
+    ``frame`` W then puts each diagonal value s into W diag(s) W*, and the
+    bound takes the factor 1 + ||W*W - I||.
+    """
+    gc, hc = g.coeffs(order), h.coeffs(order)
+    analytic = t * gc
+    analytic[0] += (1.0 - t) * adjoint(hc[0])
+    sup = max(g.sup_bound(), h.sup_bound())
+    put, aux = (lambda m: m), {"t": t}
+    if frame is not None:
+        put = lambda m: _diag_frame_stack(frame, np.diagonal(m, axis1=-2, axis2=-1))
+        sup *= 1.0 + float(_unitarity_defect(frame))
+        aux["frame"] = frame
+
+    def eval_exact(zs):
+        return put(t * g.transfer_grid(zs) + (1.0 - t) * adjoint(h.transfer_grid(zs)))
+
+    instance = HarmonicSeries(analytic=put(analytic), coanalytic=put((1.0 - t) * hc[1:]))
+    return instance, {"eval": eval_exact, **aux, "sup_cert": _check_realization(family, sup)}
 
 
 # ---------------------------------------------------------------------------
@@ -362,56 +397,18 @@ def _build_schur_holo(spec: FamilySpec, rng):
 def _build_schur_harmonic(spec: FamilySpec, rng):
     g = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
     h = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
-    t = float(rng.uniform(0.0, 1.0))
-    gc = g.coeffs(spec.order)
-    hc = h.coeffs(spec.order)
-    analytic = t * gc
-    analytic[0] = t * gc[0] + (1.0 - t) * adjoint(hc[0])
-    coanalytic = (1.0 - t) * hc[1:]
-    instance = HarmonicSeries(analytic=analytic, coanalytic=coanalytic)
-
-    def eval_exact(zs):
-        return t * g.transfer_grid(zs) + (1.0 - t) * adjoint(h.transfer_grid(zs))
-
-    sup = _check_realization("schur_harmonic", max(g.sup_bound(), h.sup_bound()))
-    return instance, {"eval": eval_exact, "t": t, "sup_cert": sup}
+    return _harmonic_mix("schur_harmonic", g, h, float(rng.uniform(0.0, 1.0)), spec.order)
 
 
 def _build_commuting_harmonic(spec: FamilySpec, rng):
-    d, order = spec.dim, spec.order
+    d = spec.dim
     w = random_unitary(d, rng)
     aux_k = max(2, min(spec.aux_dim, 4))
     ts = rng.uniform(0.0, 1.0, size=d)
-    g_coeffs = np.empty((d, order + 1), dtype=np.complex128)
-    h_coeffs = np.empty((d, order + 1), dtype=np.complex128)
-    g_reals, h_reals = [], []
-    for i in range(d):
-        g_coeffs[i], gr = _scalar_schur_coeffs(rng, aux_k, order)
-        h_coeffs[i], hr = _scalar_schur_coeffs(rng, aux_k, order)
-        g_reals.append(gr)
-        h_reals.append(hr)
-    a_diag = ts[None, :] * g_coeffs.T
-    a_diag[0] += (1.0 - ts) * np.conj(h_coeffs[:, 0])
-    b_diag = (1.0 - ts)[None, :] * h_coeffs.T[1:]
-    instance = HarmonicSeries(
-        analytic=_diag_frame_stack(w, a_diag),
-        coanalytic=_diag_frame_stack(w, b_diag),
-    )
-
-    def eval_exact(zs):
-        zs = np.asarray(zs, dtype=np.complex128).ravel()
-        slices = np.empty((zs.size, d), dtype=np.complex128)
-        for i in range(d):
-            gv = g_reals[i].transfer_grid(zs)[:, 0, 0]
-            hv = h_reals[i].transfer_grid(zs)[:, 0, 0]
-            slices[:, i] = ts[i] * gv + (1.0 - ts[i]) * np.conj(hv)
-        return _diag_frame_stack(w, slices)
-
-    unitaries = np.stack([r.unitary for r in g_reals + h_reals])
-    slice_sup = 1.0 + 0.5 * float(_unitarity_defect(unitaries).max())
-    sup = _check_realization("commuting_harmonic",
-                             (1.0 + float(_unitarity_defect(w))) * slice_sup)
-    return instance, {"eval": eval_exact, "t": ts, "frame": w, "sup_cert": sup}
+    # slice j's g and h realizations are drawn in turn, g first
+    scalars = np.stack([random_unitary(1 + aux_k, rng) for _ in range(2 * d)])
+    return _harmonic_mix("commuting_harmonic", _direct_sum(scalars[0::2]),
+                         _direct_sum(scalars[1::2]), ts, spec.order, frame=w)
 
 
 def _build_exterior_diag(spec: FamilySpec, rng):
@@ -533,7 +530,8 @@ def _build_subordination(spec: FamilySpec, rng):
         sup = float(abs(b0))
     else:
         aux_k = max(2, min(spec.aux_dim, 6))
-        b_coeffs, real = _scalar_schur_coeffs(rng, aux_k, max(order - 1, 0))
+        real = SchurRealization(random_unitary(1 + aux_k, rng), dim=1)
+        b_coeffs = real.coeffs(max(order - 1, 0))[:, 0, 0]
         phi[1 : 1 + min(order, b_coeffs.size)] = b_coeffs[: max(order, 0)]
         eval_b = lambda zs: real.transfer_grid(zs)[:, 0, 0]
         sup = _check_realization("subordination witness", real.sup_bound())
@@ -541,52 +539,6 @@ def _build_subordination(spec: FamilySpec, rng):
     return witness, {"eval_phi": lambda zs: np.asarray(zs).ravel() * eval_b(np.asarray(zs).ravel()),
                      "sup_cert": sup}
 
-
-_BUILDERS = {
-    "schur_holo": _build_schur_holo,
-    "schur_harmonic": _build_schur_harmonic,
-    "commuting_harmonic": _build_commuting_harmonic,
-    "exterior_diag": _build_exterior_diag,
-    "exterior_colligation": _build_exterior_colligation,
-    "convex_diag": _build_convex_diag,
-    "starlike_diag": _build_starlike_diag,
-    "subordination": _build_subordination,
-}
-
-_PAIRABLE = {"schur_holo", "convex_diag", "starlike_diag"}
-
-
-def sample(spec: FamilySpec, with_aux: bool = False):
-    """Draw the instance described by ``spec``.
-
-    Families in {schur_holo, convex_diag, starlike_diag} accept
-    ``params["with_witness"] = True`` and then return the pair
-    (series, SubordinationWitness), with the witness drawn from the same
-    seeded stream.
-    """
-    rng = _rng(spec.seed)
-    builder = _BUILDERS[spec.family_id]
-    instance, aux = builder(spec, rng)
-    if spec.params.get("with_witness", False):
-        if spec.family_id not in _PAIRABLE:
-            raise ContractError(f"{spec.family_id} does not produce (series, witness) pairs")
-        wspec = FamilySpec(
-            family_id="subordination",
-            dim=1,
-            aux_dim=spec.aux_dim,
-            order=spec.order,
-            seed=spec.seed,
-            params={k: v for k, v in spec.params.items() if k == "constant"},
-        )
-        witness, waux = _build_subordination(wspec, rng)
-        aux = {**aux, "witness_aux": waux}
-        instance = (instance, witness)
-    return (instance, aux) if with_aux else instance
-
-
-# ---------------------------------------------------------------------------
-# ad-hoc instance sources used by the lemma-1 and metric checks
-# ---------------------------------------------------------------------------
 
 def gaussian_coeff_sequence(dim: int, order: int, seed) -> np.ndarray:
     """Random matrix sequence scaled so the square sum sits below the identity."""
@@ -602,6 +554,76 @@ def ordered_triples(count: int, seed, scale: float = 5.0) -> np.ndarray:
     rng = _rng(seed)
     draws = np.sort(rng.uniform(0.0, scale, size=(count, 3)), axis=1)
     return np.stack([draws[:, 1], draws[:, 2], draws[:, 0]], axis=1)
+
+
+def _build_gaussian_sequence(spec: FamilySpec, rng):
+    return HoloSeries(gaussian_coeff_sequence(spec.dim, spec.order, rng)), {}
+
+
+def _build_ordered_triple(spec: FamilySpec, rng):
+    return tuple(ordered_triples(1, rng)[0]), {}
+
+
+_BUILDERS = {
+    "schur_holo": _build_schur_holo,
+    "schur_harmonic": _build_schur_harmonic,
+    "commuting_harmonic": _build_commuting_harmonic,
+    "exterior_diag": _build_exterior_diag,
+    "exterior_colligation": _build_exterior_colligation,
+    "convex_diag": _build_convex_diag,
+    "starlike_diag": _build_starlike_diag,
+    "subordination": _build_subordination,
+    "gaussian_sequence": _build_gaussian_sequence,
+    "ordered_triple": _build_ordered_triple,
+}
+
+FAMILY_IDS = tuple(_BUILDERS)
+
+_PAIRABLE = {"schur_holo", "convex_diag", "starlike_diag"}
+
+# the params keys each builder reads; sample reads "with_witness" of every
+# family, and "constant" for the witness of a pair
+_PARAM_KEYS = {
+    "exterior_diag": ("c_range", "beta_range"),
+    "exterior_colligation": ("v_norm_sq_range",),
+    "convex_diag": ("beta_range", "cond_range"),
+    "starlike_diag": ("frame_identity", "zeta"),
+    "subordination": ("constant",),
+}
+
+
+def sample(spec: FamilySpec, with_aux: bool = False):
+    """Draw the instance described by ``spec``.
+
+    Families in {schur_holo, convex_diag, starlike_diag} accept
+    ``params["with_witness"] = True`` and then return the pair
+    (series, SubordinationWitness), with the witness drawn from the same
+    seeded stream.  A ``params`` key that the draw does not read raises
+    ``InvalidInputError``.
+    """
+    pair = spec.params.get("with_witness", False)
+    known = {"with_witness", *_PARAM_KEYS.get(spec.family_id, ()), *(("constant",) if pair else ())}
+    unknown = sorted(set(spec.params) - known)
+    if unknown:
+        raise InvalidInputError(f"unknown parameter(s) for {spec.family_id}: {', '.join(unknown)}; "
+                                f"expected {', '.join(sorted(known))}")
+    rng = _rng(spec.seed)
+    instance, aux = _BUILDERS[spec.family_id](spec, rng)
+    if pair:
+        if spec.family_id not in _PAIRABLE:
+            raise ContractError(f"{spec.family_id} does not produce (series, witness) pairs")
+        wspec = FamilySpec(
+            family_id="subordination",
+            dim=1,
+            aux_dim=spec.aux_dim,
+            order=spec.order,
+            seed=spec.seed,
+            params={k: v for k, v in spec.params.items() if k == "constant"},
+        )
+        witness, waux = _build_subordination(wspec, rng)
+        aux = {**aux, "witness_aux": waux}
+        instance = (instance, witness)
+    return (instance, aux) if with_aux else instance
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import csv
+import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from opbohr import (
     RadiusScan,
     SubordinationWitness,
     bohr_radius_bisect,
+    check_theorem_grid,
     norm_majorant,
     thm2_radius,
     thm3_radius,
@@ -230,6 +233,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: order must be >= 0, got {order}"]
 
+    def test_repeated_dims_are_one_error(self, capsys):
+        # a repeated dim would draw and report each of its instances twice
+        assert main(["verify", "--theorems", "e55", "--dims", "1,1", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: dims must be a nonempty subset of 1..16"]
+        with pytest.raises(OpBohrError, match="nonempty subset"):
+            RunConfig(dims=(2, 1, 2))
+
     def test_t2_order_past_the_extraction_range_is_one_error(self, capsys):
         argv = ["verify", "--theorems", "t2", "--order", "1100", "--dims", "1", "--trials", "1"]
         assert main(argv) == 2
@@ -286,6 +298,20 @@ class TestScan:
         ref = bohr_radius_bisect(lambda r: norm_majorant(coeffs, r, k0) <= bound, 0.05, 0.9)
         assert (scan.estimated_radius, scan.bracketed, scan.warnings) == (
             ref.radius, ref.bracketed, ref.warnings)
+
+    def test_sharp_radius_at_r_min_passes_the_grid_and_the_bisection(self, capsys):
+        # at r_min = 1/(1 + 2a) the rounded margin may be -2.2e-16: the grid
+        # passes it, and so must the bisection, which needs its predicate at r_min
+        a = 0.16185494884960755
+        assert main(["scan", "--family", "mobius", "--param", f"a={a!r}",
+                     "--r-min", repr(1.0 / (1.0 + 2.0 * a)), "--steps", "3"]) == 0
+        assert "estimated radius 0.7554525" in capsys.readouterr().out
+        # a >= 0.05 keeps the sharp radius below the default r_max 0.95
+        for a in np.random.default_rng(5).uniform(0.05, 1.0, size=300):
+            sharp = 1.0 / (1.0 + 2.0 * a)
+            scan = scan_radius("mobius", {"a": a}, r_min=sharp, steps=3)
+            assert scan.grid[0][2] and scan.bracketed
+            assert scan.estimated_radius == pytest.approx(sharp, abs=1e-6)
 
     def test_radius_outside_the_disk_raises(self):
         with pytest.raises(DomainError):
@@ -371,14 +397,15 @@ class TestSelftest:
 
     def test_selftest_catches_an_unsound_certificate(self, monkeypatch, capsys):
         # a Schur bound below 1 is contradicted by the dense sample of every
-        # family that reads it, and by the stored norms under schur_holo's
-        # envelope, which is built from it
+        # family that reads it (commuting_harmonic through its direct sums),
+        # and by the stored norms under schur_holo's envelope, built from it
         monkeypatch.setattr(generators.SchurRealization, "sup_bound", lambda self: 0.9)
-        assert selftest(seed=2024, verbose=True) == 4
+        assert selftest(seed=2024, verbose=True) == 5
         failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
         assert [line.split()[1:3] for line in failed] == [
             ["schur_holo", "certificate"], ["schur_harmonic", "certificate"],
-            ["subordination", "certificate"], ["schur_holo", "envelope"]]
+            ["commuting_harmonic", "certificate"], ["subordination", "certificate"],
+            ["schur_holo", "envelope"]]
 
     @pytest.mark.parametrize("family", ["convex_diag", "starlike_diag"])
     def test_selftest_catches_an_envelope_below_the_stored_norms(self, monkeypatch, capsys,
@@ -403,12 +430,17 @@ class TestSelftest:
         assert "[FAIL] subordination coefficient growth" in capsys.readouterr().out
 
 
+def _redraw(witness: dict, pair: bool):
+    """The instance and aux data that a report's witness names, drawn again."""
+    fields = {key: value for key, value in witness.items() if key != "trial"}
+    return sample(FamilySpec(**fields, params={"with_witness": True} if pair else {}),
+                  with_aux=True)
+
+
 def _stated_radius(witness: dict) -> float:
     """Stated radius of a t2 (exterior_diag) or t3a instance, redrawn from its witness."""
-    spec = FamilySpec(family_id=witness["family_id"], dim=witness["dim"],
-                      aux_dim=witness["aux_dim"], order=witness["order"], seed=witness["seed"])
-    f = sample(spec)
-    if spec.family_id == "exterior_diag":
+    f, _ = _redraw(witness, pair=False)
+    if witness["family_id"] == "exterior_diag":
         return thm2_radius(f.coeffs[0])
     return thm3_radius(f.coeffs[1])
 
@@ -514,6 +546,43 @@ class TestSuiteStructure:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "theorem_id"
         assert len(rows) == len(suite.reports) + 1
+
+
+class TestReplay:
+    """A report's witness and its run in SUITE_RUNS redraw the instance and the report."""
+
+    @pytest.mark.parametrize("theorem_id", list(SUITE_RUNS))
+    def test_witness_redraws_the_instance_and_its_reports(self, monkeypatch, theorem_id):
+        drawn = {}
+
+        def recording(spec, with_aux=False):
+            out = sample(spec, with_aux=with_aux)
+            drawn[(spec.family_id, spec.dim, spec.seed)] = pickle.dumps(out[0])
+            return out
+
+        monkeypatch.setattr(cli, "sample", recording)
+        for seed in (3, 11):
+            config = RunConfig(theorems=(theorem_id,), trials=1, dims=(1, 2), seed=seed)
+            by_witness: dict[str, list] = {}
+            for rep in run_suite(config).reports:
+                by_witness.setdefault(json.dumps(rep.witness, sort_keys=True), []).append(rep)
+            assert len(by_witness) == 2 * len(SUITE_RUNS[theorem_id])
+            for reports in by_witness.values():
+                witness = reports[0].witness
+                assert set(witness) == {"family_id", "dim", "aux_dim", "order", "seed", "trial"}
+                (run,) = [run for run in SUITE_RUNS[theorem_id]
+                          if run.family == witness["family_id"]]
+                instance, aux = _redraw(witness, run.pair)
+                key = (witness["family_id"], witness["dim"], witness["seed"])
+                assert pickle.dumps(instance) == drawn[key]
+                radii = (None,) if run.radii is None else run.radii
+                replayed = [
+                    rep for mu, kwargs in itertools.product(
+                        dict.fromkeys(rep.mu for rep in reports), run.variants)
+                    for rep in check_theorem_grid(theorem_id, instance, radii, mu,
+                                                  boundary_eval=aux.get("eval"),
+                                                  witness=witness, **kwargs)]
+                assert _report_bytes(replayed, theorem_id) == _report_bytes(reports, theorem_id)
 
 
 def _report_bytes(reports, theorem_id: str) -> list[str]:

@@ -66,6 +66,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("family", [
         "schur_holo", "schur_harmonic", "commuting_harmonic", "exterior_diag",
         "exterior_colligation", "convex_diag", "starlike_diag", "subordination",
+        "gaussian_sequence", "ordered_triple",
     ])
     def test_bit_identical_resample(self, family):
         a, a_aux = sample(spec_of(family), with_aux=True)
@@ -79,6 +80,8 @@ class TestDeterminism:
             assert a.coanalytic.tobytes() == b.coanalytic.tobytes()
         elif isinstance(a, SubordinationWitness):
             assert a.phi.coeffs.tobytes() == b.phi.coeffs.tobytes()
+        else:
+            assert np.array(a).tobytes() == np.array(b).tobytes()
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
@@ -105,6 +108,21 @@ class TestSchurFamilies:
         zs = 0.5 * np.exp(2j * math.pi * np.arange(16) / 16)
         err = float(np.abs(evaluate_grid(inst, zs) - aux["eval"](zs)).max())
         assert err <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_direct_sum_is_the_diagonal_of_its_slices(self, d):
+        unitaries = np.stack([random_unitary(5, derive_seed(d, j)) for j in range(d)])
+        total = generators._direct_sum(unitaries)
+        coeffs = total.coeffs(64)
+        zs = 0.9 * np.exp(2j * math.pi * np.arange(16) / 16)
+        values = total.transfer_grid(zs)
+        off = ~np.eye(d, dtype=bool)
+        assert not np.any(coeffs[:, off]) and not np.any(values[:, off])
+        for j, u in enumerate(unitaries):
+            scalar = SchurRealization(u, dim=1)
+            assert np.abs(coeffs[:, j, j] - scalar.coeffs(64)[:, 0, 0]).max() <= 4 * U
+            assert np.abs(values[:, j, j] - scalar.transfer_grid(zs)[:, 0, 0]).max() <= 1e-14
+        assert total.sup_bound() <= 1.0 + 1e-12
 
     def test_commuting_rotations_are_normal(self):
         inst = sample(spec_of("commuting_harmonic", dim=3, seed=5))
@@ -561,6 +579,16 @@ class TestPlantedRanges:
         with pytest.raises(InvalidInputError):
             sample(spec_of(family, params={key: value}))
 
+    @pytest.mark.parametrize("family", generators.FAMILY_IDS)
+    def test_a_key_the_family_does_not_read_is_rejected(self, family):
+        with pytest.raises(InvalidInputError, match="unknown parameter"):
+            sample(spec_of(family, dim=1, seed=2, params={"c_rnage": (1.0, 1.0)}))
+        if family in ("schur_holo", "convex_diag", "starlike_diag"):
+            # the witness reads its constant only when the family pairs
+            with pytest.raises(InvalidInputError, match="constant"):
+                sample(spec_of(family, order=8, params={"constant": 0.5}))
+            sample(spec_of(family, order=8, params={"with_witness": True, "constant": 0.5}))
+
     @pytest.mark.parametrize("family, key, value", [
         *((family, "beta_range", value) for family in ("convex_diag", "exterior_diag")
           for value in ((0.0, 0.0), (0.0, 0.5), (0.9, 0.9))),
@@ -584,6 +612,14 @@ class TestAdHocSources:
         t = ordered_triples(1000, 3)
         alpha, beta, gamma = t[:, 0], t[:, 1], t[:, 2]
         assert np.all(gamma >= 0) and np.all(gamma <= alpha) and np.all(alpha <= beta)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_l1_and_e17_families_draw_their_sources(self, seed, dim):
+        f = sample(spec_of("gaussian_sequence", dim=dim, order=32, seed=seed))
+        assert f.coeffs.tobytes() == gaussian_coeff_sequence(dim, 32, seed).tobytes()
+        triple = sample(spec_of("ordered_triple", dim=dim, seed=seed))
+        assert np.array(triple).tobytes() == ordered_triples(1, seed)[0].tobytes()
 
     def test_identity_witness(self):
         w = identity_witness(8)
