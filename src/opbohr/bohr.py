@@ -28,8 +28,12 @@ f(phi) = sum B_n z^n, and t1i and t1ii bound one rotated family P_n.
 Preparation shared by such a pair is kept for the most recent instance
 object, so t3a/t3b, l2a/l2b and t4a/t4b compose f(phi) and take |B_n| and
 ||B_n|| from one eigendecomposition once, and t1i/t1ii at one angle
-decompose P_n once.  The composite is cut at the order its radius can see,
-and its tail bounds the composite of f itself, not of the truncation f_N:
+read one decomposition of the stack [Re(e^(i mu) A_0); P_1; ...; P_N], whose
+first |.| is T = |Re(e^(i mu) A_0)|; t1iii reads one of [A_1; ...; A_N;
+B_1*; ...; B_N*].  ``linalg.gram_parts`` acts on each matrix of a stack
+alone, so each part is bit for bit the one a separate call would give.
+The composite is cut at the order its radius can see, and its tail bounds
+the composite of f itself, not of the truncation f_N:
 f's coefficient envelope a_n >= ||A_n||, which the generators certify from
 their parameters, and the witness's |[z^n] phi^k| <= g^n give
 ||B_n|| <= g^n S_n, S_n = a_1 + ... + a_n, and the closed-form tail
@@ -144,7 +148,11 @@ def _kahan_matrix_sum(stack: np.ndarray, rs: np.ndarray, start_power: int) -> np
         a, b = s[:h], s[h:]
         t = a + b
         z = t - a
-        e = (a - (t - z)) + (b - z)
+        # e = (a - (t - z)) + (b - z), formed in the buffers of t - z and z
+        e = t - z
+        np.subtract(a, e, out=e)
+        np.subtract(b, z, out=z)
+        e += z
         if c is not None:
             e += c[:h]
             e += c[h:]
@@ -569,17 +577,18 @@ def _rotated_parts(h: HarmonicSeries, mu: float, normal: bool):
 def _compute_rotated_parts(h: HarmonicSeries, mu: float, normal: bool):
     phase = complex(np.exp(1j * mu))
     re_a0 = hermitize(phase * h.analytic[0])
-    t_mat = abs_value(re_a0)
     p = rotated_coeffs(h, mu)
     if normal:
         defect = operator_norm(p @ adjoint(p) - adjoint(p) @ p)
         scale = np.maximum(1.0, operator_norm(p) ** 2)
         if np.any(defect > 1e-8 * scale):
             raise ContractError("normal variant requested but some P_n is not normal")
-    gram, abs_p, norms_p = gram_parts(p)
+    # one eigh for T = |Re(e^(i mu) A0)|, the first |.| of the stack, and the P_n
+    gram, abs_all, norms_all = gram_parts(np.concatenate([re_a0[None], p]))
+    t_mat = abs_all[0]
     mass_coeff = 2.0 if normal else 4.0
-    residual = mass_coeff * (np.eye(h.dim) - t_mat @ t_mat) - np.sum(gram, axis=0)
-    return re_a0, t_mat, abs_p, norms_p, residual
+    residual = mass_coeff * (np.eye(h.dim) - t_mat @ t_mat) - np.sum(gram[1:], axis=0)
+    return re_a0, t_mat, abs_all[1:], norms_all[1:], residual
 
 
 def _prep_t1i(instance, *, mu=None, normal: bool = False, **_) -> _Prepared:
@@ -620,14 +629,13 @@ def _prep_t1ii(instance, *, mu=None, normal: bool = False, **_) -> _Prepared:
 
 def _prep_t1iii(instance, **_) -> _Prepared:
     h = _as_harmonic(instance)
-    d = h.dim
-    analytic = gram_parts(h.analytic[1:])
-    coanalytic = gram_parts(adjoint(h.coanalytic))
-    abs_pair = np.stack([analytic.abs, coanalytic.abs], axis=1)
+    d, order = h.dim, h.order
+    # one eigh for both halves: A_1..A_N, then B_1*..B_N*
+    gram, abs_all, _ = gram_parts(np.concatenate([h.analytic[1:], adjoint(h.coanalytic)]))
+    abs_pair = np.stack([abs_all[:order], abs_all[order:]], axis=1)
     a0 = h.analytic[0]
-    used = adjoint(a0) @ a0 + np.sum(analytic.gram, axis=0) + np.sum(coanalytic.gram, axis=0)
+    used = adjoint(a0) @ a0 + np.sum(gram[:order], axis=0) + np.sum(gram[order:], axis=0)
     residual_top = max(0.0, _largest_eigenvalue(np.eye(d) - used))
-    order = h.order
 
     def sides(rs: np.ndarray) -> _Sides:
         pair = _kahan_matrix_sum(abs_pair, rs, 1)

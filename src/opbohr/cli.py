@@ -418,12 +418,12 @@ def demo(name: str) -> SuiteReport:
     else:
         raise OpBohrError(f"unknown demo: {name!r}; choose from {DEMO_NAMES}")
 
-    print(f"demo {name}")
-    print(f"{'quantity':<44} {'target':>16} {'computed':>16} {'abs diff':>12}")
+    _say(f"demo {name}")
+    _say(f"{'quantity':<44} {'target':>16} {'computed':>16} {'abs diff':>12}")
     for label, target, value in rows:
-        print(f"{label:<44} {target:>16.12f} {value:>16.12f} {abs(value - target):>12.3e}")
+        _say(f"{label:<44} {target:>16.12f} {value:>16.12f} {abs(value - target):>12.3e}")
     for rep in reports:
-        print(f"check {rep.theorem_id}: passed={rep.passed} margin={rep.margin:.3e}")
+        _say(f"check {rep.theorem_id}: passed={rep.passed} margin={rep.margin:.3e}")
 
     agg = _aggregate(reports)
     agg["demo_rows"] = [{"label": lb, "target": t, "computed": v} for lb, t, v in rows]
@@ -509,7 +509,7 @@ def selftest(seed: int = 2024, verbose: bool = True) -> int:
         if not ok:
             failures += 1
         if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {label}{' ' + detail if detail else ''}")
+            _say(f"[{'PASS' if ok else 'FAIL'}] {label}{' ' + detail if detail else ''}")
 
     rng = np.random.default_rng(seed)
     for i in range(5):
@@ -585,7 +585,7 @@ def selftest(seed: int = 2024, verbose: bool = True) -> int:
            f"(gap {gap:.2e})")
 
     if verbose:
-        print(f"selftest: {failures} failure(s)")
+        _say(f"selftest: {failures} failure(s)")
     return failures
 
 
@@ -680,6 +680,26 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _say(line: str) -> None:
+    """Print one line to standard output, flushed.
+
+    A reader that has closed the output ends the printing, not the command:
+    the line is dropped, and the stream's file descriptor, where it has one,
+    is pointed at the null device, so that what is left to print and the
+    flush at exit go nowhere.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def _parse_params(items: list[str]) -> dict[str, str]:
     """``--param`` items as text values, which ``scan_radius`` converts."""
     for item in items:
@@ -700,26 +720,26 @@ def main(argv=None) -> int:
             config = RunConfig(**{**settings, "theorems": parse_theorem_list(args.theorems)})
             report = run_suite(config)
             agg = report.aggregate
-            print(f"checks: {agg['report_count']}  passed: {agg['pass_count']}  "
-                  f"failed: {agg['fail_count']}")
+            _say(f"checks: {agg['report_count']}  passed: {agg['pass_count']}  "
+                 f"failed: {agg['fail_count']}")
             if agg.get("min_normalized_margin") is not None:
-                print(f"min normalized margin: {agg['min_normalized_margin']:.6e} "
-                      f"({agg['argmin_theorem_id']}, seed {agg['argmin_witness_seed']})")
+                _say(f"min normalized margin: {agg['min_normalized_margin']:.6e} "
+                     f"({agg['argmin_theorem_id']}, seed {agg['argmin_witness_seed']})")
             out = _resolve_out(config.out)
             if out:
                 write_suite_report(report, out, config.format)
-                print(f"report written to {out}")
+                _say(f"report written to {out}")
             return 0 if agg["fail_count"] == 0 else 1
 
         if args.command == "scan":
             scan = scan_radius(args.family, _parse_params(args.param),
                                r_min=args.r_min, r_max=args.r_max, steps=args.steps)
             flag = "" if scan.bracketed else " (unbracketed)"
-            print(f"family {scan.family_id}: estimated radius {scan.estimated_radius:.9f}{flag}")
+            _say(f"family {scan.family_id}: estimated radius {scan.estimated_radius:.9f}{flag}")
             out = _resolve_out(args.out)
             if out:
                 write_scan_csv(scan, out)
-                print(f"scan written to {out}")
+                _say(f"scan written to {out}")
             return 0
 
         if args.command == "demo":

@@ -53,8 +53,8 @@ def as_matrix_stack(m, name: str = "matrix") -> np.ndarray:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose over the last two axes."""
-    return np.conj(np.swapaxes(m, -1, -2))
+    """Conjugate transpose over the last two axes (a view of real input)."""
+    return np.asarray(m).swapaxes(-1, -2).conj()
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -105,6 +105,11 @@ def gram_parts(m) -> GramParts:
     slightly negative are clamped to zero before the square root, so |M| is
     Hermitian positive semidefinite by construction, and ||M|| is the square
     root of the largest clamped eigenvalue.
+
+    Every step acts on each matrix of the stack alone, so a matrix's parts do
+    not depend on the stack it comes in: its slice of the parts of a
+    concatenated stack is bit for bit its parts alone.  A caller may stack
+    unrelated matrices to decompose them in one ``eigh``.
     """
     a = as_matrix_stack(m)
     gram = adjoint(a) @ a
@@ -114,7 +119,7 @@ def gram_parts(m) -> GramParts:
         raise NumericError(
             f"eigendecomposition of M*M failed (norm ~ {np.abs(a).max():.3e}): {exc}"
         ) from exc
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     root = hermitize((v * np.sqrt(w)[..., None, :]) @ adjoint(v))
     top = np.sqrt(w[..., -1])
     return GramParts(gram, root, float(top) if a.ndim == 2 else top)

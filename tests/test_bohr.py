@@ -83,6 +83,29 @@ def sum_case(seed, n, d, paired, spread, cancel, r0):
     return stack
 
 
+def out_of_place_cascade(stack, rs, start_power):
+    """``bohr._kahan_matrix_sum`` with each level's rounding error formed out
+    of place, e = (a - (t - z)) + (b - z): the reference for its buffers."""
+    count = stack.shape[0]
+    weights = bohr._weight_table(rs, start_power, count)
+    parts = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
+    s = np.zeros((1 << max(count - 1, 0).bit_length(), rs.size) + parts.shape[1:])
+    s[:count] = parts[:, None] * weights.reshape(weights.shape + (1,) * (parts.ndim - 1))
+    c = None
+    while s.shape[0] > 1:
+        h = s.shape[0] // 2
+        a, b = s[:h], s[h:]
+        t = a + b
+        z = t - a
+        e = (a - (t - z)) + (b - z)
+        if c is not None:
+            e = e + c[:h]
+            e = e + c[h:]
+        s, c = t, e
+    total = s[0] if c is None else s[0] + c[0]
+    return total.view(np.complex128)
+
+
 class TestMajorants:
     def test_mobius_sharpness(self):
         f = mobius_series(INV_SQRT2, 2, 64)
@@ -141,6 +164,17 @@ class TestGridKahanSums:
         for row, r in zip(out, rs):
             alone = bohr._kahan_matrix_sum(stack, np.array([r]), start_power)[0]
             assert row.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 63, 64, 65, 257))
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("paired", (False, True))
+    def test_matrix_sum_is_the_out_of_place_cascade_bit_for_bit(self, n, d, paired):
+        rs = np.array([0.0, 0.05, 0.2, 1.0 / 3.0, 0.5, 0.9, 0.999])
+        for seed, cancel in ((n, False), (n + 1, True)):
+            stack = sum_case(seed, n, d, paired, 5.0, cancel, 0.5)
+            for start_power in (0, 1):
+                got = bohr._kahan_matrix_sum(stack, rs, start_power)
+                assert got.tobytes() == out_of_place_cascade(stack, rs, start_power).tobytes()
 
     @given(radii, st.integers(0, 4), term_counts)
     @settings(max_examples=60, deadline=None)
@@ -1158,6 +1192,50 @@ class TestSharedPreparation:
         check_theorem_grid("t1ii", h, [0.2], mu=1.0, normal=True)
         check_theorem_grid("t1ii", h, [0.2], mu=-0.0)
         assert len(calls) == 4
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        """The matrix count of each ``np.linalg.eigh`` call, in call order."""
+        sizes = []
+        solve = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            sizes.append(int(np.prod(np.shape(a)[:-2])))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        return sizes
+
+    def test_t1i_and_t1ii_at_one_angle_decompose_one_stack(self, monkeypatch):
+        # T = |Re(e^(i mu) A0)| and |P_1|..|P_N| come from one eigh of N + 1 matrices
+        sizes = self.count_eigh(monkeypatch)
+        h = sample(FamilySpec(family_id="schur_harmonic", dim=2, aux_dim=4, order=32, seed=6))
+        check_theorem_grid("t1i", h, (0.1, 0.5), mu=0.9)
+        check_theorem_grid("t1ii", h, [0.2], mu=0.9)
+        assert sizes == [h.order + 1]
+        _, t_mat, abs_p, _, _ = bohr._rotated_parts(h, 0.9, False)
+        separate = abs_value(hermitize(complex(np.exp(0.9j)) * h.analytic[0]))
+        assert t_mat.tobytes() == separate.tobytes()
+        assert abs_p.tobytes() == abs_value(rotated_coeffs(h, 0.9)).tobytes()
+
+    def test_t1iii_decomposes_both_halves_in_one_stack(self, monkeypatch):
+        sizes = self.count_eigh(monkeypatch)
+        h = sample(FamilySpec(family_id="schur_harmonic", dim=3, aux_dim=4, order=32, seed=7))
+        check_theorem_grid("t1iii", h, (0.1, 1.0 / 3.0))
+        assert sizes == [2 * h.order]
+
+    def test_harmonic_grid_instance_makes_one_eigh_per_stack(self, monkeypatch):
+        # 5 angles of t1i and t1ii, then t1iii, at d = 2 and order 64: 6 calls
+        # for 5 (64 + 1) + 2 * 64 = 453 matrices
+        sizes = self.count_eigh(monkeypatch)
+        h = sample(FamilySpec(family_id="schur_harmonic", dim=2, aux_dim=4, order=64, seed=1))
+        grid = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+        for mu in (0.0, 1.0, math.pi / 3.0, math.pi / 7.0, 2.0):
+            check_theorem_grid("t1i", h, grid, mu=mu)
+            check_theorem_grid("t1ii", h, [0.2], mu=mu)
+        check_theorem_grid("t1iii", h, [1.0 / 3.0])
+        assert sizes == [65] * 5 + [128]
+        assert sum(sizes) == 453
 
     def test_each_subordination_pair_composes_once(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "compose_subordination")

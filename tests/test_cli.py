@@ -1,8 +1,12 @@
 import csv
+import io
 import itertools
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from opbohr.cli import (
     write_scan_csv,
     write_suite_report,
 )
+import opbohr
 from opbohr import bohr, cli, generators
 from opbohr.errors import OpBohrError
 from opbohr.generators import (
@@ -74,6 +79,14 @@ def _strip_timestamp(payload: str) -> dict:
     return obj
 
 
+def _child_env() -> dict:
+    """The environment of a child ``python -m opbohr.cli`` that imports the
+    same package as this process, installed or not."""
+    src = os.path.dirname(os.path.dirname(opbohr.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestDeterminism:
     def test_byte_identical_modulo_timestamp(self, tmp_path):
         config = RunConfig(theorems=("t1iii", "e55", "l1", "t2"), trials=3, dims=(1, 2), seed=11)
@@ -88,16 +101,7 @@ class TestDeterminism:
         assert dumps(a) == dumps(b)
 
     def test_cross_process_determinism(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        import opbohr
-
-        # the child imports the same package as this process, installed or not
-        src = os.path.dirname(os.path.dirname(opbohr.__file__))
-        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path_var}
+        env = _child_env()
         args = [sys.executable, "-m", "opbohr.cli", "verify", "--theorems", ",".join(THEOREM_IDS),
                 "--trials", "1", "--dims", "1,2", "--seed", "19"]
         outs = []
@@ -131,11 +135,48 @@ class TestExitCodes:
                      "--dims", "1", "--seed", "5", "--r", "0.9", "--force"])
         assert code == 1
 
-    def test_io_error_returns_two(self, tmp_path):
+    def test_io_error_returns_two(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.json"
         code = main(["verify", "--theorems", "t1iii", "--trials", "1",
                      "--dims", "1", "--out", str(missing)])
         assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("i/o error: ")
+
+    def test_closed_stdout_stops_the_printing_not_the_run(self, tmp_path, monkeypatch, capsys):
+        class ClosedStdout(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        out = tmp_path / "r.json"
+        argv = ["verify", "--theorems", "t1", "--dims", "1", "--trials", "1", "--out", str(out)]
+        assert main(argv) == 0
+        expected = _strip_timestamp(out.read_text())
+        capsys.readouterr()
+        out.unlink()
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        assert main(argv) == 0
+        assert _strip_timestamp(out.read_text()) == expected
+        # a failing run keeps its exit code too
+        assert main(["verify", "--theorems", "t1iii", "--trials", "1", "--dims", "1",
+                     "--seed", "5", "--r", "0.9", "--force"]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_exits_with_the_run_code(self, tmp_path):
+        # a real pipe whose reader is gone: the flush at exit must not fail either
+        out = tmp_path / "r.json"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "opbohr.cli", "verify", "--theorems", "t1iii",
+                 "--dims", "1", "--trials", "1", "--out", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), timeout=300)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 0, child.stderr.decode()
+        assert child.stderr == b""
+        assert len(json.loads(out.read_text())["reports"]) == 1
 
     def test_bad_arguments_return_two(self):
         assert main(["verify", "--theorems", "nonsense"]) == 2

@@ -178,6 +178,27 @@ class TestAbsValue:
         assert np.allclose(norms, operator_norm(stack), rtol=8 * d * 2.0 ** -52, atol=0)
         assert linalg.gram_parts(stack[3]).norm == norms[3]
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("head", [1, 7], ids=["one-then-stack", "stack-then-stack"])
+    def test_gram_parts_of_a_concatenated_stack_are_its_parts_alone(self, d, head):
+        """A matrix's Gram, |M| and ||M|| do not depend on the stack it comes
+        in: its slice of the parts of [first; second] is bit for bit its parts
+        alone, for one matrix followed by a stack and for two stacks."""
+        rng = np.random.default_rng(100 * d + head)
+        first, second = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+                         for n in (head, 9))
+        joined = linalg.gram_parts(np.concatenate([first, second]))
+        alone = [linalg.gram_parts(m) for m in (*first, *second)]
+        for k, parts in enumerate(alone):
+            assert joined.gram[k].tobytes() == parts.gram.tobytes()
+            assert joined.abs[k].tobytes() == parts.abs.tobytes()
+            assert joined.norm[k].tobytes() == np.float64(parts.norm).tobytes()
+        for part, stack in ((slice(None, head), first), (slice(head, None), second)):
+            by_stack = linalg.gram_parts(stack)
+            assert joined.gram[part].tobytes() == by_stack.gram.tobytes()
+            assert joined.abs[part].tobytes() == by_stack.abs.tobytes()
+            assert joined.norm[part].tobytes() == np.asarray(by_stack.norm).tobytes()
+
 
 class TestLoewner:
     def test_abs_square_below_norm_square(self):
