@@ -578,13 +578,12 @@ def _compute_rotated_parts(h: HarmonicSeries, mu: float, normal: bool):
     phase = complex(np.exp(1j * mu))
     re_a0 = hermitize(phase * h.analytic[0])
     p = rotated_coeffs(h, mu)
-    if normal:
-        defect = operator_norm(p @ adjoint(p) - adjoint(p) @ p)
-        scale = np.maximum(1.0, operator_norm(p) ** 2)
-        if np.any(defect > 1e-8 * scale):
-            raise ContractError("normal variant requested but some P_n is not normal")
     # one eigh for T = |Re(e^(i mu) A0)|, the first |.| of the stack, and the P_n
     gram, abs_all, norms_all = gram_parts(np.concatenate([re_a0[None], p]))
+    if normal:
+        defect = operator_norm(p @ adjoint(p) - adjoint(p) @ p)
+        if np.any(defect > 1e-8 * np.maximum(1.0, norms_all[1:] ** 2)):
+            raise ContractError("normal variant requested but some P_n is not normal")
     t_mat = abs_all[0]
     mass_coeff = 2.0 if normal else 4.0
     residual = mass_coeff * (np.eye(h.dim) - t_mat @ t_mat) - np.sum(gram[1:], axis=0)

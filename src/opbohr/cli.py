@@ -47,6 +47,7 @@ from .funcalc import (
 )
 from .generators import (
     CERT_SLACK,
+    MAX_ORDER,
     UNIT_ROUNDOFF,
     FamilySpec,
     derive_seed,
@@ -314,15 +315,16 @@ _SCAN_FAMILIES = {
 
 def _scan_param(key: str, value) -> float | int:
     """A scan parameter, a number or its text, as the scan keeps it: an int
-    order, a float otherwise."""
+    order, at most ``generators.MAX_ORDER``, a float otherwise."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         raise InvalidInputError(f"scan parameter {key} must be a number, got {value!r}") from None
     if key != "order":
         return number
-    if not (number.is_integer() and number >= 0):
-        raise InvalidInputError(f"scan parameter order must be an integer >= 0, got {value!r}")
+    if not (number.is_integer() and 0 <= number <= MAX_ORDER):
+        raise InvalidInputError(f"scan parameter order must be an integer in [0, {MAX_ORDER}], "
+                                f"got {value!r}")
     return int(number)
 
 

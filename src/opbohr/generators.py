@@ -15,6 +15,23 @@ the direct sum of d scalar realizations, a block-diagonal realization of
 dim d (``_direct_sum``), t holds one value per slice, and the diagonal mix
 is put into a unitary frame W as W diag(s) W*.
 
+One rule plants a parameter.  Each builder draws its named parameters from
+the seeded stream, and a ``params`` entry of the same name replaces the
+drawn value: it takes the drawn value's dtype and shape, a scalar broadcast
+over the slices, and it must pass its test in ``_PLANTABLE``.  The draw is
+made all the same, so planting one value leaves every other value as drawn.
+The aux mapping holds every named parameter, planted or drawn.  The names:
+
+* ``c`` (finite, >= 0) and ``beta`` (in [0, 1)), one per slice: ``c`` of
+  ``exterior_diag``, ``beta`` of ``exterior_diag`` and ``convex_diag``;
+* ``kappa`` (finite, >= 1) of ``convex_diag``, the bound on its multipliers'
+  moduli, drawn from [1, kappa]; kappa = 1 makes them unimodular;
+* ``v_norm_sq`` (finite, >= 0) of ``exterior_colligation``, ||V||^2;
+* ``zeta`` (unimodular within 1e-12, one per slice) of ``starlike_diag``;
+* ``frame`` (unitary within ``linalg.EQ_TOL``) of ``exterior_diag``,
+  ``convex_diag``, ``starlike_diag`` and ``commuting_harmonic``; ``np.eye(d)``
+  plants the identity frame.
+
 Stored coefficients come from closed forms or exact recurrences, and from
 samples on a circle for one family only:
 
@@ -75,7 +92,7 @@ rather than bad luck:
   mix t g + (1 - t) h* takes the larger of its two bounds;
   ``commuting_harmonic`` multiplies the larger bound of its two direct sums
   by ||W||^2 <= 1 + ||W*W - I|| for its frame W.  The witness phi = z b has
-  |phi(z)| <= |z| (1 + delta/2), the constant witness |phi(z)| = |b_0| |z|;
+  |phi(z)| <= |z| (1 + delta/2);
 * ``exterior_diag``: Re (1 + beta z)/(1 - beta z) = (1 - beta^2 |z|^2)/
   |1 - beta z|^2 is least on the closed disk at z = -1, so the smallest
   slice modulus is min_j exp(c_j (1 - beta_j)/(1 + beta_j)) >= 1 (c_j >= 0,
@@ -118,9 +135,8 @@ order-512 draws, d = 1..4.  The witness carries g = max(1, ``sup_cert``) in
 ``SubordinationWitness.coeff_growth``: with phi = z b and |b| <= sigma on
 |z| <= rho = (1 + delta)^(-1/2), Cauchy's estimate gives
 |[z^n] phi^k| = |[z^(n-k)] b^k| <= sigma^k rho^(k-n) <= sigma^n, as
-1/rho = sqrt(1 + delta) <= 1 + delta/2 = sigma; the constant witness b_0 z
-has |[z^n] phi^k| <= |b_0|^n.  ``opbohr selftest`` compares each bound with
-the stored coefficients of an order-512 draw.
+1/rho = sqrt(1 + delta) <= 1 + delta/2 = sigma.  ``opbohr selftest``
+compares each bound with the stored coefficients of an order-512 draw.
 """
 
 from __future__ import annotations
@@ -133,7 +149,7 @@ import numpy as np
 
 from .errors import ContractError, GenerationError, InvalidInputError
 from .funcalc import ColligationSpec, herglotz_transfer_grid, matrix_exp
-from .linalg import adjoint, hermitize, operator_norm
+from .linalg import EQ_TOL, adjoint, hermitize, operator_norm
 from .series import (
     ClosedFormEval,
     CoeffEnvelope,
@@ -146,11 +162,19 @@ from .series import (
 
 CERT_SLACK = 1e-9
 UNIT_ROUNDOFF = 2.0 ** -53
+# the largest truncation order: a forced subordination radius builds an
+# (N + 1)^2 complex power table, about 270 MB at 4096
+MAX_ORDER = 4096
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Recipe for one reproducible instance."""
+    """Recipe for one reproducible instance.
+
+    ``params`` holds ``with_witness`` and planted values: an entry named
+    after a parameter of the family's draw (``_PLANTABLE``) replaces the
+    drawn value (``sample``).  ``order`` is at most ``MAX_ORDER``.
+    """
 
     family_id: str
     dim: int = 2
@@ -164,6 +188,8 @@ class FamilySpec:
             raise InvalidInputError(f"unknown family id: {self.family_id!r}")
         if self.dim < 1 or self.aux_dim < 1 or self.order < 0:
             raise InvalidInputError("dim and aux_dim must be >= 1, order >= 0")
+        if self.order > MAX_ORDER:
+            raise InvalidInputError(f"order must be <= {MAX_ORDER}, got {self.order}")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -323,27 +349,34 @@ def _exp_herglotz_coeffs(cs: np.ndarray, betas: np.ndarray, order: int) -> np.nd
     return a.astype(np.complex128)
 
 
-# Planted ranges, key -> (low, high): a range (lo, hi) must have low <= lo <= hi < high.
-# beta < 1 keeps every pole 1/beta outside the closed disk, c >= 0 every
-# exterior slice's modulus >= 1, and kappa >= 1 is a condition number.
-_RANGE_BOUNDS = {
-    "beta_range": (0.0, 1.0),
-    "c_range": (0.0, math.inf),
-    "cond_range": (1.0, math.inf),
-    "v_norm_sq_range": (0.0, math.inf),
+# Plantable parameters, name -> (condition, test of a value): every entry of
+# a planted value passes the test.  beta < 1 keeps every pole 1/beta outside
+# the closed disk, c >= 0 every exterior slice's modulus >= 1, and kappa >= 1
+# is a condition number.
+_PLANTABLE = {
+    "c": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    "beta": ("in [0, 1)", lambda v: (v >= 0.0) & (v < 1.0)),
+    "kappa": ("finite and >= 1", lambda v: (v >= 1.0) & (v < math.inf)),
+    "v_norm_sq": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    "zeta": ("unimodular within 1e-12", lambda v: np.abs(np.abs(v) - 1.0) <= 1e-12),
+    "frame": (f"unitary within {EQ_TOL}", lambda v: _unitarity_defect(v) <= EQ_TOL),
 }
 
 
-def _param_range(spec: FamilySpec, key: str, default: tuple[float, float]) -> tuple[float, float]:
-    """``params[key]`` (or the default) as two floats, checked against ``_RANGE_BOUNDS``."""
-    low, high = _RANGE_BOUNDS[key]
+def _planted(name: str, value, drawn):
+    """``value`` in the dtype and shape of the ``drawn`` value it replaces, a
+    scalar broadcast, checked against ``_PLANTABLE``."""
+    condition, holds = _PLANTABLE[name]
+    like = np.asarray(drawn)
     try:
-        lo, hi = (float(x) for x in spec.params.get(key, default))
+        planted = np.broadcast_to(np.asarray(value).astype(like.dtype, casting="same_kind"),
+                                  like.shape).copy()
     except (TypeError, ValueError):
-        raise InvalidInputError(f"{key} must be two numbers") from None
-    if not (low <= lo <= hi < high):
-        raise InvalidInputError(f"{key} must satisfy {low} <= lo <= hi < {high}, got ({lo}, {hi})")
-    return lo, hi
+        raise InvalidInputError(f"planted {name} must be numbers that broadcast to shape "
+                                f"{like.shape}, got {value!r}") from None
+    if not np.all(holds(planted)):
+        raise InvalidInputError(f"planted {name} must be {condition}, got {value!r}")
+    return planted[()]
 
 
 def _direct_sum(unitaries: np.ndarray) -> SchurRealization:
@@ -368,24 +401,23 @@ def _harmonic_mix(family: str, g: SchurRealization, h: SchurRealization, t, orde
     analytic = t * gc
     analytic[0] += (1.0 - t) * adjoint(hc[0])
     sup = max(g.sup_bound(), h.sup_bound())
-    put, aux = (lambda m: m), {"t": t}
+    put = lambda m: m
     if frame is not None:
         put = lambda m: _diag_frame_stack(frame, np.diagonal(m, axis1=-2, axis2=-1))
         sup *= 1.0 + float(_unitarity_defect(frame))
-        aux["frame"] = frame
 
     def eval_exact(zs):
         return put(t * g.transfer_grid(zs) + (1.0 - t) * adjoint(h.transfer_grid(zs)))
 
     instance = HarmonicSeries(analytic=put(analytic), coanalytic=put((1.0 - t) * hc[1:]))
-    return instance, {"eval": eval_exact, **aux, "sup_cert": _check_realization(family, sup)}
+    return instance, {"eval": eval_exact, "t": t, "sup_cert": _check_realization(family, sup)}
 
 
 # ---------------------------------------------------------------------------
 # family builders
 # ---------------------------------------------------------------------------
 
-def _build_schur_holo(spec: FamilySpec, rng):
+def _build_schur_holo(spec: FamilySpec, rng, plant):
     real = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
     sup = _check_realization("schur_holo", real.sup_bound())
     # Cauchy's estimate on |z| = (1 + delta)^(-1/2), with 1 + delta = 2 M - 1
@@ -394,15 +426,15 @@ def _build_schur_holo(spec: FamilySpec, rng):
     return instance, {"eval": real.transfer_grid, "realization": real, "sup_cert": sup}
 
 
-def _build_schur_harmonic(spec: FamilySpec, rng):
+def _build_schur_harmonic(spec: FamilySpec, rng, plant):
     g = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
     h = SchurRealization(random_unitary(spec.dim + spec.aux_dim, rng), dim=spec.dim)
     return _harmonic_mix("schur_harmonic", g, h, float(rng.uniform(0.0, 1.0)), spec.order)
 
 
-def _build_commuting_harmonic(spec: FamilySpec, rng):
+def _build_commuting_harmonic(spec: FamilySpec, rng, plant):
     d = spec.dim
-    w = random_unitary(d, rng)
+    w = plant("frame", random_unitary(d, rng))
     aux_k = max(2, min(spec.aux_dim, 4))
     ts = rng.uniform(0.0, 1.0, size=d)
     # slice j's g and h realizations are drawn in turn, g first
@@ -411,13 +443,11 @@ def _build_commuting_harmonic(spec: FamilySpec, rng):
                          _direct_sum(scalars[1::2]), ts, spec.order, frame=w)
 
 
-def _build_exterior_diag(spec: FamilySpec, rng):
+def _build_exterior_diag(spec: FamilySpec, rng, plant):
     d, order = spec.dim, spec.order
-    w = random_unitary(d, rng)
-    c_lo, c_hi = _param_range(spec, "c_range", (0.1, 2.0))
-    b_lo, b_hi = _param_range(spec, "beta_range", (0.0, 0.9))
-    cs = rng.uniform(c_lo, c_hi, size=d)
-    betas = rng.uniform(b_lo, b_hi, size=d)
+    w = plant("frame", random_unitary(d, rng))
+    cs = plant("c", rng.uniform(0.1, 2.0, size=d))
+    betas = plant("beta", rng.uniform(0.0, 0.9, size=d))
 
     def slice_values(zs):
         zs = np.asarray(zs, dtype=np.complex128).ravel()
@@ -433,15 +463,14 @@ def _build_exterior_diag(spec: FamilySpec, rng):
     low = (1.0 - float(_unitarity_defect(w))) * slice_min
     if not low >= 1.0 - CERT_SLACK:
         raise GenerationError(f"exterior_diag sample dips inside the unit ball: min {low:.12f}")
-    return instance, {"eval": eval_exact, "c": cs, "beta": betas, "frame": w, "min_cert": low}
+    return instance, {"eval": eval_exact, "min_cert": low}
 
 
-def _build_exterior_colligation(spec: FamilySpec, rng):
+def _build_exterior_colligation(spec: FamilySpec, rng, plant):
     k, d = spec.aux_dim, spec.dim
     u = random_unitary(k, rng)
     v = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
-    lo, hi = _param_range(spec, "v_norm_sq_range", (0.2, 2.0))
-    target = float(rng.uniform(lo, hi))
+    target = plant("v_norm_sq", float(rng.uniform(0.2, 2.0)))
     v *= math.sqrt(target) / operator_norm(v)
     # Re H >= 0 on |z|^2 <= 1/(1 + delta): the same disk as a Schur bound of 1 + delta/2
     _check_realization("exterior_colligation", 1.0 + 0.5 * float(_unitarity_defect(u)))
@@ -450,17 +479,15 @@ def _build_exterior_colligation(spec: FamilySpec, rng):
         lambda zs: matrix_exp(herglotz_transfer_grid(colligation, zs)),
         spec.order, 0.5, max(4 * spec.order + 4, 256)).coeffs)
     coeffs[0] = matrix_exp(0.5 * hermitize(adjoint(v) @ v))  # f(0), not from the samples
-    return HoloSeries(coeffs), {"min_cert": 1.0, "v_norm_sq": target, "colligation": colligation}
+    return HoloSeries(coeffs), {"min_cert": 1.0, "colligation": colligation}
 
 
-def _build_convex_diag(spec: FamilySpec, rng):
+def _build_convex_diag(spec: FamilySpec, rng, plant):
     d, order = spec.dim, spec.order
-    w = random_unitary(d, rng)
-    b_lo, b_hi = _param_range(spec, "beta_range", (0.0, 0.85))
-    k_lo, k_hi = _param_range(spec, "cond_range", (1.0, 6.0))
-    betas = rng.uniform(b_lo, b_hi, size=d)
-    kappa = float(rng.uniform(k_lo, k_hi))
-    moduli = np.exp(rng.uniform(0.0, math.log(max(kappa, 1.0 + 1e-12)), size=d))
+    w = plant("frame", random_unitary(d, rng))
+    betas = plant("beta", rng.uniform(0.0, 0.85, size=d))
+    kappa = plant("kappa", float(rng.uniform(1.0, 6.0)))
+    moduli = np.exp(rng.uniform(0.0, math.log(kappa), size=d))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=d))
     # the multiplier shares the diagonalizing frame, so every slice is a
     # scaled scalar convex map and the subordination bounds hold slice-wise
@@ -477,22 +504,13 @@ def _build_convex_diag(spec: FamilySpec, rng):
         return _diag_frame_stack(w, vals)
 
     liminf = float(np.max(np.abs(ts) / (1.0 + betas)))
-    return instance, {"eval": ClosedFormEval(eval_exact, liminf),
-                      "beta": betas, "multipliers": ts, "frame": w}
+    return instance, {"eval": ClosedFormEval(eval_exact, liminf), "multipliers": ts}
 
 
-def _build_starlike_diag(spec: FamilySpec, rng):
+def _build_starlike_diag(spec: FamilySpec, rng, plant):
     d, order = spec.dim, spec.order
-    if spec.params.get("frame_identity", False):
-        w = np.eye(d, dtype=np.complex128)
-    else:
-        w = random_unitary(d, rng)
-    if "zeta" in spec.params:
-        zetas = np.asarray(spec.params["zeta"], dtype=np.complex128).ravel()
-        if zetas.size != d or np.any(np.abs(np.abs(zetas) - 1.0) > 1e-12):
-            raise InvalidInputError("planted zeta values must be d unimodular numbers")
-    else:
-        zetas = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=d))
+    w = plant("frame", random_unitary(d, rng))
+    zetas = plant("zeta", np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=d)))
     diag_coeffs = np.zeros((order + 1, d), dtype=np.complex128)
     n = np.arange(1, order + 1, dtype=np.float64)
     diag_coeffs[1:] = n[:, None] * zetas[None, :] ** (n[:, None] - 1.0)
@@ -510,33 +528,18 @@ def _build_starlike_diag(spec: FamilySpec, rng):
     poles = np.sort(np.mod(-np.angle(zetas), 2.0 * math.pi))
     gap = max(float(np.diff(poles).max(initial=0.0)), 2.0 * math.pi - float(poles[-1] - poles[0]))
     liminf = 1.0 / (4.0 * math.sin(0.25 * gap) ** 2)
-    return instance, {"eval": ClosedFormEval(eval_exact, liminf), "zeta": zetas, "frame": w}
+    return instance, {"eval": ClosedFormEval(eval_exact, liminf)}
 
 
-def _build_subordination(spec: FamilySpec, rng):
+def _build_subordination(spec: FamilySpec, rng, plant):
     order = spec.order
+    aux_k = max(2, min(spec.aux_dim, 6))
+    real = SchurRealization(random_unitary(1 + aux_k, rng), dim=1)
     phi = np.zeros(order + 1, dtype=np.complex128)
-    if "constant" in spec.params:
-        try:
-            s = float(spec.params["constant"])
-        except (TypeError, ValueError):
-            raise InvalidInputError("constant contraction factor must be a number") from None
-        if not (0.0 <= s < 1.0):
-            raise InvalidInputError("constant contraction factor must lie in [0, 1)")
-        b0 = s * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        if order >= 1:
-            phi[1] = b0
-        eval_b = lambda zs: np.full(np.asarray(zs).size, b0, dtype=np.complex128)
-        sup = float(abs(b0))
-    else:
-        aux_k = max(2, min(spec.aux_dim, 6))
-        real = SchurRealization(random_unitary(1 + aux_k, rng), dim=1)
-        b_coeffs = real.coeffs(max(order - 1, 0))[:, 0, 0]
-        phi[1 : 1 + min(order, b_coeffs.size)] = b_coeffs[: max(order, 0)]
-        eval_b = lambda zs: real.transfer_grid(zs)[:, 0, 0]
-        sup = _check_realization("subordination witness", real.sup_bound())
+    phi[1:] = real.coeffs(max(order - 1, 0))[:order, 0, 0]
+    sup = _check_realization("subordination witness", real.sup_bound())
     witness = SubordinationWitness(phi=ScalarSeries(phi), coeff_growth=max(1.0, sup))
-    return witness, {"eval_phi": lambda zs: np.asarray(zs).ravel() * eval_b(np.asarray(zs).ravel()),
+    return witness, {"eval_phi": lambda zs: np.ravel(zs) * real.transfer_grid(zs)[:, 0, 0],
                      "sup_cert": sup}
 
 
@@ -556,11 +559,11 @@ def ordered_triples(count: int, seed, scale: float = 5.0) -> np.ndarray:
     return np.stack([draws[:, 1], draws[:, 2], draws[:, 0]], axis=1)
 
 
-def _build_gaussian_sequence(spec: FamilySpec, rng):
+def _build_gaussian_sequence(spec: FamilySpec, rng, plant):
     return HoloSeries(gaussian_coeff_sequence(spec.dim, spec.order, rng)), {}
 
 
-def _build_ordered_triple(spec: FamilySpec, rng):
+def _build_ordered_triple(spec: FamilySpec, rng, plant):
     return tuple(ordered_triples(1, rng)[0]), {}
 
 
@@ -581,46 +584,41 @@ FAMILY_IDS = tuple(_BUILDERS)
 
 _PAIRABLE = {"schur_holo", "convex_diag", "starlike_diag"}
 
-# the params keys each builder reads; sample reads "with_witness" of every
-# family, and "constant" for the witness of a pair
-_PARAM_KEYS = {
-    "exterior_diag": ("c_range", "beta_range"),
-    "exterior_colligation": ("v_norm_sq_range",),
-    "convex_diag": ("beta_range", "cond_range"),
-    "starlike_diag": ("frame_identity", "zeta"),
-    "subordination": ("constant",),
-}
-
-
 def sample(spec: FamilySpec, with_aux: bool = False):
     """Draw the instance described by ``spec``.
+
+    Each builder draws its named parameters (``_PLANTABLE``) from the seeded
+    stream, and a ``params`` entry of that name replaces the drawn value.  The
+    draw is made all the same, so every value after it is as drawn.  The aux
+    mapping holds every named parameter, planted or drawn, and a ``params``
+    key that no draw reads raises ``InvalidInputError``.
 
     Families in {schur_holo, convex_diag, starlike_diag} accept
     ``params["with_witness"] = True`` and then return the pair
     (series, SubordinationWitness), with the witness drawn from the same
-    seeded stream.  A ``params`` key that the draw does not read raises
-    ``InvalidInputError``.
+    seeded stream.
     """
-    pair = spec.params.get("with_witness", False)
-    known = {"with_witness", *_PARAM_KEYS.get(spec.family_id, ()), *(("constant",) if pair else ())}
+    rng = _rng(spec.seed)
+    named = {}
+
+    def plant(name, drawn):
+        named[name] = _planted(name, spec.params[name], drawn) if name in spec.params else drawn
+        return named[name]
+
+    instance, aux = _BUILDERS[spec.family_id](spec, rng, plant)
+    known = {"with_witness", *named}
     unknown = sorted(set(spec.params) - known)
     if unknown:
         raise InvalidInputError(f"unknown parameter(s) for {spec.family_id}: {', '.join(unknown)}; "
                                 f"expected {', '.join(sorted(known))}")
-    rng = _rng(spec.seed)
-    instance, aux = _BUILDERS[spec.family_id](spec, rng)
-    if pair:
+    aux = {**aux, **named}
+    if spec.params.get("with_witness", False):
         if spec.family_id not in _PAIRABLE:
             raise ContractError(f"{spec.family_id} does not produce (series, witness) pairs")
-        wspec = FamilySpec(
-            family_id="subordination",
-            dim=1,
-            aux_dim=spec.aux_dim,
-            order=spec.order,
-            seed=spec.seed,
-            params={k: v for k, v in spec.params.items() if k == "constant"},
-        )
-        witness, waux = _build_subordination(wspec, rng)
+        wspec = FamilySpec(family_id="subordination", dim=1, aux_dim=spec.aux_dim,
+                           order=spec.order, seed=spec.seed)
+        # the witness plants nothing
+        witness, waux = _build_subordination(wspec, rng, lambda name, drawn: drawn)
         aux = {**aux, "witness_aux": waux}
         instance = (instance, witness)
     return (instance, aux) if with_aux else instance

@@ -335,6 +335,28 @@ class TestT1RightSides:
             assert rep.side_values["rhs_norm"] == pytest.approx(expected, rel=1e-14)
 
 
+    @pytest.mark.parametrize("normal", [False, True])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_t1ii_tail_is_the_l2_bound_of_the_residual_trace(self, d, normal):
+        # tail = r^(N+1)/sqrt(1 - r^2) sqrt(tr R), R = c (I - H^2) - sum P_n* P_n,
+        # H = Re(e^(i mu) A0), c = 4, or 2 for the normal variant: tr R bounds
+        # the dropped sum of ||P_n||^2, and lambda_max(R) falls short of it
+        family, r, c = ("commuting_harmonic", 1.0 / 3.0, 2.0) if normal else \
+            ("schur_harmonic", 0.2, 4.0)
+        for seed in range(4):
+            h = sample(FamilySpec(family_id=family, dim=d, aux_dim=4, order=4, seed=seed))
+            for mu in (0.0, 0.7, 2.5):
+                phase = np.exp(1j * mu)
+                a0 = phase * h.analytic[0]
+                re_a0 = (a0 + a0.conj().T) / 2.0
+                p = phase * h.analytic[1:] + np.conj(phase) * h.coanalytic
+                residual = (c * (np.eye(d) - re_a0 @ re_a0)
+                            - np.sum(np.swapaxes(p.conj(), 1, 2) @ p, axis=0))
+                tail = r ** 5 / math.sqrt(1.0 - r * r) * math.sqrt(np.trace(residual).real)
+                (rep,) = check_theorem_grid("t1ii", h, [r], mu=mu, normal=normal)
+                assert rep.side_values["tail"] == pytest.approx(tail, rel=1e-12), (seed, mu)
+
+
 class TestT2Sides:
     """t2's side values on a planted d = 1 exterior_diag, exp(c (1 + beta z)/(1 - beta z)):
     ||A_0|| = e^c and ||log A_0|| = c, against values the test computes itself."""
@@ -344,7 +366,7 @@ class TestT2Sides:
     @staticmethod
     def planted(c, beta, order):
         return sample(FamilySpec(family_id="exterior_diag", dim=1, order=order, seed=2,
-                                 params={"c_range": (c, c), "beta_range": (beta, beta)}))
+                                 params={"c": c, "beta": beta}))
 
     @pytest.mark.parametrize("c, beta", PLANTED)
     def test_chordal_and_growth_sides(self, c, beta):
@@ -634,7 +656,7 @@ class TestEnvelopeTail:
         # sum n r^n = r/(1 - r)^2 = 1/4 at 3 - 2 sqrt(2).  The truncation's own
         # tail, with s = 1 at N = 1, reaches only 0.0355 of the 0.0784 past n = 1
         spec = FamilySpec(family_id="starlike_diag", dim=2, order=1,
-                          params={"zeta": [1.0, 1.0], "frame_identity": True})
+                          params={"zeta": [1.0, 1.0], "frame": np.eye(2)})
         r = KOEBE_RADIUS
         for order in (1, 2, 4, 8):
             f, aux = sample(dataclasses.replace(spec, order=order), with_aux=True)
@@ -649,7 +671,7 @@ class TestEnvelopeTail:
     def test_witness_growth_scales_the_tail(self):
         # |[z^n] phi^k| <= g^n: the tail is sum over n > m of S_n (g r)^n
         spec = FamilySpec(family_id="starlike_diag", dim=1, order=8,
-                          params={"zeta": [1.0], "frame_identity": True})
+                          params={"zeta": [1.0], "frame": np.eye(1)})
         f = sample(spec)
         sums = partial_sums(f, 4000)
         for growth in (1.0, 1.5):
@@ -705,8 +727,9 @@ class TestClosedFormLiminf:
     def test_planted_t4a_koebe_meets_its_bound_and_fails_just_past_it(self, zeta, frame):
         # the Koebe slice z/(1 - z)^2 with the identity witness: sum n r^n
         # = r/(1 - r)^2 meets the exact liminf 1/4 at 3 - 2 sqrt(2)
+        frame = {"frame": np.eye(len(zeta))} if frame else {}
         spec = FamilySpec(family_id="starlike_diag", dim=len(zeta), order=256,
-                          params={"zeta": zeta, "frame_identity": frame})
+                          params={"zeta": zeta, **frame})
         f, aux = sample(spec, with_aux=True)
         assert aux["eval"].boundary_liminf == 0.25
         pair = (f, identity_witness(256))
@@ -868,7 +891,7 @@ class TestCheckTheorem:
     def test_t4_needs_a_normalized_instance(self, theorem_id):
         # f(0) = 0 and f'(0) = I within 1e-8: a shift of either by 1e-6 is refused
         f, aux = sample(FamilySpec(family_id="starlike_diag", dim=2, order=16,
-                                   params={"zeta": [1.0, 1.0], "frame_identity": True}),
+                                   params={"zeta": [1.0, 1.0], "frame": np.eye(2)}),
                         with_aux=True)
         kwargs = {"boundary_eval": aux["eval"]} if theorem_id == "t4a" else {}
         check_theorem_grid(theorem_id, (f, identity_witness(16)), [0.1], **kwargs)
@@ -1217,6 +1240,21 @@ class TestSharedPreparation:
         separate = abs_value(hermitize(complex(np.exp(0.9j)) * h.analytic[0]))
         assert t_mat.tobytes() == separate.tobytes()
         assert abs_p.tobytes() == abs_value(rotated_coeffs(h, 0.9)).tobytes()
+
+    def test_normal_variant_takes_its_scale_from_the_shared_eigh(self, monkeypatch):
+        # the normality defect takes one eigvalsh of the N commutators, and its
+        # scale max(1, ||P_n||^2) reads the norms of the stack's one eigh
+        h = sample(FamilySpec(family_id="commuting_harmonic", dim=2, aux_dim=4, order=64, seed=3))
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            def recorded(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+                shapes.append((_name, np.shape(a)))
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        check_theorem_grid("t1i", h, (0.1, 0.5), mu=0.9, normal=True)
+        assert shapes.count(("eigvalsh", (64, 2, 2))) == 1
+        assert [shape for shape in shapes if shape[0] == "eigh"] == [("eigh", (65, 2, 2))]
 
     def test_t1iii_decomposes_both_halves_in_one_stack(self, monkeypatch):
         sizes = self.count_eigh(monkeypatch)

@@ -274,6 +274,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: order must be >= 0, got {order}"]
 
+    @pytest.mark.parametrize("verify_order, scan_order", [
+        (str(generators.MAX_ORDER + 1), str(generators.MAX_ORDER + 1)),
+        ("100000000000000000000", "1e20"),
+    ])
+    def test_order_past_max_order_is_one_error(self, capsys, verify_order, scan_order):
+        # refused before anything of that order is allocated
+        argv = ["verify", "--theorems", "e55", "--dims", "1", "--trials", "1"]
+        assert main(argv + ["--order", verify_order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: order must be <= {generators.MAX_ORDER}, got {verify_order}"]
+        assert main(["scan", "--family", "mobius", "--param", f"order={scan_order}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: scan parameter order must be an integer in [0, {generators.MAX_ORDER}], "
+            f"got '{scan_order}'"]
+
+    def test_max_order_is_accepted(self):
+        # the spec is checked without a draw, and the Koebe scan sums 4097 scalar norms
+        assert FamilySpec(family_id="schur_holo", order=generators.MAX_ORDER).order == 4096
+        assert scan_radius("koebe", {"order": str(generators.MAX_ORDER)}).params["order"] == 4096
+
     def test_repeated_dims_are_one_error(self, capsys):
         # a repeated dim would draw and report each of its instances twice
         assert main(["verify", "--theorems", "e55", "--dims", "1,1", "--trials", "1"]) == 2
@@ -462,8 +486,8 @@ class TestSelftest:
     def test_selftest_catches_a_witness_growth_below_one(self, monkeypatch, capsys):
         build = generators._build_subordination
 
-        def shrunk(spec, rng):
-            witness, aux = build(spec, rng)
+        def shrunk(spec, rng, plant):
+            witness, aux = build(spec, rng, plant)
             return SubordinationWitness(witness.phi, coeff_growth=0.99), aux
 
         monkeypatch.setitem(generators._BUILDERS, "subordination", shrunk)

@@ -12,6 +12,7 @@ from opbohr import (
     HoloSeries,
     InvalidInputError,
     RangeError,
+    ScalarSeries,
     SubordinationWitness,
     abs_value,
     adjoint,
@@ -247,9 +248,7 @@ class TestExteriorFamilies:
         assert float(np.max(defect)) <= 1e-10
 
     def test_diag_constant_slice(self):
-        spec = spec_of("exterior_diag", dim=1, order=8,
-                       params={"c_range": (math.log(2), math.log(2)),
-                               "beta_range": (0.0, 0.0)})
+        spec = spec_of("exterior_diag", dim=1, order=8, params={"c": math.log(2), "beta": 0.0})
         inst = sample(spec)
         assert inst.coeffs[0][0, 0] == pytest.approx(2.0, abs=1e-12)
         assert float(np.abs(inst.coeffs[1:]).max()) <= 1e-12
@@ -261,10 +260,9 @@ class TestExteriorFamilies:
         assert thm2_radius(inst.coeffs[0]) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_colligation_v_norm_in_range(self):
-        spec = spec_of("exterior_colligation", seed=3,
-                       params={"v_norm_sq_range": (0.5, 0.6)})
+        spec = spec_of("exterior_colligation", seed=3, params={"v_norm_sq": 0.55})
         _, aux = sample(spec, with_aux=True)
-        assert 0.5 - 1e-9 <= operator_norm(aux["colligation"].V) ** 2 <= 0.6 + 1e-9
+        assert operator_norm(aux["colligation"].V) ** 2 == pytest.approx(0.55, rel=1e-9)
 
 
 DENSE_ANGLES = 2 ** 12
@@ -349,7 +347,7 @@ class TestAlgebraicCertificates:
     @pytest.mark.parametrize("family, params", [
         ("schur_holo", {}), ("schur_harmonic", {}), ("commuting_harmonic", {}),
         ("subordination", {}), ("exterior_colligation", {}),
-        ("exterior_diag", {"c_range": (0.0, 0.0)}),
+        ("exterior_diag", {"c": 0.0}),
         ("convex_diag", {"with_witness": True}), ("starlike_diag", {}),
     ])
     def test_unitary_perturbed_by_1e_6_raises(self, monkeypatch, family, params):
@@ -376,7 +374,7 @@ class TestSubordinatedFamilies:
 
     def test_planted_koebe(self):
         spec = spec_of("starlike_diag", dim=2, order=16,
-                       params={"zeta": [1.0, 1.0], "frame_identity": True})
+                       params={"zeta": [1.0, 1.0], "frame": np.eye(2)})
         inst = sample(spec)
         expected = koebe_series(2, 16)
         assert float(np.abs(inst.coeffs - expected.coeffs).max()) <= 1e-12
@@ -407,14 +405,12 @@ class TestSubordinatedFamilies:
         assert aux["sup_cert"] <= 1.0 + CERT_SLACK
 
     def test_witness_constant_contraction(self):
-        w, aux = sample(spec_of("subordination", order=8, seed=2, params={"constant": 0.6}),
-                        with_aux=True)
-        assert abs(w.phi.coeffs[1]) == pytest.approx(0.6, abs=1e-12)
-        assert aux["sup_cert"] == abs(w.phi.coeffs[1])
-        assert float(np.abs(w.phi.coeffs[2:]).max()) == 0.0
+        c = 0.6 * np.exp(0.7j)
+        phi = np.zeros(9, dtype=np.complex128)
+        phi[1] = c
+        w = SubordinationWitness(phi=ScalarSeries(phi))
         f = koebe_series(1, 8)
         g = compose_subordination(f, w, 8)
-        c = w.phi.coeffs[1]
         for n in range(1, 9):
             assert g.coeffs[n][0, 0] == pytest.approx(n * c**n, abs=1e-12)
 
@@ -444,12 +440,12 @@ class TestCoeffEnvelopes:
         assert np.all(norms[~seen] <= 2.0 * NORM_FLOOR)
 
     @pytest.mark.parametrize("params", [
-        {"zeta": [1.0, 1.0, 1.0], "frame_identity": True},
+        {"zeta": [1.0, 1.0, 1.0], "frame": np.eye(3)},
         {"zeta": [1.0 + 5e-13, 1j, -1.0]},
-        {"beta_range": (0.999, 0.999), "cond_range": (1.0, 1.0)},
+        {"beta": 0.999, "kappa": 1.0},
     ])
     def test_planted_envelopes_dominate_their_norms(self, params):
-        family = "convex_diag" if "beta_range" in params else "starlike_diag"
+        family = "convex_diag" if "beta" in params else "starlike_diag"
         f = sample(spec_of(family, dim=3, order=512, params=params))
         assert np.all(operator_norm(f.coeffs[1:]) <= f.envelope.values(512))
 
@@ -476,11 +472,9 @@ class TestCoeffEnvelopes:
         assert 1.0 < f.envelope.ratio <= float(np.abs(aux["zeta"]).max()) + 4 * U
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2 ** 31),
-           constant=st.one_of(st.none(), st.floats(0.0, 0.999)))
-    def test_witness_growth_bounds_every_power_coefficient(self, seed, constant):
-        params = {} if constant is None else {"constant": constant}
-        w = sample(spec_of("subordination", dim=1, order=512, seed=seed, params=params))
+    @given(seed=st.integers(0, 2 ** 31))
+    def test_witness_growth_bounds_every_power_coefficient(self, seed):
+        w = sample(spec_of("subordination", dim=1, order=512, seed=seed))
         phi = np.array(w.phi.coeffs)
         bound = w.coeff_growth ** np.arange(513)
         assert w.coeff_growth >= 1.0
@@ -549,56 +543,126 @@ class TestClosedFormLiminf:
     ])
     def test_planted_starlike_poles(self, zeta, expected):
         spec = spec_of("starlike_diag", dim=len(zeta), order=8,
-                       params={"zeta": zeta, "frame_identity": True})
+                       params={"zeta": zeta, "frame": np.eye(len(zeta))})
         _, aux = sample(spec, with_aux=True)
         assert aux["eval"].boundary_liminf == pytest.approx(expected, rel=4 * U)
 
 
-# Each planted key, the families that read it, and values outside its bounds:
-# beta in [0, 1), c in [0, inf), cond in [1, inf), v_norm_sq in [0, inf), and
-# the constant witness factor in [0, 1).
-_MALFORMED = (
-    (("convex_diag", "exterior_diag"), "beta_range",
-     [(1.1, 1.2), (0.5, 1.0), (-0.1, 0.5), (0.6, 0.5)]),
-    (("exterior_diag",), "c_range",
-     [(-0.1, 1.0), (-1.0, -0.5), (0.5, 0.2), (0.0, math.inf), (math.nan, 1.0)]),
-    (("convex_diag",), "cond_range",
-     [(-3.0, -2.0), (0.5, 2.0), (4.0, 2.0), (math.inf, math.inf), (1.0, math.nan)]),
-    (("exterior_colligation",), "v_norm_sq_range",
-     [(-1.0, -0.5), (2.0, 0.2), (0.0, math.inf), (math.nan, 1.0)]),
-)
+# Each plantable name and the families whose draw reads it
+READERS = {
+    "c": ("exterior_diag",),
+    "beta": ("exterior_diag", "convex_diag"),
+    "kappa": ("convex_diag",),
+    "v_norm_sq": ("exterior_colligation",),
+    "zeta": ("starlike_diag",),
+    "frame": ("exterior_diag", "convex_diag", "starlike_diag", "commuting_harmonic"),
+}
+
+# Values just outside each name's condition, at d = 2: c finite and >= 0,
+# beta in [0, 1), kappa finite and >= 1, v_norm_sq finite and >= 0, zeta
+# unimodular within 1e-12, a frame unitary within EQ_TOL; and values that are
+# not numbers of the drawn value's kind and shape
+OUTSIDE = {
+    "c": [np.nextafter(0.0, -1.0), math.inf, math.nan, 1j, [0.5, 0.5, 0.5]],
+    "beta": [np.nextafter(0.0, -1.0), 1.0, math.nan],
+    "kappa": [np.nextafter(1.0, 0.0), math.inf, math.nan],
+    "v_norm_sq": [np.nextafter(0.0, -1.0), math.inf, math.nan],
+    "zeta": [1.0 + 2e-12, [1j, 1.0 - 2e-12], math.nan],
+    "frame": [(1.0 + 1e-9) * np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(3), math.nan],
+}
+
+# Values at the edge of each condition, accepted at d = 2
+AT_THE_EDGE = [
+    ("exterior_diag", "c", 0.0),
+    *((family, "beta", beta) for family in READERS["beta"]
+      for beta in (0.0, np.nextafter(1.0, 0.0))),
+    ("convex_diag", "kappa", 1.0),
+    ("exterior_colligation", "v_norm_sq", 0.0),
+    ("starlike_diag", "zeta", [1.0 + 5e-13, -1j]),
+    *((family, "frame", (1.0 + 2e-10) * np.eye(2)) for family in READERS["frame"]),
+]
+
+# One planted value per (family, name) read, distinct from the seed-6 draw
+ONE_PLANTED = [
+    ("exterior_diag", "c", 0.5), ("exterior_diag", "beta", 0.3),
+    ("exterior_diag", "frame", np.eye(2)), ("convex_diag", "beta", 0.999),
+    ("convex_diag", "kappa", 1.0), ("convex_diag", "frame", np.eye(2)),
+    ("starlike_diag", "zeta", 1.0), ("starlike_diag", "frame", np.eye(2)),
+    ("commuting_harmonic", "frame", np.eye(2)), ("exterior_colligation", "v_norm_sq", 0.5),
+]
 
 
-class TestPlantedRanges:
-    @pytest.mark.parametrize("family, key, value", [
-        *((family, key, value) for families, key, values in _MALFORMED for family in families
-          for value in values + [(0.2,), "ab", None]),
-        *(("subordination", "constant", value) for value in ("x", None, -0.1, 1.0, math.nan)),
+def planted_names(aux):
+    return sorted(set(generators._PLANTABLE) & set(aux))
+
+
+class TestPlantedParameters:
+    @pytest.mark.parametrize("family", generators.FAMILY_IDS)
+    def test_the_aux_mapping_names_each_parameter_the_draw_reads(self, family):
+        _, aux = sample(spec_of(family, order=8), with_aux=True)
+        assert planted_names(aux) == sorted(n for n, fams in READERS.items() if family in fams)
+
+    @pytest.mark.parametrize("family", ["exterior_diag", "starlike_diag"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_planting_every_named_parameter_reproduces_the_draw(self, family, d):
+        drawn, aux = sample(spec_of(family, dim=d, seed=4), with_aux=True)
+        params = {name: aux[name] for name in planted_names(aux)}
+        other = sample(spec_of(family, dim=d, seed=5))
+        planted, paux = sample(spec_of(family, dim=d, seed=5, params=params), with_aux=True)
+        assert other.coeffs.tobytes() != drawn.coeffs.tobytes()
+        assert planted.coeffs.tobytes() == drawn.coeffs.tobytes()
+        assert planted.envelope == drawn.envelope
+        for name in params:
+            assert paux[name].tobytes() == aux[name].tobytes()
+        if family == "starlike_diag":
+            assert paux["eval"].boundary_liminf == aux["eval"].boundary_liminf
+        else:
+            assert paux["min_cert"] == aux["min_cert"]
+
+    @pytest.mark.parametrize("family, name, value", ONE_PLANTED)
+    def test_planting_one_value_leaves_the_rest_as_drawn(self, family, name, value):
+        params = {"with_witness": True} if family in generators._PAIRABLE else {}
+        drawn, aux = sample(spec_of(family, seed=6, params=params), with_aux=True)
+        planted, paux = sample(spec_of(family, seed=6, params={**params, name: value}),
+                               with_aux=True)
+        assert not np.array_equal(aux[name], paux[name])
+        assert np.array_equal(paux[name], np.broadcast_to(value, np.shape(aux[name])))
+        for other in planted_names(aux):
+            if other != name:
+                assert np.asarray(paux[other]).tobytes() == np.asarray(aux[other]).tobytes(), other
+        if params:
+            assert planted[1].phi.coeffs.tobytes() == drawn[1].phi.coeffs.tobytes()
+            assert planted[1].coeff_growth == drawn[1].coeff_growth
+
+    @pytest.mark.parametrize("family, name, value", [
+        (family, name, value) for name, values in OUTSIDE.items()
+        for family in READERS[name] for value in values + ["ab", None]
     ])
-    def test_value_outside_its_bounds_is_rejected(self, family, key, value):
-        with pytest.raises(InvalidInputError):
-            sample(spec_of(family, params={key: value}))
+    def test_value_outside_its_condition_is_rejected(self, family, name, value):
+        with pytest.raises(InvalidInputError, match=f"planted {name}"):
+            sample(spec_of(family, order=8, params={name: value}))
+
+    @pytest.mark.parametrize("family, name, value", AT_THE_EDGE)
+    def test_value_at_the_edge_of_its_condition_is_accepted(self, family, name, value):
+        _, aux = sample(spec_of(family, order=8, params={name: value}), with_aux=True)
+        assert np.array_equal(aux[name], np.broadcast_to(value, np.shape(aux[name])))
+
+    def test_kappa_one_gives_unimodular_multipliers(self):
+        # the moduli are drawn from [1, kappa], and |e^(i theta)| is 1 within 2u
+        for seed in range(4):
+            _, aux = sample(spec_of("convex_diag", dim=4, order=8, seed=seed,
+                                    params={"kappa": 1.0}), with_aux=True)
+            assert np.all(np.abs(np.abs(aux["multipliers"]) - 1.0) <= 2 * U)
 
     @pytest.mark.parametrize("family", generators.FAMILY_IDS)
-    def test_a_key_the_family_does_not_read_is_rejected(self, family):
-        with pytest.raises(InvalidInputError, match="unknown parameter"):
-            sample(spec_of(family, dim=1, seed=2, params={"c_rnage": (1.0, 1.0)}))
-        if family in ("schur_holo", "convex_diag", "starlike_diag"):
-            # the witness reads its constant only when the family pairs
-            with pytest.raises(InvalidInputError, match="constant"):
-                sample(spec_of(family, order=8, params={"constant": 0.5}))
-            sample(spec_of(family, order=8, params={"with_witness": True, "constant": 0.5}))
-
-    @pytest.mark.parametrize("family, key, value", [
-        *((family, "beta_range", value) for family in ("convex_diag", "exterior_diag")
-          for value in ((0.0, 0.0), (0.0, 0.5), (0.9, 0.9))),
-        ("exterior_diag", "c_range", (0.0, 0.0)),
-        ("convex_diag", "cond_range", (1.0, 1.0)),
-        ("exterior_colligation", "v_norm_sq_range", (0.0, 0.0)),
-        ("subordination", "constant", 0.0),
-    ])
-    def test_range_at_its_ends_is_accepted(self, family, key, value):
-        sample(spec_of(family, order=8, params={key: value}))
+    def test_a_key_no_draw_reads_is_rejected(self, family):
+        # a misspelling, the range keys, frame_identity and constant, and the
+        # names of other families' draws
+        unread = [name for name, fams in READERS.items() if family not in fams]
+        for key in ("c_rnage", "c_range", "beta_range", "cond_range", "v_norm_sq_range",
+                    "frame_identity", "constant", *unread):
+            with pytest.raises(InvalidInputError, match="unknown parameter"):
+                sample(spec_of(family, dim=1, order=8, seed=2, params={key: 1.0}))
 
 
 class TestAdHocSources:

@@ -10,6 +10,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_ab  # noqa: E402
 import bench_pairs  # noqa: E402
+import code_lines  # noqa: E402
 import report_diff  # noqa: E402
 
 
@@ -121,6 +122,39 @@ def test_report_diff_aligns_on_the_witness_without_its_order(tmp_path, capsys, f
         path.write_text(json.dumps({"reports": reports}))
     assert report_diff.main([str(p) for p in paths]) == status
     assert any(line.startswith(expected) for line in capsys.readouterr().out.splitlines())
+
+
+CODE_SAMPLE = '''"""Module docstring,
+on two lines."""
+
+# a comment line
+import math  # a trailing comment counts as code
+
+
+class Box:
+    """Class docstring."""
+
+    def area(self):
+        """Function docstring,
+
+        on three lines."""
+        text = """a string that is not a docstring
+        spans two lines"""
+        return math.pi * len(text)
+'''
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path, capsys):
+    # import, class, def, the two lines of the string, return
+    assert code_lines.code_lines(CODE_SAMPLE) == 6
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text(CODE_SAMPLE)
+    # a string after the first statement is not a docstring
+    (package / "sub" / "b.py").write_text('x = 1\n\n"""not a docstring"""\n')
+    assert code_lines.main([str(package)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"     6 {package / 'a.py'}", f"     2 {package / 'sub' / 'b.py'}", "     8 total"]
 
 
 def _load_perfbench(name):
