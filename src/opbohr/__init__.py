@@ -40,7 +40,6 @@ from .series import (
 from .bohr import (
     KOEBE_RADIUS,
     BisectionResult,
-    RadiusScan,
     THEOREM_IDS,
     TheoremReport,
     bohr_radius_bisect,

@@ -368,19 +368,6 @@ def bohr_radius_bisect(predicate: Callable[[float], bool], r_lo: float, r_hi: fl
     return BisectionResult(radius=radius, bracketed=bracketed, warnings=warnings)
 
 
-@dataclass(frozen=True)
-class RadiusScan:
-    """Grid of (r, margin, passed) rows plus a bisection-refined radius and the
-    bisection's monotonicity warnings."""
-
-    family_id: str
-    params: dict
-    grid: tuple[tuple[float, float, bool], ...]
-    estimated_radius: float
-    bracketed: bool
-    warnings: tuple[str, ...] = ()
-
-
 # ---------------------------------------------------------------------------
 # theorem reports
 # ---------------------------------------------------------------------------
@@ -549,7 +536,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _prep_l1(instance, *, k: int = 0, **_) -> _Prepared:
     stack = _coeff_stack(instance, "H")
     if k < 0 or k > stack.shape[0]:
-        raise ContractError(f"k out of range: {k}")
+        raise ContractError(f"l1 needs an offset k >= 0 and an order >= k - 1; "
+                            f"got k = {k} at order {stack.shape[0] - 1}")
     grams, abs_h, _ = gram_parts(stack[k:])
     sq = hermitize(np.sum(grams, axis=0))
     sq_top = _largest_eigenvalue(sq)

@@ -1,6 +1,13 @@
 """Command-line harness: randomized verification suites, radius scans,
 sharp-constant demos, and oracle self-tests.
 
+``verify`` draws its instances from one table, ``SUITE_RUNS``.  ``demo`` and
+``scan`` read another, ``PLANTED``: each row names a planted instance, the
+check it makes sharp and that check's sharp radius.  ``demo NAME`` runs the
+check at that radius; ``scan --family NAME`` runs it on a radius grid and
+bisects on its pass flag.  All three return a ``SuiteReport`` and write it
+with ``write_suite_report``.
+
 Exit codes: 0 when every check passes, 1 when at least one inequality is
 violated, 2 on configuration or I/O errors.
 """
@@ -18,23 +25,17 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .bohr import (
     KOEBE_RADIUS,
-    RadiusScan,
     TheoremReport,
     THEOREM_IDS,
-    _check_r,
-    _kahan_scalar_sum,
     bohr_radius_bisect,
     check_theorem_grid,
-    norm_majorant,
-    operator_majorant,
-    thm2_radius,
-    thm3_radius,
 )
 from .errors import InvalidInputError, OpBohrError
 from .funcalc import (
@@ -52,16 +53,20 @@ from .generators import (
     FamilySpec,
     derive_seed,
     identity_witness,
-    koebe_scalar_coeffs,
     koebe_series,
-    mobius_scalar_coeffs,
     mobius_series,
     random_unitary,
     sample,
 )
 from .linalg import PSD_TOL, adjoint, operator_norm
 from .serialize import dumps, report_to_json
-from .series import HoloSeries, coeffs_via_cauchy_integral, compose_subordination, evaluate_grid
+from .series import (
+    HarmonicSeries,
+    HoloSeries,
+    coeffs_via_cauchy_integral,
+    compose_subordination,
+    evaluate_grid,
+)
 
 OUT_DIR_ENV = "OPBOHR_OUT_DIR"
 
@@ -298,19 +303,85 @@ def run_suite(config: RunConfig) -> SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# radius scans
+# planted instances: the sharp cases of the checks, for demo and scan
 # ---------------------------------------------------------------------------
 
-# family -> (default parameters, builder); the builder maps validated parameters
-# to the family's coefficients, the first power of its majorant and its bound
-_SCAN_FAMILIES = {
-    "mobius": ({"a": 0.5, "order": 96},
-               lambda p: (mobius_scalar_coeffs(p["a"], p["order"])[:, None, None], 0, 1.0)),
-    "koebe": ({"order": 256},
-              lambda p: (koebe_scalar_coeffs(p["order"])[:, None, None], 1, 0.25)),
-    "constant": ({"value": 0.5},
-                 lambda p: (np.array([[[p["value"]]]], dtype=np.complex128), 0, 1.0)),
+# the pass rule of demo and scan: margin >= -PLANTED_TOL * scale
+PLANTED_TOL = 1e-12
+
+
+class Planted(NamedTuple):
+    """A planted instance, the check it makes sharp and that check's sharp radius.
+
+    theorem  the id of the check
+    build    params -> (instance, check kwargs); params hold ``dim`` and
+             every key of ``params``
+    params   the default parameters, which ``scan --param`` overrides
+    radius   the sharp radius at the default parameters
+    shows    the side value ``demo`` prints at that radius, and ``target``
+    target   its sharp value
+    dims     the dimensions ``demo`` runs; ``scan`` runs at the first
+    """
+
+    theorem: str
+    build: Callable[[dict], tuple]
+    params: dict
+    radius: float
+    shows: str
+    target: float
+    dims: tuple[int, ...]
+
+
+def _mobius_harmonic(p: dict):
+    """(a - z)/(1 - az) as a harmonic series with a zero coanalytic part: at
+    d = 1 t1ii is the classical Bohr inequality, sharp at r = 1/(1 + 2a)."""
+    f = mobius_series(p["a"], p["dim"], p["order"])
+    return HarmonicSeries(f.coeffs, np.zeros_like(f.coeffs[1:])), {"mu": 0.0, "normal": True}
+
+
+def _koebe_pair(p: dict):
+    return (koebe_series(p["dim"], p["order"]), identity_witness(p["order"])), {}
+
+
+def _mobius(p: dict):
+    return mobius_series(p["a"], p["dim"], p["order"]), {}
+
+
+def _exterior_diag(p: dict):
+    """An ``exterior_diag`` draw with A_0 = e^c I in the identity frame."""
+    return sample(FamilySpec("exterior_diag", dim=p["dim"], order=p["order"],
+                             params={"c": p["c"], "frame": np.eye(p["dim"])})), {}
+
+
+def _convex_pair(p: dict):
+    """A ``convex_diag`` pair with unimodular multipliers in the identity frame:
+    ||A_1|| ||A_1^-1|| = 1, so t3a's radius is 1/3."""
+    pair, aux = sample(FamilySpec("convex_diag", dim=p["dim"], order=p["order"], params={
+        "with_witness": True, "kappa": p["kappa"], "frame": np.eye(p["dim"])}), with_aux=True)
+    return pair, {"boundary_eval": aux["eval"]}
+
+
+PLANTED: dict[str, Planted] = {
+    "mobius": Planted("t1ii", _mobius_harmonic, {"a": 0.5, "order": 512},
+                      1.0 / (1.0 + 2.0 * 0.5), "lhs_norm", 1.0 - 0.5, (1,)),
+    "koebe": Planted("t4b", _koebe_pair, {"order": 256}, KOEBE_RADIUS, "lhs_norm", 0.25, (1, 2)),
+    "sharpness-e55": Planted("e55", _mobius, {"a": 1.0 / math.sqrt(2.0), "order": 64},
+                             1.0 / math.sqrt(2.0), "lhs_norm", math.sqrt(2.0), (1, 2, 4)),
+    "radius-t2": Planted("t2", _exterior_diag, {"c": math.log(2.0), "order": 64},
+                         1.0 / 3.0, "radius", 1.0 / 3.0, (2,)),
+    "radius-t3": Planted("t3a", _convex_pair, {"kappa": 1.0, "order": 64},
+                         1.0 / 3.0, "radius", 1.0 / 3.0, (2,)),
 }
+
+
+def _planted_check(name: str, params: dict, dim: int) -> Callable[[list], list[TheoremReport]]:
+    """The check of a planted row on its instance at (params, dim), as a
+    function of the radii; each report's witness redraws the instance."""
+    row = PLANTED[name]
+    instance, kwargs = row.build({**params, "dim": dim})
+    witness = {"planted": name, **params, "dim": dim}
+    return lambda rs: check_theorem_grid(row.theorem, instance, rs, force=True,
+                                         psd_tol=PLANTED_TOL, witness=witness, **kwargs)
 
 
 def _scan_param(key: str, value) -> float | int:
@@ -329,96 +400,49 @@ def _scan_param(key: str, value) -> float | int:
 
 
 def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
-                r_max: float = 0.95, steps: int = 40, tol: float = 1e-7) -> RadiusScan:
-    """Margin grid plus a bisection-refined radius for a named scalar family.
+                r_max: float = 0.95, steps: int = 40, tol: float = 1e-7) -> SuiteReport:
+    """The check of a planted row on a radius grid, and the radius where it stops passing.
 
-    ``params`` override the family's defaults, each a number or its text;
-    the scan keeps an int order and a float otherwise.  The coefficient norms
-    are computed once; the grid is one majorant sum over all its radii, the
-    bisection predicate sums the same norms, and both pass a radius whose
-    margin is at least -1e-12.
+    ``params`` override the row's defaults, each a number or its text; the
+    scan keeps an int order and a float otherwise.  The instance is built
+    once, at the row's first dimension.  The reports are the check's at
+    ``steps`` radii from r_min to r_max, and the bisection reads the same
+    check's pass flag, so both pass a radius whose margin is at least
+    -``PLANTED_TOL`` scale.  The aggregate adds the ``estimated_radius``, and
+    whether the bisection ``bracketed`` it, with its ``warnings``.
     """
+    start = time.perf_counter()
     if steps < 0:
         raise InvalidInputError(f"steps must be >= 0, got {steps}")
-    if family not in _SCAN_FAMILIES:
+    if family not in PLANTED:
         raise OpBohrError(f"unknown scan family: {family!r}")
-    defaults, build = _SCAN_FAMILIES[family]
-    unknown = sorted(set(params or {}) - set(defaults))
+    row = PLANTED[family]
+    unknown = sorted(set(params or {}) - set(row.params))
     if unknown:
         raise InvalidInputError(f"unknown scan parameter(s) for {family}: {', '.join(unknown)}; "
-                                f"expected {', '.join(sorted(defaults))}")
-    merged = {key: _scan_param(key, value) for key, value in {**defaults, **(params or {})}.items()}
-    coeffs, k0, bound = build(merged)
-    norms = operator_norm(coeffs[k0:])
-
-    def passes(rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Margins and pass flags at the radii rs, for the grid and the bisection alike."""
-        margins = bound - _kahan_scalar_sum(norms, rs, k0)
-        return margins, margins >= -1e-12
-
-    rs = np.linspace(_check_r(r_min), _check_r(r_max), steps)
-    grid = tuple((float(r), float(m), bool(p)) for r, m, p in zip(rs, *passes(rs)))
-    result = bohr_radius_bisect(lambda r: bool(passes(np.array([_check_r(r)]))[1][0]),
-                                r_min, r_max, tol=tol)
-    return RadiusScan(family_id=family, params=merged, grid=grid,
-                      estimated_radius=result.radius, bracketed=result.bracketed,
-                      warnings=result.warnings)
-
-
-def write_scan_csv(scan: RadiusScan, path: str) -> None:
-    import json as _json
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family_id", "param_json", "r", "margin", "passed"])
-        base = dict(scan.params)
-        for r, margin, passed in scan.grid:
-            writer.writerow([scan.family_id,
-                             _json.dumps({**base, "row": "grid"}, sort_keys=True),
-                             f"{r:.12g}", f"{margin:.12g}", passed])
-        est_params = {**base, "row": "estimate", "bracketed": scan.bracketed,
-                      "warnings": list(scan.warnings)}
-        writer.writerow([scan.family_id, _json.dumps(est_params, sort_keys=True),
-                         f"{scan.estimated_radius:.12g}", "", scan.bracketed])
-
-
-# ---------------------------------------------------------------------------
-# demos: the named extremal instances and their sharp constants
-# ---------------------------------------------------------------------------
-
-DEMO_NAMES = ("sharpness-e55", "radius-t2", "radius-t3", "koebe-t4")
+                                f"expected {', '.join(sorted(row.params))}")
+    merged = {key: _scan_param(key, value)
+              for key, value in {**row.params, **(params or {})}.items()}
+    check = _planted_check(family, merged, row.dims[0])
+    reports = check(np.linspace(r_min, r_max, steps).tolist())
+    result = bohr_radius_bisect(lambda r: check([r])[0].passed, r_min, r_max, tol=tol)
+    aggregate = {**_aggregate(reports), "estimated_radius": result.radius,
+                 "bracketed": result.bracketed, "warnings": list(result.warnings)}
+    config = {"command": "scan", "family": family, "params": merged,
+              "r_min": r_min, "r_max": r_max, "steps": steps}
+    return SuiteReport(config=config, reports=reports, aggregate=aggregate, meta=_meta(start))
 
 
 def demo(name: str) -> SuiteReport:
-    """Run a planted extremal instance and print target vs computed values."""
+    """Run a planted row's check at its sharp radius in each of its dimensions,
+    and print the side value it shows against its target."""
+    if name not in PLANTED:
+        raise OpBohrError(f"unknown demo: {name!r}; choose from {tuple(PLANTED)}")
     start = time.perf_counter()
-    rows: list[tuple[str, float, float]] = []
-    reports: list[TheoremReport] = []
-
-    if name == "sharpness-e55":
-        a = 1.0 / math.sqrt(2.0)
-        for d in (1, 2, 4):
-            f = mobius_series(a, d, 64)
-            value = operator_norm(operator_majorant(f.coeffs, a, 0))
-            rows.append((f"majorant norm at r=1/sqrt(2), d={d}", math.sqrt(2.0), value))
-            reports += check_theorem_grid(
-                "e55", f, [a], witness={"family_id": "mobius_identity", "a": a, "dim": d})
-    elif name == "radius-t2":
-        a0 = 2.0 * np.eye(2)
-        rows.append(("exterior Bohr radius at A0 = 2I", 1.0 / 3.0, thm2_radius(a0)))
-    elif name == "radius-t3":
-        rows.append(("convex subordination radius at A1 = I", 1.0 / 3.0, thm3_radius(np.eye(2))))
-    elif name == "koebe-t4":
-        coeffs = koebe_scalar_coeffs(256)[:, None, None]
-        rows.append(("Koebe majorant at r = 3-2sqrt(2)", 0.25,
-                     norm_majorant(coeffs, KOEBE_RADIUS, 1)))
-        scan = scan_radius("koebe")
-        rows.append(("Koebe Bohr radius", KOEBE_RADIUS, scan.estimated_radius))
-        pair = (koebe_series(2, 256), identity_witness(256))
-        reports += check_theorem_grid("t4b", pair, [KOEBE_RADIUS],
-                                      witness={"family_id": "koebe_identity", "dim": 2})
-    else:
-        raise OpBohrError(f"unknown demo: {name!r}; choose from {DEMO_NAMES}")
+    row = PLANTED[name]
+    reports = [rep for d in row.dims for rep in _planted_check(name, row.params, d)([row.radius])]
+    rows = [(f"{row.shows} of {row.theorem} at r = {row.radius:.9f}, d = {rep.witness['dim']}",
+             row.target, rep.side_values[row.shows]) for rep in reports]
 
     _say(f"demo {name}")
     _say(f"{'quantity':<44} {'target':>16} {'computed':>16} {'abs diff':>12}")
@@ -658,17 +682,17 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", choices=("json", "csv"), default="json")
 
-    ps = sub.add_parser("scan", help="margin grid and bisection radius for a scalar family")
-    ps.add_argument("--family", required=True, choices=tuple(_SCAN_FAMILIES))
+    ps = sub.add_parser("scan", help="margin grid and bisection radius of a planted check")
+    ps.add_argument("--family", required=True, choices=tuple(PLANTED))
     ps.add_argument("--param", action="append", default=[],
-                    help="key=value family parameter (repeatable)")
+                    help="key=value parameter of the planted row (repeatable)")
     ps.add_argument("--r-min", type=float, default=0.0)
     ps.add_argument("--r-max", type=float, default=0.95)
     ps.add_argument("--steps", type=int, default=40)
     ps.add_argument("--out", default=None)
 
     pd = sub.add_parser("demo", help="planted extremal instances vs their sharp constants")
-    pd.add_argument("name", choices=DEMO_NAMES)
+    pd.add_argument("name", choices=tuple(PLANTED))
     pd.add_argument("--out", default=None)
 
     pt = sub.add_parser("selftest", help="cross-check the independent numerical routes")
@@ -736,11 +760,14 @@ def main(argv=None) -> int:
         if args.command == "scan":
             scan = scan_radius(args.family, _parse_params(args.param),
                                r_min=args.r_min, r_max=args.r_max, steps=args.steps)
-            flag = "" if scan.bracketed else " (unbracketed)"
-            _say(f"family {scan.family_id}: estimated radius {scan.estimated_radius:.9f}{flag}")
+            agg = scan.aggregate
+            flag = "" if agg["bracketed"] else " (unbracketed)"
+            _say(f"family {args.family}: estimated radius {agg['estimated_radius']:.9f}{flag}")
+            for warning in agg["warnings"]:
+                _say(f"warning: {warning}")
             out = _resolve_out(args.out)
             if out:
-                write_scan_csv(scan, out)
+                write_suite_report(scan, out, "json")
                 _say(f"scan written to {out}")
             return 0
 

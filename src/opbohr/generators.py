@@ -590,14 +590,23 @@ def sample(spec: FamilySpec, with_aux: bool = False):
     Each builder draws its named parameters (``_PLANTABLE``) from the seeded
     stream, and a ``params`` entry of that name replaces the drawn value.  The
     draw is made all the same, so every value after it is as drawn.  The aux
-    mapping holds every named parameter, planted or drawn, and a ``params``
-    key that no draw reads raises ``InvalidInputError``.
+    mapping holds every named parameter, planted or drawn.  A ``params`` key
+    that no family plants raises ``InvalidInputError`` before the draw, and a
+    plantable name that this family's draw does not read raises it after.
 
     Families in {schur_holo, convex_diag, starlike_diag} accept
     ``params["with_witness"] = True`` and then return the pair
     (series, SubordinationWitness), with the witness drawn from the same
     seeded stream.
     """
+    def reject_unknown(known, which: str):
+        unknown = sorted(set(spec.params) - {"with_witness", *known})
+        if unknown:
+            raise InvalidInputError(
+                f"unknown parameter(s) for {spec.family_id}: {', '.join(unknown)}; expected "
+                f"with_witness or {which}: {', '.join(sorted(known)) or 'none'}")
+
+    reject_unknown(_PLANTABLE, "a plantable name")
     rng = _rng(spec.seed)
     named = {}
 
@@ -606,11 +615,7 @@ def sample(spec: FamilySpec, with_aux: bool = False):
         return named[name]
 
     instance, aux = _BUILDERS[spec.family_id](spec, rng, plant)
-    known = {"with_witness", *named}
-    unknown = sorted(set(spec.params) - known)
-    if unknown:
-        raise InvalidInputError(f"unknown parameter(s) for {spec.family_id}: {', '.join(unknown)}; "
-                                f"expected {', '.join(sorted(known))}")
+    reject_unknown(named, "a name its draw reads")
     aux = {**aux, **named}
     if spec.params.get("with_witness", False):
         if spec.family_id not in _PAIRABLE:

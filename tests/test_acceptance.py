@@ -48,7 +48,7 @@ def test_criterion_02_koebe_constant():
     value = ob.norm_majorant(coeffs, ob.KOEBE_RADIUS, 1)
     scan = scan_radius("koebe")
     err_value = abs(value - 0.25)
-    err_radius = abs(scan.estimated_radius - ob.KOEBE_RADIUS)
+    err_radius = abs(scan.aggregate["estimated_radius"] - ob.KOEBE_RADIUS)
     _report(2, err_value <= 1e-10 and err_radius <= 1e-6,
             f"Koebe majorant = 0.25 within {err_value:.2e} (tol 1e-10); "
             f"scan radius within {err_radius:.2e} of 3-2sqrt(2) (tol 1e-6)")
@@ -214,9 +214,9 @@ def test_criterion_09_classical_bohr_radius():
     observed = []
     worst = 0.0
     for a in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        scan = scan_radius("mobius", {"a": a}, tol=1e-8)
-        observed.append(scan.estimated_radius)
-        worst = max(worst, abs(scan.estimated_radius - 1.0 / (1.0 + 2.0 * a)))
+        radius = scan_radius("mobius", {"a": a}, tol=1e-8).aggregate["estimated_radius"]
+        observed.append(radius)
+        worst = max(worst, abs(radius - 1.0 / (1.0 + 2.0 * a)))
     decreasing = all(r2 < r1 for r1, r2 in zip(observed, observed[1:]))
     approaches = observed[-1] - 1.0 / 3.0 < observed[0] - 1.0 / 3.0
     _report(9, worst <= 1e-6 and decreasing and approaches,

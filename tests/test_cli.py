@@ -14,39 +14,37 @@ import pytest
 from opbohr import (
     KOEBE_RADIUS,
     THEOREM_IDS,
+    BisectionResult,
     DomainError,
-    RadiusScan,
+    HarmonicSeries,
     SubordinationWitness,
     bohr_radius_bisect,
     check_theorem_grid,
-    norm_majorant,
+    identity_witness,
+    koebe_series,
+    mobius_series,
     thm2_radius,
     thm3_radius,
 )
 from opbohr.cli import (
     MU_FIXED,
+    PLANTED,
     THEOREM_GROUPS,
     SUITE_RUNS,
     RunConfig,
+    SuiteReport,
     demo,
     main,
     parse_theorem_list,
     run_suite,
     scan_radius,
     selftest,
-    write_scan_csv,
     write_suite_report,
 )
 import opbohr
 from opbohr import bohr, cli, generators
 from opbohr.errors import OpBohrError
-from opbohr.generators import (
-    FamilySpec,
-    derive_seed,
-    koebe_scalar_coeffs,
-    mobius_scalar_coeffs,
-    sample,
-)
+from opbohr.generators import FamilySpec, derive_seed, sample
 from opbohr.serialize import dumps, report_to_json
 
 
@@ -192,8 +190,12 @@ class TestExitCodes:
         assert main(["scan", "--family", "koebe", "--steps", "-1"]) == 2
         for order in ("abc", "2.5"):
             assert main(["scan", "--family", "koebe", "--param", f"order={order}"]) == 2
-        for family, param in (("koebe", "foo=1"), ("mobius", "oder=64"), ("constant", "a=0.5")):
+        for family, param in (("koebe", "foo=1"), ("mobius", "oder=64"), ("radius-t3", "a=0.5"),
+                              ("radius-t2", "dim=3")):
             assert main(["scan", "--family", family, "--param", param]) == 2
+        # names that went with the scan's own families and the demo chain
+        assert main(["scan", "--family", "constant"]) == 2
+        assert main(["demo", "koebe-t4"]) == 2
 
     def test_empty_list_returns_two(self):
         # an empty list is an error, not a request for every default
@@ -211,8 +213,8 @@ class TestExitCodes:
 
         def fake_scan(family, params, **kwargs):
             seen.append(params)
-            return RadiusScan(family_id=family, params=params, grid=(),
-                              estimated_radius=0.5, bracketed=True, warnings=())
+            return SuiteReport(config={}, reports=[], meta={}, aggregate={
+                "estimated_radius": 0.5, "bracketed": True, "warnings": []})
 
         monkeypatch.setattr(cli, "scan_radius", fake_scan)
         assert main(["scan", "--family", "koebe", "--param", "order=8"]) == 0
@@ -294,9 +296,22 @@ class TestExitCodes:
             f"got '{scan_order}'"]
 
     def test_max_order_is_accepted(self):
-        # the spec is checked without a draw, and the Koebe scan sums 4097 scalar norms
+        # the spec is checked without a draw, and the Koebe scan runs t4b at order 4096
         assert FamilySpec(family_id="schur_holo", order=generators.MAX_ORDER).order == 4096
-        assert scan_radius("koebe", {"order": str(generators.MAX_ORDER)}).params["order"] == 4096
+        scan = scan_radius("koebe", {"order": str(generators.MAX_ORDER)})
+        assert scan.config["params"]["order"] == 4096
+        assert scan.aggregate["estimated_radius"] == pytest.approx(KOEBE_RADIUS, abs=1e-6)
+
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_l1_order_below_its_offset_is_one_error(self, capsys, order):
+        # l1's suite runs offset k = 3, whose terms start at A_3
+        argv = ["verify", "--theorems", "l1", "--dims", "1", "--trials", "1"]
+        assert main(argv + ["--order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: l1 needs an offset k >= 0 and an order >= k - 1; got k = 3 at order {order}"]
+        assert main(argv + ["--order", "2"]) == 0
 
     def test_repeated_dims_are_one_error(self, capsys):
         # a repeated dim would draw and report each of its instances twice
@@ -323,46 +338,117 @@ class TestExitCodes:
         assert (tmp_path / "env_report.json").exists()
 
 
+def _hand_built(name: str, params: dict, dim: int):
+    """A planted row's instance and check kwargs, built here without ``PLANTED``."""
+    order = params["order"]
+    if name == "mobius":
+        f = mobius_series(params["a"], dim, order)
+        return HarmonicSeries(f.coeffs, np.zeros((order, dim, dim))), {"mu": 0.0, "normal": True}
+    if name == "koebe":
+        return (koebe_series(dim, order), identity_witness(order)), {}
+    if name == "sharpness-e55":
+        return mobius_series(params["a"], dim, order), {}
+    if name == "radius-t2":
+        return sample(FamilySpec("exterior_diag", dim=dim, order=order,
+                                 params={"c": params["c"], "frame": np.eye(dim)})), {}
+    pair, aux = sample(FamilySpec("convex_diag", dim=dim, order=order, params={
+        "with_witness": True, "kappa": params["kappa"], "frame": np.eye(dim)}), with_aux=True)
+    return pair, {"boundary_eval": aux["eval"]}
+
+
+# planted row -> (check, default parameters, dims, sharp radius)
+PLANTED_ROWS = {
+    "mobius": ("t1ii", {"a": 0.5, "order": 512}, (1,), 0.5),
+    "koebe": ("t4b", {"order": 256}, (1, 2), KOEBE_RADIUS),
+    "sharpness-e55": ("e55", {"a": 1.0 / math.sqrt(2.0), "order": 64}, (1, 2, 4),
+                      1.0 / math.sqrt(2.0)),
+    "radius-t2": ("t2", {"c": math.log(2.0), "order": 64}, (2,), 1.0 / 3.0),
+    "radius-t3": ("t3a", {"kappa": 1.0, "order": 64}, (2,), 1.0 / 3.0),
+}
+
+
 class TestScan:
-    def test_mobius_estimate(self, tmp_path):
+    @pytest.mark.parametrize("name", list(PLANTED))
+    def test_grid_and_radius_are_the_checks_own(self, name):
+        # the scan's reports are the row's check on a hand-built instance, and
+        # its radius the bisection of that check's pass flag
+        theorem, params, dims, _ = PLANTED_ROWS[name]
+        scan = scan_radius(name, r_min=0.05, r_max=0.9, steps=23)
+        instance, kwargs = _hand_built(name, params, dims[0])
+
+        def check(rs):
+            return check_theorem_grid(theorem, instance, rs, force=True, psd_tol=1e-12,
+                                      **kwargs)
+
+        rs = np.linspace(0.05, 0.9, 23).tolist()
+        expected = check(rs)
+        assert [(rep.r, rep.margin, rep.passed) for rep in scan.reports] == [
+            (rep.r, rep.margin, rep.passed) for rep in expected]
+        assert all(rep.witness == {"planted": name, **params, "dim": dims[0]}
+                   for rep in scan.reports)
+        ref = bohr_radius_bisect(lambda r: check([r])[0].passed, 0.05, 0.9)
+        agg = scan.aggregate
+        assert (agg["estimated_radius"], agg["bracketed"], agg["warnings"]) == (
+            ref.radius, ref.bracketed, list(ref.warnings))
+        assert scan.config == {"command": "scan", "family": name, "params": params,
+                               "r_min": 0.05, "r_max": 0.9, "steps": 23}
+
+    @pytest.mark.parametrize("name", list(PLANTED))
+    def test_witness_redraws_the_report(self, name):
+        scan = scan_radius(name, steps=3)
+        row = PLANTED[name]
+        for rep in scan.reports:
+            params = {k: v for k, v in rep.witness.items() if k != "planted"}
+            instance, kwargs = row.build(params)
+            (again,) = check_theorem_grid(row.theorem, instance, [rep.r], force=True,
+                                          psd_tol=1e-12, witness=rep.witness, **kwargs)
+            assert dumps(report_to_json(again)) == dumps(report_to_json(rep))
+
+    @pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 0.9])
+    def test_mobius_margins_are_the_closed_form_within_their_tail(self, a):
+        # sum over n >= 1 of (1 - a^2) a^(n-1) r^n against 1 - a
+        scan = scan_radius("mobius", {"a": a}, r_min=0.05, r_max=0.9, steps=18)
+        for rep in scan.reports:
+            r = rep.r
+            closed = (1.0 - a) - (1.0 - a * a) * r / (1.0 - a * r)
+            assert abs(rep.margin - closed) <= rep.side_values["tail"] + 1e-12, r
+
+    @pytest.mark.parametrize("order", [64, 256])
+    def test_koebe_margins_are_the_closed_form_within_their_tail(self, order):
+        # sum over n >= 1 of n r^n = r/(1 - r)^2 against 1/4
+        scan = scan_radius("koebe", {"order": order}, r_min=0.05, r_max=0.9, steps=18)
+        for rep in scan.reports:
+            r = rep.r
+            closed = 0.25 - r / (1.0 - r) ** 2
+            assert abs(rep.margin - closed) <= rep.side_values["tail"] + 1e-12, r
+
+    def test_mobius_estimate(self, tmp_path, capsys):
         scan = scan_radius("mobius", {"a": 0.5})
-        assert scan.bracketed
-        assert scan.estimated_radius == pytest.approx(0.5, abs=1e-6)
-        path = tmp_path / "scan.csv"
-        write_scan_csv(scan, str(path))
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["family_id", "param_json", "r", "margin", "passed"]
-        assert len(rows) == len(scan.grid) + 2
-        est_params = json.loads(rows[-1][1])
-        assert est_params["row"] == "estimate" and est_params["bracketed"] is True
-        assert est_params["warnings"] == list(scan.warnings)
+        assert scan.aggregate["bracketed"]
+        assert scan.aggregate["estimated_radius"] == pytest.approx(0.5, abs=1e-6)
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--family", "mobius", "--param", "a=0.5", "--out", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"family mobius: estimated radius {scan.aggregate['estimated_radius']:.9f}",
+            f"scan written to {path}"]
+        written = json.loads(path.read_text())
+        assert set(written) == {"config", "reports", "aggregate", "meta"}
+        assert len(written["reports"]) == 40
+        assert written["aggregate"]["bracketed"] is True
+        assert written["aggregate"]["warnings"] == []
+        assert written["aggregate"]["estimated_radius"] == scan.aggregate["estimated_radius"]
 
-    def test_estimate_row_carries_bisection_warnings(self, tmp_path):
-        warning = "non-monotone predicate near r = 0.3"
-        scan = RadiusScan(family_id="mobius", params={"a": 0.5}, grid=(),
-                          estimated_radius=0.5, bracketed=True, warnings=(warning,))
-        path = tmp_path / "scan.csv"
-        write_scan_csv(scan, str(path))
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert json.loads(rows[-1][1])["warnings"] == [warning]
-
-    @pytest.mark.parametrize("family, params, coeffs, k0, bound", [
-        ("mobius", {"a": 0.6, "order": 80},
-         mobius_scalar_coeffs(0.6, 80)[:, None, None], 0, 1.0),
-        ("koebe", {"order": 128}, koebe_scalar_coeffs(128)[:, None, None], 1, 0.25),
-        ("constant", {"value": 0.3}, np.array([[[0.3 + 0j]]]), 0, 1.0),
-    ])
-    def test_grid_and_radius_match_per_radius_majorants(self, family, params, coeffs, k0, bound):
-        scan = scan_radius(family, params, r_min=0.05, r_max=0.9, steps=23)
-        rs = np.linspace(0.05, 0.9, 23)
-        expected = [(float(r), bound - norm_majorant(coeffs, float(r), k0)) for r in rs]
-        assert [(r, m) for r, m, _ in scan.grid] == expected
-        assert [p for _, _, p in scan.grid] == [m >= -1e-12 for _, m in expected]
-        ref = bohr_radius_bisect(lambda r: norm_majorant(coeffs, r, k0) <= bound, 0.05, 0.9)
-        assert (scan.estimated_radius, scan.bracketed, scan.warnings) == (
-            ref.radius, ref.bracketed, ref.warnings)
+    def test_bisection_warnings_are_printed_and_written(self, tmp_path, monkeypatch, capsys):
+        warnings = ("non-monotone predicate near r = 0.3", "non-monotone predicate near r = 0.4")
+        monkeypatch.setattr(cli, "bohr_radius_bisect",
+                            lambda *args, **kwargs: BisectionResult(0.5, True, warnings))
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--family", "mobius", "--steps", "3", "--out", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "family mobius: estimated radius 0.500000000",
+            *(f"warning: {w}" for w in warnings),
+            f"scan written to {path}"]
+        assert json.loads(path.read_text())["aggregate"]["warnings"] == list(warnings)
 
     def test_sharp_radius_at_r_min_passes_the_grid_and_the_bisection(self, capsys):
         # at r_min = 1/(1 + 2a) the rounded margin may be -2.2e-16: the grid
@@ -375,8 +461,17 @@ class TestScan:
         for a in np.random.default_rng(5).uniform(0.05, 1.0, size=300):
             sharp = 1.0 / (1.0 + 2.0 * a)
             scan = scan_radius("mobius", {"a": a}, r_min=sharp, steps=3)
-            assert scan.grid[0][2] and scan.bracketed
-            assert scan.estimated_radius == pytest.approx(sharp, abs=1e-6)
+            assert scan.reports[0].passed and scan.aggregate["bracketed"]
+            assert scan.aggregate["estimated_radius"] == pytest.approx(sharp, abs=1e-6)
+
+    @pytest.mark.parametrize("name, sharp", [("mobius", 0.5), ("koebe", KOEBE_RADIUS)])
+    def test_fails_just_past_the_sharp_radius(self, name, sharp):
+        # 1e-10 past it the margin is about -1.3e-10 (mobius) or -2.1e-10
+        # (koebe): a fail at the pass rule's 1e-12, a pass at the suite's 1e-9
+        scan = scan_radius(name, r_min=sharp, r_max=sharp + 1e-10, steps=2)
+        assert [rep.passed for rep in scan.reports] == [True, False]
+        assert -3e-10 < scan.reports[1].margin < -1e-10
+        assert scan.aggregate["bracketed"] and scan.aggregate["estimated_radius"] == sharp
 
     def test_radius_outside_the_disk_raises(self):
         with pytest.raises(DomainError):
@@ -384,15 +479,18 @@ class TestScan:
 
     def test_koebe_estimate(self):
         scan = scan_radius("koebe")
-        assert scan.estimated_radius == pytest.approx(KOEBE_RADIUS, abs=1e-6)
+        assert scan.aggregate["estimated_radius"] == pytest.approx(KOEBE_RADIUS, abs=1e-6)
 
-    def test_constant_unbracketed(self):
-        scan = scan_radius("constant", {"value": 0.3})
-        assert not scan.bracketed
-        assert scan.estimated_radius == pytest.approx(0.95)
+    def test_tangent_e55_is_unbracketed(self):
+        # e55's Mobius(1/sqrt 2) majorant touches 1/sqrt(1 - r^2) at r = 1/sqrt 2
+        # and stays below it on both sides, so the check passes up to r_max
+        scan = scan_radius("sharpness-e55")
+        assert not scan.aggregate["bracketed"]
+        assert scan.aggregate["estimated_radius"] == pytest.approx(0.95)
+        assert all(rep.passed for rep in scan.reports)
 
     def test_cli_scan(self, tmp_path):
-        out = tmp_path / "koebe.csv"
+        out = tmp_path / "koebe.json"
         code = main(["scan", "--family", "koebe", "--out", str(out)])
         assert code == 0 and out.exists()
 
@@ -400,22 +498,20 @@ class TestScan:
         ("koebe", [], {"order": 256}),
         ("koebe", ["order=64"], {"order": 64}),
         ("mobius", ["order=32", "a=0.25"], {"a": 0.25, "order": 32}),
-        ("mobius", ["a=1e-1"], {"a": 0.1, "order": 96}),
-        ("constant", ["value=1"], {"value": 1.0}),
+        ("mobius", ["a=1e-1"], {"a": 0.1, "order": 512}),
+        ("radius-t3", ["kappa=2"], {"kappa": 2.0, "order": 64}),
     ])
     def test_scan_keeps_the_validated_parameters(self, tmp_path, family, argv, expected):
-        # --param parses numbers as floats; a scan stores an int order and float a and value
-        out = tmp_path / "scan.csv"
+        # --param parses numbers as floats; a scan stores an int order and float others
+        out = tmp_path / "scan.json"
         params = [arg for item in argv for arg in ("--param", item)]
         assert main(["scan", "--family", family, "--steps", "3", "--out", str(out), *params]) == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
+        written = json.loads(out.read_text())
         typed = {k: (v, type(v)) for k, v in expected.items()}
-        for row in rows:
-            values = json.loads(row[1])
+        for values in [written["config"]["params"]] + [rep["witness"] for rep in written["reports"]]:
             assert {k: (values[k], type(values[k])) for k in expected} == typed
         scan = scan_radius(family, {k: float(v) for k, v in expected.items()}, steps=3)
-        assert {k: (v, type(v)) for k, v in scan.params.items()} == typed
+        assert {k: (v, type(v)) for k, v in scan.config["params"].items()} == typed
 
 
 class TestDemo:
@@ -427,18 +523,35 @@ class TestDemo:
         for row in report.aggregate["demo_rows"]:
             assert abs(row["computed"] - row["target"]) <= 1e-6
 
+    @pytest.mark.parametrize("name", list(PLANTED))
+    def test_each_row_meets_its_target_at_its_sharp_radius(self, capsys, name):
+        theorem, _, dims, radius = PLANTED_ROWS[name]
+        report = demo(name)
+        capsys.readouterr()
+        assert [(rep.theorem_id, rep.r, rep.witness["dim"], rep.passed)
+                for rep in report.reports] == [(theorem, radius, d, True) for d in dims]
+        rows = report.aggregate["demo_rows"]
+        assert len(rows) == len(dims)
+        for row in rows:
+            assert row["target"] == PLANTED[name].target
+            assert abs(row["computed"] - row["target"]) <= 1e-15
+
     def test_radius_demos(self, capsys):
-        for name in ("radius-t2", "radius-t3", "koebe-t4"):
+        # the values the demos printed before they read PLANTED: thm2_radius(2I),
+        # thm3_radius(I) and the Koebe majorant at 3 - 2 sqrt(2)
+        before = {"radius-t2": 1.0 / 3.0, "radius-t3": 1.0 / 3.0, "koebe": 0.2499999999999996}
+        for name, value in before.items():
             report = demo(name)
             for row in report.aggregate["demo_rows"]:
-                assert abs(row["computed"] - row["target"]) <= 1e-6
+                assert abs(row["computed"] - value) <= 1e-15
         capsys.readouterr()
 
     def test_demo_cli(self):
         assert main(["demo", "radius-t3"]) == 0
 
-    def test_demo_and_verify_write_the_same_meta(self, capsys):
-        metas = [demo("radius-t3").meta, run_suite(RunConfig(trials=1, dims=(1,))).meta]
+    def test_demo_scan_and_verify_write_the_same_meta(self, capsys):
+        metas = [demo("radius-t3").meta, scan_radius("koebe", steps=2).meta,
+                 run_suite(RunConfig(trials=1, dims=(1,))).meta]
         capsys.readouterr()
         for meta in metas:
             assert list(meta) == ["artifact_version", "timestamp"]

@@ -664,6 +664,28 @@ class TestPlantedParameters:
             with pytest.raises(InvalidInputError, match="unknown parameter"):
                 sample(spec_of(family, dim=1, order=8, seed=2, params={key: 1.0}))
 
+    @pytest.mark.parametrize("order", [8, 1000, 1100])
+    def test_a_key_no_family_plants_is_rejected_before_the_draw(self, monkeypatch, order):
+        # at order 1100 the colligation's extraction would raise RangeError first
+        calls = []
+        build = generators._BUILDERS["exterior_colligation"]
+        monkeypatch.setitem(generators._BUILDERS, "exterior_colligation",
+                            lambda *args: calls.append(1) or build(*args))
+        with pytest.raises(InvalidInputError, match="c_rnage; expected with_witness or a "
+                                                    "plantable name: beta, c, frame"):
+            sample(spec_of("exterior_colligation", order=order, params={"c_rnage": 1.0}))
+        assert calls == []
+
+    def test_a_plantable_name_the_draw_does_not_read_is_rejected_after_it(self, monkeypatch):
+        calls = []
+        build = generators._BUILDERS["exterior_colligation"]
+        monkeypatch.setitem(generators._BUILDERS, "exterior_colligation",
+                            lambda *args: calls.append(1) or build(*args))
+        with pytest.raises(InvalidInputError, match="zeta; expected with_witness or a name "
+                                                    "its draw reads: v_norm_sq$"):
+            sample(spec_of("exterior_colligation", order=8, params={"zeta": 1.0}))
+        assert calls == [1]
+
 
 class TestAdHocSources:
     def test_gaussian_sequences_mass_below_identity(self):
