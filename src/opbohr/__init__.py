@@ -39,10 +39,8 @@ from .series import (
 )
 from .bohr import (
     KOEBE_RADIUS,
-    BisectionResult,
     THEOREM_IDS,
     TheoremReport,
-    bohr_radius_bisect,
     boundary_distance_liminf,
     check_theorem_grid,
     norm_majorant,

@@ -325,50 +325,6 @@ def thm3_radius(a1) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bisection radius search
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BisectionResult:
-    radius: float
-    bracketed: bool
-    warnings: tuple[str, ...] = ()
-
-
-def bohr_radius_bisect(predicate: Callable[[float], bool], r_lo: float, r_hi: float,
-                       tol: float = 1e-7) -> BisectionResult:
-    """Largest r (within tol) at which a monotone predicate still holds.
-
-    The predicate must hold at r_lo.  If it also holds at r_hi the bracket is
-    open and r_hi is returned flagged unbracketed.  Monotonicity is the
-    caller's responsibility; it is spot-checked on 8 interior points and
-    violations are reported as warnings.
-    """
-    if not (r_lo < r_hi):
-        raise InvalidInputError("need r_lo < r_hi")
-    if not predicate(r_lo):
-        raise ContractError("predicate must hold at r_lo")
-    probes = [(x, bool(predicate(x))) for x in np.linspace(r_lo, r_hi, 10)[1:-1]]
-    if predicate(r_hi):
-        radius, bracketed = float(r_hi), False
-    else:
-        lo, hi = float(r_lo), float(r_hi)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if predicate(mid):
-                lo = mid
-            else:
-                hi = mid
-        radius, bracketed = lo, True
-    warnings = tuple(
-        f"non-monotone predicate near r = {x:.6g}"
-        for x, ok in probes
-        if (x <= radius - tol and not ok) or (x >= radius + tol and ok)
-    )
-    return BisectionResult(radius=radius, bracketed=bracketed, warnings=warnings)
-
-
-# ---------------------------------------------------------------------------
 # theorem reports
 # ---------------------------------------------------------------------------
 

@@ -5,8 +5,9 @@ sharp-constant demos, and oracle self-tests.
 ``scan`` read another, ``PLANTED``: each row names a planted instance, the
 check it makes sharp and that check's sharp radius.  ``demo NAME`` runs the
 check at that radius; ``scan --family NAME`` runs it on a radius grid and
-bisects on its pass flag.  All three return a ``SuiteReport`` and write it
-with ``write_suite_report``.
+narrows the radius where its pass flag turns, in rounds of one check call on
+``SCAN_CELLS + 1`` radii each.  All three return a ``SuiteReport`` and write
+it with ``write_suite_report``.
 
 Exit codes: 0 when every check passes, 1 when at least one inequality is
 violated, 2 on configuration or I/O errors.
@@ -34,10 +35,9 @@ from .bohr import (
     KOEBE_RADIUS,
     TheoremReport,
     THEOREM_IDS,
-    bohr_radius_bisect,
     check_theorem_grid,
 )
-from .errors import InvalidInputError, OpBohrError
+from .errors import ContractError, DomainError, InvalidInputError, OpBohrError
 from .funcalc import (
     ColligationSpec,
     colligation_log_coeff,
@@ -399,21 +399,59 @@ def _scan_param(key: str, value) -> float | int:
     return int(number)
 
 
+# the radius search splits each round's span into SCAN_CELLS equal cells and
+# stops at a cell at most SCAN_TOL wide, well above float spacing on [0, 1)
+SCAN_CELLS = 16
+SCAN_TOL = 1e-8
+
+
+def _search_radius(check: Callable[[list], list[TheoremReport]], theorem: str,
+                   r_min: float, r_max: float) -> dict:
+    """The radius where a check stops passing, read from its reports alone.
+
+    The first round spans r_min to r_max.  A check that fails at r_min
+    raises; one that passes at every radius of that round gives r_max,
+    unbracketed.  The estimate is the lower end of the last cell, so it lies
+    below every radius at which a round saw a fail, and each pass after a
+    fail in its round is a warning.
+    """
+    lo, hi, warnings = r_min, r_max, []
+    while True:
+        rs = np.linspace(lo, hi, SCAN_CELLS + 1).tolist()
+        passed = [rep.passed for rep in check(rs)]
+        if not passed[0]:
+            raise ContractError(f"a scan needs its check to pass at r_min; {theorem} fails at "
+                                f"r_min = {r_min!r}")
+        if all(passed):
+            return {"estimated_radius": r_max, "bracketed": False, "warnings": warnings}
+        first = passed.index(False)
+        warnings += [f"non-monotone check near r = {r:.6g}"
+                     for r, ok in zip(rs[first:], passed[first:]) if ok]
+        lo, hi = rs[first - 1], rs[first]
+        if hi - lo <= SCAN_TOL:
+            return {"estimated_radius": lo, "bracketed": True, "warnings": warnings}
+
+
 def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
-                r_max: float = 0.95, steps: int = 40, tol: float = 1e-7) -> SuiteReport:
+                r_max: float = 0.95, steps: int = 40) -> SuiteReport:
     """The check of a planted row on a radius grid, and the radius where it stops passing.
 
     ``params`` override the row's defaults, each a number or its text; the
     scan keeps an int order and a float otherwise.  The instance is built
     once, at the row's first dimension.  The reports are the check's at
-    ``steps`` radii from r_min to r_max, and the bisection reads the same
-    check's pass flag, so both pass a radius whose margin is at least
-    -``PLANTED_TOL`` scale.  The aggregate adds the ``estimated_radius``, and
-    whether the bisection ``bracketed`` it, with its ``warnings``.
+    ``steps`` radii from r_min to r_max.  The aggregate adds the
+    ``estimated_radius`` that ``_search_radius`` reads from the same check's
+    pass flag, within ``SCAN_TOL``, whether it ``bracketed`` it, and its
+    ``warnings``; both pass a radius whose margin is at least -``PLANTED_TOL``
+    scale.
     """
     start = time.perf_counter()
-    if steps < 0:
-        raise InvalidInputError(f"steps must be >= 0, got {steps}")
+    if steps < 0 or not r_min < r_max:
+        raise InvalidInputError(f"a scan needs steps >= 0 and r_min < r_max; got steps = {steps}, "
+                                f"r_min = {r_min!r}, r_max = {r_max!r}")
+    if not (r_min >= 0.0 and r_max < 1.0):
+        raise DomainError(f"a scan's radii must lie in [0, 1); got r_min = {r_min!r}, "
+                          f"r_max = {r_max!r}")
     if family not in PLANTED:
         raise OpBohrError(f"unknown scan family: {family!r}")
     row = PLANTED[family]
@@ -424,13 +462,12 @@ def scan_radius(family: str, params: dict | None = None, r_min: float = 0.0,
     merged = {key: _scan_param(key, value)
               for key, value in {**row.params, **(params or {})}.items()}
     check = _planted_check(family, merged, row.dims[0])
+    estimate = _search_radius(check, row.theorem, r_min, r_max)
     reports = check(np.linspace(r_min, r_max, steps).tolist())
-    result = bohr_radius_bisect(lambda r: check([r])[0].passed, r_min, r_max, tol=tol)
-    aggregate = {**_aggregate(reports), "estimated_radius": result.radius,
-                 "bracketed": result.bracketed, "warnings": list(result.warnings)}
     config = {"command": "scan", "family": family, "params": merged,
               "r_min": r_min, "r_max": r_max, "steps": steps}
-    return SuiteReport(config=config, reports=reports, aggregate=aggregate, meta=_meta(start))
+    return SuiteReport(config=config, reports=reports, aggregate={**_aggregate(reports), **estimate},
+                       meta=_meta(start))
 
 
 def demo(name: str) -> SuiteReport:
@@ -682,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", choices=("json", "csv"), default="json")
 
-    ps = sub.add_parser("scan", help="margin grid and bisection radius of a planted check")
+    ps = sub.add_parser("scan", help="margin grid and estimated radius of a planted check")
     ps.add_argument("--family", required=True, choices=tuple(PLANTED))
     ps.add_argument("--param", action="append", default=[],
                     help="key=value parameter of the planted row (repeatable)")

@@ -654,7 +654,9 @@ def koebe_scalar_coeffs(order: int) -> np.ndarray:
 
 
 def koebe_series(dim: int, order: int) -> HoloSeries:
-    return HoloSeries.from_scalar(koebe_scalar_coeffs(order), dim)
+    """z/(1-z)^2 times the identity, with its exact envelope a_n = n."""
+    f = HoloSeries.from_scalar(koebe_scalar_coeffs(order), dim)
+    return HoloSeries(f.coeffs, CoeffEnvelope(1.0, 1.0, 1))
 
 
 def identity_witness(order: int) -> SubordinationWitness:

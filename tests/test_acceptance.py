@@ -214,13 +214,13 @@ def test_criterion_09_classical_bohr_radius():
     observed = []
     worst = 0.0
     for a in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        radius = scan_radius("mobius", {"a": a}, tol=1e-8).aggregate["estimated_radius"]
+        radius = scan_radius("mobius", {"a": a}).aggregate["estimated_radius"]
         observed.append(radius)
         worst = max(worst, abs(radius - 1.0 / (1.0 + 2.0 * a)))
     decreasing = all(r2 < r1 for r1, r2 in zip(observed, observed[1:]))
     approaches = observed[-1] - 1.0 / 3.0 < observed[0] - 1.0 / 3.0
     _report(9, worst <= 1e-6 and decreasing and approaches,
-            f"bisection recovers 1/(1+2a) within {worst:.2e} (tol 1e-6) for a in "
+            f"the scan recovers 1/(1+2a) within {worst:.2e} (tol 1e-6) for a in "
             f"0.1..0.9; family infimum decreases monotonically toward 1/3 "
             f"(last radius {observed[-1]:.6f})")
 

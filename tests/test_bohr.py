@@ -20,7 +20,6 @@ from opbohr import (
     RangeError,
     ScalarSeries,
     SubordinationWitness,
-    bohr_radius_bisect,
     boundary_distance_liminf,
     check_theorem_grid,
     compose_subordination,
@@ -683,8 +682,9 @@ class TestEnvelopeTail:
                 assert rep.side_values["tail"] == pytest.approx(expected, rel=1e-12)
 
     def test_series_without_an_envelope_keeps_the_truncation_tail(self):
-        # the Koebe demo pair: s = 1 + ... + 256 = 32896 at n = 1, tail s r^(m+1)/(1 - r)
-        pair = (koebe_series(2, 256), identity_witness(256))
+        # the Koebe demo pair without its envelope: s = 1 + ... + 256 = 32896 at
+        # n = 1, tail s r^(m+1)/(1 - r)
+        pair = (HoloSeries(koebe_series(2, 256).coeffs), identity_witness(256))
         m = cut_order(pair, KOEBE_RADIUS)
         for rep in check_theorem_grid("t4b", pair, (0.1, KOEBE_RADIUS)):
             assert rep.side_values["tail_bounds_f"] == 0.0
@@ -832,30 +832,6 @@ class TestRadiusFormulas:
     def test_thm3_singular(self):
         with pytest.raises(ContractError):
             thm3_radius(np.diag([1.0, 0.0]).astype(complex))
-
-
-class TestBisect:
-    def mobius_predicate(self, a, order=96):
-        coeffs = mobius_scalar_coeffs(a, order)[:, None, None]
-        return lambda r: norm_majorant(coeffs, r, 0) <= 1.0
-
-    def test_mobius_half(self):
-        res = bohr_radius_bisect(self.mobius_predicate(0.5), 0.0, 0.95, tol=1e-8)
-        assert res.bracketed
-        assert res.radius == pytest.approx(0.5, abs=1e-6)
-        assert not res.warnings
-
-    def test_mobius_point_nine(self):
-        res = bohr_radius_bisect(self.mobius_predicate(0.9), 0.0, 0.95, tol=1e-8)
-        assert res.radius == pytest.approx(1.0 / 2.8, abs=1e-6)
-
-    def test_unbracketed(self):
-        res = bohr_radius_bisect(lambda r: True, 0.0, 0.9)
-        assert res.radius == 0.9 and not res.bracketed
-
-    def test_predicate_must_hold_at_lo(self):
-        with pytest.raises(ContractError):
-            bohr_radius_bisect(lambda r: False, 0.0, 0.9)
 
 
 class TestCheckTheorem:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -14,11 +15,9 @@ import pytest
 from opbohr import (
     KOEBE_RADIUS,
     THEOREM_IDS,
-    BisectionResult,
     DomainError,
     HarmonicSeries,
     SubordinationWitness,
-    bohr_radius_bisect,
     check_theorem_grid,
     identity_witness,
     koebe_series,
@@ -197,6 +196,38 @@ class TestExitCodes:
         assert main(["scan", "--family", "constant"]) == 2
         assert main(["demo", "koebe-t4"]) == 2
 
+    @pytest.mark.parametrize("r_min, r_max", [("0.5", "0.4"), ("0.4", "0.4"), ("nan", "0.4")])
+    def test_scan_bounds_out_of_order_are_one_error(self, capsys, monkeypatch, r_min, r_max):
+        # refused with the steps check, before any check runs
+        calls = []
+        monkeypatch.setattr(cli, "check_theorem_grid", lambda *args, **kwargs: calls.append(args))
+        assert main(["scan", "--family", "mobius", "--r-min", r_min, "--r-max", r_max]) == 2
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: a scan needs steps >= 0 and r_min < r_max; got steps = 40, "
+            f"r_min = {float(r_min)!r}, r_max = {float(r_max)!r}"]
+
+    @pytest.mark.parametrize("r_min, r_max", [("-0.1", "0.5"), ("0.5", "1.5"), ("0", "inf")])
+    def test_scan_bounds_outside_the_disk_are_one_error(self, capsys, monkeypatch, r_min, r_max):
+        # named by the scan's own bounds, not by a radius of its search
+        calls = []
+        monkeypatch.setattr(cli, "check_theorem_grid", lambda *args, **kwargs: calls.append(args))
+        assert main(["scan", "--family", "koebe", "--r-min", r_min, "--r-max", r_max]) == 2
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: a scan's radii must lie in [0, 1); got r_min = {float(r_min)!r}, "
+            f"r_max = {float(r_max)!r}"]
+
+    def test_scan_whose_check_fails_at_r_min_is_one_error(self, capsys):
+        # the Mobius row's t1ii is sharp at 0.5 and fails at 0.9
+        assert main(["scan", "--family", "mobius", "--r-min", "0.9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: a scan needs its check to pass at r_min; t1ii fails at r_min = 0.9"]
+
     def test_empty_list_returns_two(self):
         # an empty list is an error, not a request for every default
         for text in (",", "", " , "):
@@ -371,7 +402,7 @@ class TestScan:
     @pytest.mark.parametrize("name", list(PLANTED))
     def test_grid_and_radius_are_the_checks_own(self, name):
         # the scan's reports are the row's check on a hand-built instance, and
-        # its radius the bisection of that check's pass flag
+        # its radius the last pass of that check before a fail at most 1e-8 on
         theorem, params, dims, _ = PLANTED_ROWS[name]
         scan = scan_radius(name, r_min=0.05, r_max=0.9, steps=23)
         instance, kwargs = _hand_built(name, params, dims[0])
@@ -386,12 +417,30 @@ class TestScan:
             (rep.r, rep.margin, rep.passed) for rep in expected]
         assert all(rep.witness == {"planted": name, **params, "dim": dims[0]}
                    for rep in scan.reports)
-        ref = bohr_radius_bisect(lambda r: check([r])[0].passed, 0.05, 0.9)
         agg = scan.aggregate
-        assert (agg["estimated_radius"], agg["bracketed"], agg["warnings"]) == (
-            ref.radius, ref.bracketed, list(ref.warnings))
+        assert agg["warnings"] == []
+        if name == "sharpness-e55":
+            assert (agg["estimated_radius"], agg["bracketed"]) == (0.9, False)
+        else:
+            radius = agg["estimated_radius"]
+            assert agg["bracketed"]
+            assert [rep.passed for rep in check([radius, radius + 1e-8])] == [True, False]
         assert scan.config == {"command": "scan", "family": name, "params": params,
                                "r_min": 0.05, "r_max": 0.9, "steps": 23}
+
+    def test_a_default_scan_prepares_its_check_at_most_8_times(self, monkeypatch):
+        # one preparation for the report grid and one per round of the search:
+        # 0.95 / 16^7 < 1e-8 is 7 rounds, and e55 passes every radius of its first
+        calls = []
+        for key, prepare in bohr._PREPARERS.items():
+            monkeypatch.setitem(bohr._PREPARERS, key,
+                                lambda *args, _prepare=prepare, **kwargs:
+                                calls.append(1) or _prepare(*args, **kwargs))
+        for name in PLANTED:
+            calls.clear()
+            scan = scan_radius(name)
+            assert scan.aggregate["bracketed"] == (name != "sharpness-e55")
+            assert len(calls) <= (8 if scan.aggregate["bracketed"] else 2), name
 
     @pytest.mark.parametrize("name", list(PLANTED))
     def test_witness_redraws_the_report(self, name):
@@ -438,21 +487,31 @@ class TestScan:
         assert written["aggregate"]["warnings"] == []
         assert written["aggregate"]["estimated_radius"] == scan.aggregate["estimated_radius"]
 
-    def test_bisection_warnings_are_printed_and_written(self, tmp_path, monkeypatch, capsys):
-        warnings = ("non-monotone predicate near r = 0.3", "non-monotone predicate near r = 0.4")
-        monkeypatch.setattr(cli, "bohr_radius_bisect",
-                            lambda *args, **kwargs: BisectionResult(0.5, True, warnings))
+    def test_search_warnings_are_printed_and_written(self, tmp_path, monkeypatch, capsys):
+        # the check fails from r = 0.5 on, except on [0.7, 0.8), where the
+        # search's first round of 17 radii sees passes at 0.7125 and 0.771875
+        planted_check = cli._planted_check
+
+        def non_monotone(name, params, dim):
+            check = planted_check(name, params, dim)
+            return lambda rs: [dataclasses.replace(rep, passed=rep.r < 0.5 or 0.7 <= rep.r < 0.8)
+                               for rep in check(rs)]
+
+        monkeypatch.setattr(cli, "_planted_check", non_monotone)
         path = tmp_path / "scan.json"
         assert main(["scan", "--family", "mobius", "--steps", "3", "--out", str(path)]) == 0
+        aggregate = json.loads(path.read_text())["aggregate"]
+        warnings = ["non-monotone check near r = 0.7125", "non-monotone check near r = 0.771875"]
+        assert aggregate["warnings"] == warnings
+        assert 0.5 - 1e-8 <= aggregate["estimated_radius"] < 0.5
         assert capsys.readouterr().out.splitlines() == [
-            "family mobius: estimated radius 0.500000000",
+            f"family mobius: estimated radius {aggregate['estimated_radius']:.9f}",
             *(f"warning: {w}" for w in warnings),
             f"scan written to {path}"]
-        assert json.loads(path.read_text())["aggregate"]["warnings"] == list(warnings)
 
     def test_sharp_radius_at_r_min_passes_the_grid_and_the_bisection(self, capsys):
         # at r_min = 1/(1 + 2a) the rounded margin may be -2.2e-16: the grid
-        # passes it, and so must the bisection, which needs its predicate at r_min
+        # passes it, and so must the search, which needs its check to pass at r_min
         a = 0.16185494884960755
         assert main(["scan", "--family", "mobius", "--param", f"a={a!r}",
                      "--r-min", repr(1.0 / (1.0 + 2.0 * a)), "--steps", "3"]) == 0
@@ -488,6 +547,15 @@ class TestScan:
         assert not scan.aggregate["bracketed"]
         assert scan.aggregate["estimated_radius"] == pytest.approx(0.95)
         assert all(rep.passed for rep in scan.reports)
+
+    @pytest.mark.parametrize("order", [2, 4, 8, 64, 256])
+    def test_koebe_estimate_stays_at_or_below_the_sharp_radius(self, order):
+        # the envelope a_n = n makes each tail bound z/(1 - z)^2 itself, so
+        # no truncation order passes past 3 - 2 sqrt 2
+        scan = scan_radius("koebe", {"order": order})
+        assert scan.aggregate["bracketed"]
+        assert scan.aggregate["estimated_radius"] <= KOEBE_RADIUS
+        assert all(rep.side_values["tail_bounds_f"] == 1.0 for rep in scan.reports)
 
     def test_cli_scan(self, tmp_path):
         out = tmp_path / "koebe.json"
